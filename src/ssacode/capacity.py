@@ -23,9 +23,10 @@ from .sequences import code_to_word
 class TransitionDigraph:
     """Overlap digraph on a vertex set of length-m words over a q-ary alphabet.
 
-    Adjacency is never materialized as a matrix for large graphs: since
-    u -> v iff suffix(u) == prefix(v), a matrix-vector product reduces to a
-    group-sum over shared overlap words, O(|V|) per product.
+    Adjacency is never materialized as a matrix (``adjacency_matrix`` is a
+    small-graph reference for tests): since u -> v iff suffix(u) ==
+    prefix(v), a matrix-vector product reduces to a group-sum over shared
+    overlap words, O(|V|) per product.
 
     ``codes`` may come in any order and with repeats; the stored vertex codes
     are sorted and duplicate-free.  A strictly increasing int64 array, such
@@ -73,6 +74,35 @@ class TransitionDigraph:
         if self.vertex_count > max_vertices:
             raise ValueError(f"{self.vertex_count} vertices: adjacency matrix too large")
         return (self._suf[:, None] == self._pre[None, :]).astype(np.int64)
+
+    def cyclic_components(self) -> List[np.ndarray]:
+        """Vertex indices of each strongly connected component that has a cycle.
+
+        The digraph is the line graph of the key graph H, whose nodes are the
+        overlap words and which has one arc pre(v) -> suf(v) per vertex v.  A
+        vertex lies on a cycle exactly when both of its keys are in one strong
+        component of H, and two such vertices share a component of this
+        digraph exactly when they share that component of H.  So the split
+        costs O(|V| + keys) and never forms the adjacency matrix.  Each index
+        array is ascending; components come in no particular order.
+        """
+        from scipy.sparse import csr_matrix
+        from scipy.sparse.csgraph import connected_components
+
+        # codes are sorted, so _pre is non-decreasing: rows of H by bincount
+        indptr = np.zeros(self._nbins + 1, dtype=np.int64)
+        np.cumsum(np.bincount(self._pre, minlength=self._nbins), out=indptr[1:])
+        key_graph = csr_matrix(
+            (np.ones(self.vertex_count, dtype=np.int8), self._suf, indptr),
+            shape=(self._nbins, self._nbins))
+        _, key_labels = connected_components(
+            key_graph, directed=True, connection="strong")
+        label = key_labels[self._pre]
+        on_cycle = np.flatnonzero(label == key_labels[self._suf])
+        if len(on_cycle) == 0:
+            return []
+        order = on_cycle[np.argsort(label[on_cycle], kind="stable")]
+        return np.split(order, np.flatnonzero(np.diff(label[order])) + 1)
 
     def count_step(self, counts: List[int]) -> List[int]:
         """One exact big-integer DP step: new[v] = sum over u -> v of counts[u]."""
@@ -152,30 +182,30 @@ def spectral_radius(g: TransitionDigraph, tol: float = 1e-10,
                     max_iter: int = 100000, growth_depth: int = 64) -> CapacityReport:
     """Dominant eigenvalue of the adjacency operator by power iteration.
 
-    For small digraphs the graph is first split into strongly connected
-    components and each irreducible component is iterated separately (the
-    Perron root of a nonnegative matrix is the max over its components).
-    This avoids the merely algebraic convergence that reducible graphs with
-    repeated Perron roots inflict on a global iteration.  Large digraphs
-    are iterated globally from the all-ones vector.  A walk-growth ratio
-    at the configured depth is recorded as an independent cross-check.
+    The Perron root of a nonnegative matrix is the max over its irreducible
+    components.  For digraphs of at most ``_SCC_THRESHOLD`` vertices each
+    strong component with a cycle is therefore iterated on its own, which
+    avoids the merely algebraic convergence that reducible graphs with
+    repeated Perron roots inflict on a global iteration.  The components
+    come from the key graph (see ``TransitionDigraph.cyclic_components``),
+    and the subgraph induced on a subset of an overlap digraph is the
+    overlap digraph of that subset, so every component iterates with the
+    same O(|V|) group-sum product and no adjacency matrix is formed.  Each
+    component's root depends only on its own codes, so equal components in
+    two sets give bit-identical roots.
+
+    Larger digraphs are iterated globally from the all-ones vector: split
+    the same way, the 2M-vertex m=11 digraph took more memory and more
+    time.  A walk-growth ratio at the configured depth is recorded as an
+    independent cross-check.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
     if g.vertex_count <= _SCC_THRESHOLD:
-        from scipy.sparse import csr_matrix
-        from scipy.sparse.csgraph import connected_components
-
-        adj = (g._suf[:, None] == g._pre[None, :])
-        n_comp, labels = connected_components(
-            csr_matrix(adj), directed=True, connection="strong")
         rho, iterations, residual, converged = 0.0, 0, 0.0, True
-        for comp in range(n_comp):
-            idx = np.flatnonzero(labels == comp)
-            sub = adj[np.ix_(idx, idx)].astype(float)
-            if len(idx) == 1 and sub[0, 0] == 0.0:
-                continue  # trivial SCC, contributes nothing to the radius
-            r, it, res, conv = _shifted_power(sub.dot, len(idx), tol, max_iter)
+        for idx in g.cyclic_components():
+            sub = TransitionDigraph(m=g.m, codes=g.codes[idx], q=g.q)
+            r, it, res, conv = _shifted_power(sub.matvec, len(idx), tol, max_iter)
             iterations += it
             residual = max(residual, res)
             converged = converged and conv

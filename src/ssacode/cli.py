@@ -3,7 +3,8 @@
 Commands: check, capacity, count, oracle, search, table, encode, decode.
 All reports embed the resolved run configuration so results are reproducible.
 Exit codes: 0 success (or SSA verdict), 1 domain failure (non-SSA, out of
-range, budget exceeded, invalid set), 2 usage error.
+range, budget exceeded, invalid set, power iteration not converged), 2 usage
+error.
 """
 
 from __future__ import annotations
@@ -120,13 +121,18 @@ def cmd_check(args) -> int:
 
 def cmd_capacity(args) -> int:
     s = _resolve_set(args)
-    report = cap.rate_of_set(s, tol=args.tol).to_dict()
+    report = cap.rate_of_set(s, tol=args.tol)
     _emit({
         "command": "capacity",
         "config": _config(args, ("m", "set", "set_file", "tol")),
         "set_size": len(s),
-        **report,
+        **report.to_dict(),
     }, args)
+    if not report.converged:
+        print(f"error: power iteration did not converge: residual "
+              f"{report.residual:.3g} after {report.iterations} iterations "
+              f"(tol {args.tol:g})", file=sys.stderr)
+        return 1
     return 0
 
 

@@ -96,3 +96,30 @@ def random_valid_set(rng: random.Random, m: int, drop_rate: float = 0.0):
 @pytest.fixture
 def rng():
     return random.Random(0xDA7A)
+
+
+def dense_strong_components(adj):
+    """Strong components of a dense 0/1 adjacency matrix, by scipy, as
+    ascending vertex-index arrays."""
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import connected_components
+
+    n_comp, labels = connected_components(
+        csr_matrix(adj), directed=True, connection="strong")
+    return [np.flatnonzero(labels == comp) for comp in range(n_comp)]
+
+
+def dense_spectral_radius(adj):
+    """max |eigenvalue| of a dense 0/1 adjacency matrix.
+
+    The eigenvalues of a matrix are those of the diagonal blocks of its
+    block-triangular (Frobenius normal) form, one block per strong
+    component; LAPACK gets each block's simple Perron root to round-off.
+    A global ``eigvals`` does not: chained cycles of equal root make the
+    eigenvalue defective, and a Jordan block of size k moves it by about
+    eps**(1/k) (3e-6 above the exact 1.0 for ``CHAINED_UNIT_CYCLES`` in
+    test_capacity.py).
+    """
+    adj = np.asarray(adj, dtype=float)
+    return max((max(abs(np.linalg.eigvals(adj[np.ix_(idx, idx)])))
+                for idx in dense_strong_components(adj)), default=0.0)

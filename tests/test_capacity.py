@@ -3,7 +3,7 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from ssacode import (
     F3,
@@ -24,7 +24,13 @@ from ssacode import (
     trivial_upper_bound,
 )
 from ssacode.capacity import BLOCK_CONCAT_WORDS
-from conftest import ref_count_constrained, ref_good_binary_count, random_valid_set
+from conftest import (
+    dense_spectral_radius,
+    dense_strong_components,
+    random_valid_set,
+    ref_count_constrained,
+    ref_good_binary_count,
+)
 
 WORKED_SET = GeneratingSet.from_words(["TT", "TC", "TG", "GT", "CT", "CC"])
 
@@ -37,6 +43,28 @@ WORKED_MATRIX = [
     [1, 1, 1, 0, 0, 0],
     [0, 0, 0, 0, 1, 1],
 ]
+
+# Reducible digraphs for the spectral oracle: two disjoint copies of one
+# 4-vertex component (root x^3 = x^2 + 1), two self-loops joined by a
+# bridge vertex that lies on no cycle, a path with no cycle at all, and
+# three 4-cycles joined by paths, whose defective root 1 a global dense
+# eigvals misplaces by 3e-6.
+TWO_EQUAL_CYCLES = ["AAA", "AAC", "ACA", "CAA", "CCC", "CCG", "CGC", "GCC"]
+BRIDGED_SELF_LOOPS = ["AA", "AC", "CC"]
+NO_CYCLE = ["AC", "CT"]
+CHAINED_UNIT_CYCLES = [
+    "AAGA", "ACAG", "AGAC", "CAGA", "CGCT", "CGTT", "CTTG", "GAAG", "GACA",
+    "GCTT", "GGCT", "GTTC", "TCGC", "TCGT", "TGAA", "TGCT", "TTCG", "TTGA",
+    "TTGC"]
+
+
+@st.composite
+def rc_free_words(draw):
+    """Random RC-free sets at m = 2, 3, 4, maximal or thinned (reducible)."""
+    m = draw(st.sampled_from([2, 3, 4]))
+    drop_rate = draw(st.sampled_from([0.0, 0.3, 0.7]))
+    rng = random.Random(draw(st.integers(0, 2 ** 32 - 1)))
+    return random_valid_set(rng, m, drop_rate=drop_rate).words()
 
 
 class TestDigraph:
@@ -112,13 +140,34 @@ class TestSpectralRadius:
         rep = spectral_radius(build_digraph(WORKED_SET))
         assert rep.growth_ratio == pytest.approx(rep.spectral_radius, abs=1e-6)
 
-    def test_matches_dense_eigenvalues_random(self, rng):
-        for _ in range(20):
-            s = random_valid_set(rng, 2, drop_rate=rng.choice([0.0, 0.3]))
-            g = build_digraph(s)
-            dense = max(abs(np.linalg.eigvals(g.adjacency_matrix().astype(float))))
-            rep = spectral_radius(g)
-            assert rep.spectral_radius == pytest.approx(dense, abs=1e-7)
+    @settings(max_examples=60, deadline=None)
+    @given(rc_free_words())
+    @example(TWO_EQUAL_CYCLES)
+    @example(BRIDGED_SELF_LOOPS)
+    @example(NO_CYCLE)
+    @example(CHAINED_UNIT_CYCLES)
+    def test_matches_dense_eigenvalues_random(self, words):
+        g = build_digraph(GeneratingSet.from_words(words))
+        dense = dense_spectral_radius(g.adjacency_matrix())
+        rep = spectral_radius(g)
+        assert rep.converged
+        assert rep.spectral_radius == pytest.approx(dense, abs=1e-7)
+
+    @settings(max_examples=60, deadline=None)
+    @given(rc_free_words())
+    @example(TWO_EQUAL_CYCLES)
+    @example(BRIDGED_SELF_LOOPS)
+    @example(NO_CYCLE)
+    @example(CHAINED_UNIT_CYCLES)
+    def test_cyclic_components_match_dense_scc(self, words):
+        g = build_digraph(GeneratingSet.from_words(words))
+        adj = g.adjacency_matrix()
+        want = {tuple(idx.tolist()) for idx in dense_strong_components(adj)
+                if len(idx) > 1 or adj[idx[0], idx[0]]}
+        got = g.cyclic_components()
+        assert all((np.diff(idx) > 0).all() for idx in got)
+        assert {tuple(idx.tolist()) for idx in got} == want
+        assert len(got) == len(want)
 
     def test_rejects_bad_tol(self):
         with pytest.raises(ValueError):

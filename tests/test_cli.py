@@ -77,6 +77,26 @@ class TestCapacity:
         proc = run_cli("capacity", "--set-file", str(path))
         assert proc.returncode == 1
 
+    def test_not_converged_exits_1(self, monkeypatch, capsys):
+        from ssacode import capacity, cli
+
+        def unconverged(s, tol=1e-10, max_iter=100000):
+            return capacity.CapacityReport(
+                m=s.m, vertex_count=len(s), arc_count=0, spectral_radius=2.0,
+                rate_bits_per_nt=1.0, method="power-iteration", residual=3e-4,
+                iterations=100000, converged=False)
+
+        monkeypatch.setattr(capacity, "rate_of_set", unconverged)
+        assert cli.main(["capacity", "--set", "m4-heuristic", "--format", "json"]) == 1
+        out, err = capsys.readouterr()
+        assert "did not converge" in err
+        assert "residual 0.0003" in err
+        report = json.loads(out)
+        assert set(report) == {"command", "config", "set_size", "m",
+                               "vertex_count", "arc_count", "spectral_radius",
+                               "rate_bits_per_nt", "method", "residual",
+                               "iterations"}
+
 
 class TestCountAndOracle:
     def test_count(self):

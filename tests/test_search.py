@@ -74,3 +74,16 @@ class TestLocalSearch:
         result = local_search(3, restarts=2, iterations=20, seed=2)
         v = validate(result.best_set)
         assert v.valid and v.maximal
+
+    # Recorded best rates of local_search(6, restarts=6, iterations=5, seed).
+    # Moves are accepted on rate >= current - 1e-12, so a drift in the last
+    # digits of any candidate's rate can change the whole trajectory.
+    @pytest.mark.parametrize("seed, rate", [
+        (0, 1.7248753208071579),
+        (4, 1.7248344164485865),
+        (26, 1.7250523504827573),
+    ])
+    def test_m6_trajectory_pinned(self, seed, rate):
+        result = local_search(6, restarts=6, iterations=5, seed=seed)
+        assert result.candidates_examined == 36
+        assert result.best_rate == pytest.approx(rate, abs=1e-9)
