@@ -51,6 +51,14 @@ from .capacity import (
     trivial_upper_bound,
 )
 from .search import SearchResult, exhaustive_search, greedy_tc_choice, local_search
-from .codec import CodecError, CodecTable, build_codec, decode, encode
+from .codec import (
+    CodecError,
+    CodecTable,
+    build_codec,
+    decode,
+    decode_payload,
+    encode,
+    encode_payload,
+)
 
 __version__ = "0.1.0"

@@ -9,9 +9,9 @@ rate of C_n(S) is log2 of the Perron root of the adjacency matrix.
 from __future__ import annotations
 
 import math
-from collections import defaultdict
+from collections import deque
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -103,13 +103,6 @@ class TransitionDigraph:
             return []
         order = on_cycle[np.argsort(label[on_cycle], kind="stable")]
         return np.split(order, np.flatnonzero(np.diff(label[order])) + 1)
-
-    def count_step(self, counts: List[int]) -> List[int]:
-        """One exact big-integer DP step: new[v] = sum over u -> v of counts[u]."""
-        sums: Dict[int, int] = defaultdict(int)
-        for s, c in zip(self._suf, counts):
-            sums[int(s)] += c
-        return [sums.get(int(p), 0) for p in self._pre]
 
 
 def build_digraph(s: GeneratingSet) -> TransitionDigraph:
@@ -244,15 +237,35 @@ def rate_of_set(s: GeneratingSet, tol: float = 1e-10,
     return spectral_radius(build_digraph(s), tol=tol, max_iter=max_iter)
 
 
+def walk_counts(g: TransitionDigraph, r_max: int) -> Iterator[List[int]]:
+    """Exact walk counts, one row per length: yields ``row[v]``, the number
+    of length-r walks starting at vertex v, for r = 0 .. r_max.
+
+    A walk from v continues through any vertex whose prefix key is v's
+    suffix key, so each row is the previous one summed per prefix key and
+    read back at each vertex's suffix key.  Python ints throughout: the
+    counts outgrow int64 (about 2^102 at m=6, n=60).  Rows are yielded, not
+    kept, so a caller that needs only the last holds one row at a time.
+    """
+    pre = g._pre.tolist()
+    suf = g._suf.tolist()
+    row = [1] * g.vertex_count
+    yield row
+    for _ in range(r_max):
+        sums = [0] * g._nbins
+        for p, c in zip(pre, row):
+            sums[p] += c
+        row = [sums[k] for k in suf]
+        yield row
+
+
 def count_constrained(s: GeneratingSet, n: int) -> int:
-    """Exact |C_n(S)|: big-integer walk counting over the transition digraph."""
+    """Exact |C_n(S)|: the number of walks of length n - m in the digraph."""
     g = build_digraph(s)
     if n < s.m:
         raise ValueError(f"n={n} is smaller than the word length m={s.m}")
-    counts = [1] * g.vertex_count
-    for _ in range(n - s.m):
-        counts = g.count_step(counts)
-    return sum(counts)
+    last, = deque(walk_counts(g, n - s.m), maxlen=1)
+    return sum(last)
 
 
 def binary_reduction_rate(m: int, tol: float = 1e-10,

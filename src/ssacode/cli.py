@@ -212,13 +212,11 @@ def cmd_table(args) -> int:
 def cmd_encode(args) -> int:
     s = _resolve_set(args)
     table = cdc.build_codec(s, args.n)
-    k = cdc.bits_per_block(table)
-    indices = cdc.payload_to_indices(args.payload, k)
-    blocks = [cdc.encode(table, idx) for idx in indices]
+    blocks = cdc.encode_payload(table, args.payload)
     _emit({
         "command": "encode",
         "config": _config(args, ("m", "n", "set", "set_file", "payload")),
-        "bits_per_block": k,
+        "bits_per_block": cdc.bits_per_block(table),
         "blocks": len(blocks),
         "payload_bits": 4 * len(args.payload),
         "sequence": "".join(blocks),
@@ -229,24 +227,13 @@ def cmd_encode(args) -> int:
 def cmd_decode(args) -> int:
     s = _resolve_set(args)
     table = cdc.build_codec(s, args.n)
-    k = cdc.bits_per_block(table)
-    if len(args.seq) == 0 or len(args.seq) % args.n:
-        raise cdc.CodecError(
-            f"sequence length {len(args.seq)} is not a multiple of n={args.n}")
-    indices = []
-    for b in range(len(args.seq) // args.n):
-        idx = cdc.decode(table, args.seq[b * args.n:(b + 1) * args.n])
-        if idx >= (1 << k):
-            raise cdc.CodecError(
-                f"block {b + 1} decodes to index {idx}, outside the "
-                f"{k}-bit payload range")
-        indices.append(idx)
+    payload_hex = cdc.decode_payload(table, args.seq)
     _emit({
         "command": "decode",
         "config": _config(args, ("m", "n", "set", "set_file", "seq")),
-        "bits_per_block": k,
-        "blocks": len(indices),
-        "payload_hex": cdc.indices_to_payload(indices, k),
+        "bits_per_block": cdc.bits_per_block(table),
+        "blocks": len(args.seq) // args.n,
+        "payload_hex": payload_hex,
     }, args)
     return 0
 

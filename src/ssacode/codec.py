@@ -1,23 +1,35 @@
 """Enumerative (rank/unrank) coding onto the fixed-length code C_n(S).
 
 Message index k maps to the k-th element of C_n(S) in lexicographic order
-(A < C < G < T over whole sequences); decoding is the exact inverse.  The
-table holds big-integer counts of walk completions per vertex, so both
-directions run in O(n) digraph steps.
+(A < C < G < T over whole sequences); decoding is the exact inverse (Cover,
+"Enumerative source encoding", IEEE Trans. IT 19(1), 1973).  The table
+holds big-integer counts of walk completions per vertex and a few lookup
+tables built once, so both directions run in O(n) steps of plain Python
+with at most four successors looked at per step.
+
+Payloads are framed on top: a big-endian hex string is cut into blocks of
+``bits_per_block`` bits, each block index is encoded as one codeword, and
+the codewords are concatenated.
 """
 
 from __future__ import annotations
 
 import math
-from collections import defaultdict
+import operator
+import re
+from bisect import bisect_right
 from dataclasses import dataclass
-from typing import List
+from itertools import accumulate
+from typing import Dict, List
 
 import numpy as np
 
-from .capacity import TransitionDigraph, build_digraph
+from .capacity import TransitionDigraph, build_digraph, walk_counts
 from .gensets import GeneratingSet
-from .sequences import code_to_word, word_to_code
+from .sequences import ALPHABET, code_to_word
+
+_DIGIT = {s: i for i, s in enumerate(ALPHABET)}
+_NON_HEX = re.compile(r"[^0-9A-Fa-f]")
 
 
 class CodecError(ValueError):
@@ -26,10 +38,21 @@ class CodecError(ValueError):
 
 @dataclass
 class CodecTable:
-    """Per-vertex counts of walk completions for each remaining length.
+    """Walk counts and lookup tables for rank/unrank on C_n(S).
 
-    path_counts[r][vi] is the number of length-r walks starting at vertex vi;
-    total is |C_n(S)|, the sum over vertices at remaining length n - m.
+    Vertices are the words of S in sorted-code order.  path_counts[r][vi] is
+    the number of length-r walks starting at vertex vi; total is |C_n(S)|,
+    the sum of the row at r = n - m.  The lookup tables, all Python ints:
+
+    - codes[vi]: the word code of vertex vi; index_of maps it back to vi.
+    - succ_start[vi]: the first successor of vi.  The successors of vi are
+      the words that begin with its (m-1)-suffix, a contiguous run of the
+      sorted codes, so a step from vi chooses among succ_start[vi],
+      succ_start[vi] + 1, ... (at most four), and the counts of that run
+      sum to the walk count of vi.
+    - first_prefix[vi]: the number of codewords whose first window comes
+      before vertex vi, i.e. the prefix sums of path_counts[n - m]
+      (|V| + 1 entries, the last one total).
     """
 
     gen_set: GeneratingSet
@@ -37,80 +60,73 @@ class CodecTable:
     digraph: TransitionDigraph
     path_counts: List[List[int]]
     total: int
+    codes: List[int]
+    index_of: Dict[int, int]
+    succ_start: List[int]
+    first_prefix: List[int]
 
 
 def build_codec(s: GeneratingSet, n: int) -> CodecTable:
     g = build_digraph(s)
     if n < s.m:
         raise ValueError(f"block length n={n} is smaller than m={s.m}")
-    counts = [[1] * g.vertex_count]
-    for _ in range(n - s.m):
-        prev = counts[-1]
-        sums = defaultdict(int)
-        for p, c in zip(g._pre, prev):
-            sums[int(p)] += c
-        counts.append([sums.get(int(sfx), 0) for sfx in g._suf])
-    return CodecTable(gen_set=s, n=n, digraph=g, path_counts=counts,
-                      total=sum(counts[-1]))
-
-
-def _successor_slice(g: TransitionDigraph, code: int) -> range:
-    """Successors of a vertex are contiguous in the sorted code array."""
-    suffix = code % (4 ** (g.m - 1))
-    lo = int(np.searchsorted(g.codes, suffix * 4))
-    hi = int(np.searchsorted(g.codes, suffix * 4 + 4))
-    return range(lo, hi)
+    path_counts = list(walk_counts(g, n - s.m))
+    first_prefix = list(accumulate(path_counts[-1], initial=0))
+    codes = g.codes.tolist()
+    # successors of v start at the first code >= suffix(v) followed by A
+    succ_start = np.searchsorted(g.codes, g.codes % 4 ** (s.m - 1) * 4).tolist()
+    return CodecTable(gen_set=s, n=n, digraph=g, path_counts=path_counts,
+                      total=first_prefix[-1], codes=codes,
+                      index_of={c: vi for vi, c in enumerate(codes)},
+                      succ_start=succ_start, first_prefix=first_prefix)
 
 
 def encode(t: CodecTable, index: int) -> str:
     """The index-th sequence of C_n(S) in lexicographic order."""
+    index = operator.index(index)
     if not 0 <= index < t.total:
         raise ValueError(f"index {index} out of range [0, {t.total})")
-    g = t.digraph
-    remaining = t.n - g.m
-    vi = None
-    for k in range(g.vertex_count):
-        c = t.path_counts[remaining][k]
-        if index < c:
-            vi = k
-            break
-        index -= c
-    symbols = [code_to_word(int(g.codes[vi]), g.m)]
-    while remaining > 0:
-        remaining -= 1
-        for k in _successor_slice(g, int(g.codes[vi])):
-            c = t.path_counts[remaining][k]
-            if index < c:
-                vi = k
-                break
-            index -= c
-        symbols.append("ACGT"[int(g.codes[vi]) % 4])
+    vi = bisect_right(t.first_prefix, index) - 1
+    index -= t.first_prefix[vi]
+    codes, succ_start, path_counts = t.codes, t.succ_start, t.path_counts
+    symbols = [code_to_word(codes[vi], t.gen_set.m)]
+    for r in range(t.n - t.gen_set.m - 1, -1, -1):
+        row = path_counts[r]
+        vi = succ_start[vi]
+        while index >= row[vi]:
+            index -= row[vi]
+            vi += 1
+        symbols.append(ALPHABET[codes[vi] & 3])
     return "".join(symbols)
 
 
 def decode(t: CodecTable, x: str) -> int:
     """Rank of x within C_n(S); exact inverse of :func:`encode`."""
-    g = t.digraph
     if len(x) != t.n:
         raise CodecError(f"expected length {t.n}, got {len(x)}")
-    window_codes = []
-    for i in range(t.n - g.m + 1):
-        w = x[i:i + g.m]
-        c = word_to_code(w)
-        k = int(np.searchsorted(g.codes, c))
-        if k >= g.vertex_count or g.codes[k] != c:
-            raise CodecError(f"window {w!r} at position {i + 1} not in S")
-        window_codes.append(k)
-    remaining = t.n - g.m
-    rank = sum(t.path_counts[remaining][k] for k in range(window_codes[0]))
-    vi = window_codes[0]
-    for nxt in window_codes[1:]:
-        remaining -= 1
-        for k in _successor_slice(g, int(g.codes[vi])):
-            if k == nxt:
-                break
-            rank += t.path_counts[remaining][k]
-        vi = nxt
+    m = t.gen_set.m
+    mask = (1 << 2 * m) - 1
+    index_of, succ_start, path_counts = t.index_of, t.succ_start, t.path_counts
+    code = rank = 0
+    vi = -1
+    r = t.n - m
+    for i, ch in enumerate(x):
+        digit = _DIGIT.get(ch)
+        if digit is None:
+            raise CodecError(f"symbol {ch!r} at position {i + 1} is not one of A, C, G, T")
+        code = (code << 2 | digit) & mask
+        if i + 1 < m:
+            continue
+        k = index_of.get(code)
+        if k is None:
+            raise CodecError(f"window {x[i + 1 - m:i + 1]!r} at position {i + 2 - m} not in S")
+        if vi < 0:
+            rank = t.first_prefix[k]
+        else:
+            # consecutive windows overlap in m - 1 symbols: k is a successor
+            r -= 1
+            rank += sum(path_counts[r][succ_start[vi]:k])
+        vi = k
     return rank
 
 
@@ -125,10 +141,16 @@ def bits_per_block(t: CodecTable) -> int:
 def payload_to_indices(payload_hex: str, k: int) -> List[int]:
     """Split a big-endian hex payload into k-bit block indices.
 
-    The bit string is zero-padded on the right to a whole number of blocks.
+    Only the digits 0-9, A-F and a-f are accepted: no prefix, sign,
+    separator or whitespace.  The bit string is zero-padded on the right to
+    a whole number of blocks.
     """
     if payload_hex == "":
         raise ValueError("empty payload")
+    bad = _NON_HEX.search(payload_hex)
+    if bad:
+        raise ValueError(f"payload character {bad.group()!r} at position "
+                         f"{bad.start() + 1} is not a hex digit")
     value = int(payload_hex, 16)
     nbits = 4 * len(payload_hex)
     nblocks = max(1, math.ceil(nbits / k))
@@ -148,3 +170,32 @@ def indices_to_payload(indices: List[int], k: int) -> str:
     ndigits = math.ceil(nbits / 4)
     value <<= 4 * ndigits - nbits
     return format(value, f"0{ndigits}X")
+
+
+def encode_payload(t: CodecTable, payload_hex: str) -> List[str]:
+    """Codewords carrying a big-endian hex payload, ``bits_per_block(t)``
+    bits each; the last block is zero-padded on the right."""
+    k = bits_per_block(t)
+    return [encode(t, idx) for idx in payload_to_indices(payload_hex, k)]
+
+
+def decode_payload(t: CodecTable, seq: str) -> str:
+    """Hex payload carried by concatenated codewords; inverse of
+    :func:`encode_payload` up to the padding bits, which come back as
+    trailing zero bits.
+
+    Raises :class:`CodecError` when the length is not a positive multiple
+    of n, a block is not in C_n(S), or a block's index does not fit in
+    ``bits_per_block(t)`` bits (a codeword that no payload encodes to).
+    """
+    k = bits_per_block(t)
+    if len(seq) == 0 or len(seq) % t.n:
+        raise CodecError(f"sequence length {len(seq)} is not a multiple of n={t.n}")
+    indices = []
+    for b in range(len(seq) // t.n):
+        idx = decode(t, seq[b * t.n:(b + 1) * t.n])
+        if idx >> k:
+            raise CodecError(f"block {b + 1} decodes to index {idx}, outside the "
+                             f"{k}-bit payload range")
+        indices.append(idx)
+    return indices_to_payload(indices, k)

@@ -6,6 +6,7 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from ssacode import GeneratingSet, rc_classes
 
@@ -91,6 +92,16 @@ def random_valid_set(rng: random.Random, m: int, drop_rate: float = 0.0):
     if drop_rate:
         words = [w for w in words if rng.random() > drop_rate] or words[:1]
     return GeneratingSet.from_words(words)
+
+
+@st.composite
+def rc_free_words(draw, ms=(2, 3, 4)):
+    """Random RC-free sets at the word lengths ``ms``: a maximal set, or a
+    random subset of one (often reducible)."""
+    m = draw(st.sampled_from(ms))
+    drop_rate = draw(st.sampled_from([0.0, 0.3, 0.7]))
+    rng = random.Random(draw(st.integers(0, 2 ** 32 - 1)))
+    return random_valid_set(rng, m, drop_rate=drop_rate).words()
 
 
 @pytest.fixture

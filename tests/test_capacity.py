@@ -1,5 +1,4 @@
 import math
-import random
 
 import numpy as np
 import pytest
@@ -28,6 +27,7 @@ from conftest import (
     dense_spectral_radius,
     dense_strong_components,
     random_valid_set,
+    rc_free_words,
     ref_count_constrained,
     ref_good_binary_count,
 )
@@ -56,15 +56,6 @@ CHAINED_UNIT_CYCLES = [
     "AAGA", "ACAG", "AGAC", "CAGA", "CGCT", "CGTT", "CTTG", "GAAG", "GACA",
     "GCTT", "GGCT", "GTTC", "TCGC", "TCGT", "TGAA", "TGCT", "TTCG", "TTGA",
     "TTGC"]
-
-
-@st.composite
-def rc_free_words(draw):
-    """Random RC-free sets at m = 2, 3, 4, maximal or thinned (reducible)."""
-    m = draw(st.sampled_from([2, 3, 4]))
-    drop_rate = draw(st.sampled_from([0.0, 0.3, 0.7]))
-    rng = random.Random(draw(st.integers(0, 2 ** 32 - 1)))
-    return random_valid_set(rng, m, drop_rate=drop_rate).words()
 
 
 class TestDigraph:

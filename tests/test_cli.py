@@ -151,6 +151,7 @@ class TestCodecCommands:
         proc = run_cli("encode", *args, "--payload", "C0FFEE", "--format", "json")
         assert proc.returncode == 0
         enc = json.loads(proc.stdout)
+        assert enc["sequence"] == "TCCCTCCCTCTTCTCTCTCTACCA"
         assert len(enc["sequence"]) == 12 * enc["blocks"]
         proc = run_cli("decode", *args, "--seq", enc["sequence"], "--format", "json")
         assert proc.returncode == 0
@@ -168,6 +169,13 @@ class TestCodecCommands:
         proc = run_cli("decode", "--m", "3", "--n", "12",
                        "--set", "tc-dominant", "--seq", "TCTCT")
         assert proc.returncode == 1
+
+    def test_encode_rejects_non_hex_payload(self):
+        proc = run_cli("encode", "--m", "3", "--n", "12",
+                       "--set", "tc-dominant", "--payload", "0x1F")
+        assert proc.returncode == 1
+        assert "not a hex digit" in proc.stderr
+        assert proc.stdout == ""
 
 
 class TestOutput:

@@ -1,7 +1,10 @@
 import math
 import random
+from collections import Counter
 
+import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from ssacode import (
     CodecError,
@@ -9,14 +12,26 @@ from ssacode import (
     build_codec,
     count_constrained,
     decode,
+    decode_payload,
     encode,
+    encode_payload,
     find_secondary_structure,
+    heuristic_set_m6_stage,
     rate_of_set,
     tc_dominant_set,
 )
 from ssacode.codec import bits_per_block, indices_to_payload, payload_to_indices
+from conftest import rc_free_words, ref_constrained_members
 
 M2_SET = GeneratingSet.from_words(["TT", "TC", "TG", "GT", "CT", "CC"])
+
+# ssacode encode --m 3 --n 12 --set tc-dominant --payload C0FFEE
+C0FFEE_TC3_N12 = "TCCCTCCCTCTTCTCTCTCTACCA"
+
+
+@pytest.fixture(scope="module")
+def m6_table():
+    return build_codec(heuristic_set_m6_stage(), 60)
 
 
 class TestBuildCodec:
@@ -62,6 +77,21 @@ class TestEncodeDecode:
         t = build_codec(M2_SET, 4)
         with pytest.raises(CodecError):
             decode(t, "TT")
+
+    def test_decode_rejects_symbols_outside_acgt(self):
+        t = build_codec(M2_SET, 8)
+        for x, pos in (("TTTNTTTT", 4), ("tttttttt", 1), ("TTTTTTTt", 8)):
+            with pytest.raises(CodecError, match=f"position {pos} "):
+                decode(t, x)
+
+    def test_index_must_be_an_integer(self):
+        t = build_codec(M2_SET, 4)
+        with pytest.raises(TypeError):
+            encode(t, 1.5)
+        with pytest.raises(TypeError):
+            encode(t, "1")
+        assert encode(t, True) == encode(t, 1)
+        assert encode(t, np.int64(3)) == encode(t, 3)
 
     def test_full_roundtrip_small(self):
         for s in (M2_SET, tc_dominant_set(3)):
@@ -126,3 +156,79 @@ class TestPayloadSegmentation:
     def test_bad_index_rejected(self):
         with pytest.raises(ValueError):
             indices_to_payload([4], 2)
+
+    def test_only_hex_digits_accepted(self):
+        # int(..., 16) takes all of these; "0x1F" would frame as [0, 31]
+        for bad in ("0x1F", "1_F", " 1F", "+1F", "-1F", "1F\n", "\uff11F", ""):
+            with pytest.raises(ValueError):
+                payload_to_indices(bad, 8)
+        assert payload_to_indices("be", 8) == payload_to_indices("BE", 8) == [0xBE]
+
+
+class TestPayloadFraming:
+    def test_roundtrip(self):
+        t = build_codec(tc_dominant_set(3), 12)
+        blocks = encode_payload(t, "C0FFEE")
+        assert "".join(blocks) == C0FFEE_TC3_N12
+        assert blocks == [encode(t, k) for k in payload_to_indices("C0FFEE", 19)]
+        out = decode_payload(t, C0FFEE_TC3_N12)
+        assert out == indices_to_payload(payload_to_indices("C0FFEE", 19), 19)
+        assert int(out, 16) >> (4 * len(out) - 24) == 0xC0FFEE
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.text(alphabet="0123456789abcdefABCDEF", min_size=1, max_size=40))
+    def test_random_payloads(self, payload):
+        t = build_codec(tc_dominant_set(3), 12)
+        out = decode_payload(t, "".join(encode_payload(t, payload)))
+        # payload bits first, then the zero bits that pad the last block
+        assert out[:len(payload)] == payload.upper()
+        assert set(out[len(payload):]) <= {"0"}
+
+    def test_rejects_bad_length(self):
+        t = build_codec(tc_dominant_set(3), 12)
+        for seq in ("", C0FFEE_TC3_N12[:13], C0FFEE_TC3_N12 + "T"):
+            with pytest.raises(CodecError, match="multiple of n=12"):
+                decode_payload(t, seq)
+
+    def test_rejects_index_beyond_payload_bits(self):
+        t = build_codec(tc_dominant_set(3), 12)
+        k = bits_per_block(t)
+        assert t.total > 1 << k
+        seq = encode(t, 0) + encode(t, 1 << k)
+        with pytest.raises(CodecError, match="block 2 "):
+            decode_payload(t, seq)
+
+    def test_rejects_foreign_block(self):
+        t = build_codec(tc_dominant_set(3), 12)
+        with pytest.raises(CodecError, match="not in S"):
+            decode_payload(t, C0FFEE_TC3_N12[:12] + "A" * 12)
+
+
+class TestAgainstEnumeration:
+    """Rank/unrank against the naive prefix-tree enumeration."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(rc_free_words(ms=(2, 3)), st.integers(2, 8))
+    def test_unrank_is_sorted_enumeration(self, words, n):
+        s = GeneratingSet.from_words(words)
+        assume(n >= s.m)
+        members = sorted(ref_constrained_members(words, s.m, n))
+        t = build_codec(s, n)
+        assert count_constrained(s, n) == t.total == len(members)
+        assert [encode(t, k) for k in range(t.total)] == members
+        assert [decode(t, x) for x in members] == list(range(len(members)))
+        firsts = Counter(x[:s.m] for x in members)
+        assert t.path_counts[n - s.m] == [firsts[w] for w in s.words()]
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_m6_random_roundtrip(self, m6_table, data):
+        t = m6_table
+        words = set(t.gen_set.words())
+        k = data.draw(st.integers(0, t.total - 1))
+        x = encode(t, k)
+        assert len(x) == 60
+        assert all(x[i:i + 6] in words for i in range(55))
+        assert decode(t, x) == k
+        if k + 1 < t.total:
+            assert encode(t, k + 1) > x
