@@ -11,12 +11,12 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import Iterator, List, Sequence, Tuple
 
 import numpy as np
 
 from .gensets import GeneratingSet, sorted_unique
-from .sequences import code_to_word
+from .sequences import check_budget
 
 
 @dataclass
@@ -58,17 +58,10 @@ class TransitionDigraph:
         pre_counts = np.bincount(self._pre, minlength=self._nbins)
         return int(pre_counts[self._suf].sum())
 
-    def words(self) -> List[str]:
-        return [code_to_word(int(c), self.m) for c in self.codes]
-
     def matvec(self, x: np.ndarray) -> np.ndarray:
         """y = A x with A[u, v] = 1 iff u -> v."""
         t = np.bincount(self._pre, weights=x, minlength=self._nbins)
         return t[self._suf]
-
-    def has_arc(self, u: str, v: str) -> bool:
-        from .sequences import word_to_code
-        return (word_to_code(u) % (self.q ** (self.m - 1))) == word_to_code(v) // self.q
 
     def adjacency_matrix(self, max_vertices: int = 4096) -> np.ndarray:
         if self.vertex_count > max_vertices:
@@ -121,7 +114,6 @@ class CapacityReport:
     residual: float
     iterations: int
     converged: bool = True
-    growth_ratio: Optional[float] = None
 
     def to_dict(self) -> dict:
         return {
@@ -172,7 +164,7 @@ def _shifted_power(matvec, size: int, tol: float, max_iter: int):
 
 
 def spectral_radius(g: TransitionDigraph, tol: float = 1e-10,
-                    max_iter: int = 100000, growth_depth: int = 64) -> CapacityReport:
+                    max_iter: int = 100000) -> CapacityReport:
     """Dominant eigenvalue of the adjacency operator by power iteration.
 
     The Perron root of a nonnegative matrix is the max over its irreducible
@@ -189,8 +181,7 @@ def spectral_radius(g: TransitionDigraph, tol: float = 1e-10,
 
     Larger digraphs are iterated globally from the all-ones vector: split
     the same way, the 2M-vertex m=11 digraph took more memory and more
-    time.  A walk-growth ratio at the configured depth is recorded as an
-    independent cross-check.
+    time.  Convergence is judged by the eigenpair residual.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -206,17 +197,6 @@ def spectral_radius(g: TransitionDigraph, tol: float = 1e-10,
     else:
         rho, iterations, residual, converged = _shifted_power(
             g.matvec, g.vertex_count, tol, max_iter)
-
-    growth_ratio = None
-    if rho > 0 and g.vertex_count <= 65536:
-        v = np.ones(g.vertex_count)
-        for _ in range(growth_depth):
-            nxt = g.matvec(v)
-            total = float(nxt.sum())
-            if total == 0.0:
-                break
-            growth_ratio = total / float(v.sum())
-            v = nxt / total
     return CapacityReport(
         m=g.m,
         vertex_count=g.vertex_count,
@@ -227,7 +207,6 @@ def spectral_radius(g: TransitionDigraph, tol: float = 1e-10,
         residual=residual,
         iterations=iterations,
         converged=converged,
-        growth_ratio=growth_ratio,
     )
 
 
@@ -278,6 +257,7 @@ def binary_reduction_rate(m: int, tol: float = 1e-10,
     """
     if m < 2:
         raise ValueError(f"m must be >= 2, got {m}")
+    check_budget(2 ** m, f"2^{m} binary words")
     codes = np.arange(2 ** m, dtype=np.int64)
     w = np.zeros_like(codes)
     c = codes.copy()
@@ -290,8 +270,6 @@ def binary_reduction_rate(m: int, tol: float = 1e-10,
     report.method = "binary-reduction"
     report.spectral_radius = 2.0 * rho_bin
     report.rate_bits_per_nt = 1.0 + math.log2(rho_bin) if rho_bin > 0 else 0.0
-    if report.growth_ratio is not None:
-        report.growth_ratio *= 2.0
     return report
 
 

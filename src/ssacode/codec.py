@@ -26,9 +26,8 @@ import numpy as np
 
 from .capacity import TransitionDigraph, build_digraph, walk_counts
 from .gensets import GeneratingSet
-from .sequences import ALPHABET, code_to_word
+from .sequences import ALPHABET, DIGIT, code_to_word
 
-_DIGIT = {s: i for i, s in enumerate(ALPHABET)}
 _NON_HEX = re.compile(r"[^0-9A-Fa-f]")
 
 
@@ -73,8 +72,8 @@ def build_codec(s: GeneratingSet, n: int) -> CodecTable:
     path_counts = list(walk_counts(g, n - s.m))
     first_prefix = list(accumulate(path_counts[-1], initial=0))
     codes = g.codes.tolist()
-    # successors of v start at the first code >= suffix(v) followed by A
-    succ_start = np.searchsorted(g.codes, g.codes % 4 ** (s.m - 1) * 4).tolist()
+    # successors of v: the run of vertices whose prefix key is v's suffix key
+    succ_start = np.searchsorted(g._pre, g._suf).tolist()
     return CodecTable(gen_set=s, n=n, digraph=g, path_counts=path_counts,
                       total=first_prefix[-1], codes=codes,
                       index_of={c: vi for vi, c in enumerate(codes)},
@@ -104,6 +103,11 @@ def decode(t: CodecTable, x: str) -> int:
     """Rank of x within C_n(S); exact inverse of :func:`encode`."""
     if len(x) != t.n:
         raise CodecError(f"expected length {t.n}, got {len(x)}")
+    return _rank(t, x, 0)
+
+
+def _rank(t: CodecTable, x: str, offset: int) -> int:
+    """:func:`decode` for x at ``offset`` in a longer sequence (for messages)."""
     m = t.gen_set.m
     mask = (1 << 2 * m) - 1
     index_of, succ_start, path_counts = t.index_of, t.succ_start, t.path_counts
@@ -111,15 +115,17 @@ def decode(t: CodecTable, x: str) -> int:
     vi = -1
     r = t.n - m
     for i, ch in enumerate(x):
-        digit = _DIGIT.get(ch)
+        digit = DIGIT.get(ch)
         if digit is None:
-            raise CodecError(f"symbol {ch!r} at position {i + 1} is not one of A, C, G, T")
+            raise CodecError(f"symbol {ch!r} at position {offset + i + 1} "
+                             "is not one of A, C, G, T")
         code = (code << 2 | digit) & mask
         if i + 1 < m:
             continue
         k = index_of.get(code)
         if k is None:
-            raise CodecError(f"window {x[i + 1 - m:i + 1]!r} at position {i + 2 - m} not in S")
+            raise CodecError(f"window {x[i + 1 - m:i + 1]!r} at position "
+                             f"{offset + i + 2 - m} not in S")
         if vi < 0:
             rank = t.first_prefix[k]
         else:
@@ -187,13 +193,18 @@ def decode_payload(t: CodecTable, seq: str) -> str:
     Raises :class:`CodecError` when the length is not a positive multiple
     of n, a block is not in C_n(S), or a block's index does not fit in
     ``bits_per_block(t)`` bits (a codeword that no payload encodes to).
+    The message names the block and the position in ``seq``.
     """
     k = bits_per_block(t)
     if len(seq) == 0 or len(seq) % t.n:
         raise CodecError(f"sequence length {len(seq)} is not a multiple of n={t.n}")
     indices = []
     for b in range(len(seq) // t.n):
-        idx = decode(t, seq[b * t.n:(b + 1) * t.n])
+        start = b * t.n
+        try:
+            idx = _rank(t, seq[start:start + t.n], start)
+        except CodecError as exc:
+            raise CodecError(f"block {b + 1}: {exc}") from None
         if idx >> k:
             raise CodecError(f"block {b + 1} decodes to index {idx}, outside the "
                              f"{k}-bit payload range")

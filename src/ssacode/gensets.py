@@ -14,10 +14,12 @@ from typing import Iterable, List, Optional, Tuple
 import numpy as np
 
 from .sequences import (
-    BudgetExceededError,
+    all_codes,
     code_to_word,
-    enumeration_budget,
-    rc_code,
+    codes_with_tc_mask,
+    rc_codes,
+    rc_pairs,
+    tc_weights,
     window_multiset,
     word_to_code,
 )
@@ -25,72 +27,6 @@ from .sequences import (
 
 class InvalidGeneratingSetError(ValueError):
     """The generating set violates RC-freeness (or is otherwise malformed)."""
-
-
-def all_codes(m: int) -> np.ndarray:
-    return np.arange(4 ** m, dtype=np.int64)
-
-
-# Masks over the 2-bit digits of a 64-bit word.
-_LOW_BITS = 0x5555555555555555  # low bit of every digit: set for C and T
-_EVEN_DIGITS = 0x3333333333333333  # digits 0, 2, 4, ...
-_EVEN_PAIRS = 0x0F0F0F0F0F0F0F0F  # digit pairs 0, 2, 4, ... (low nibble of each byte)
-
-
-def _as_words(codes) -> np.ndarray:
-    """A fresh uint64 copy of integer codes, so that shifts are logical."""
-    return np.asarray(codes, dtype=np.int64).astype(np.uint64)
-
-
-def rc_codes(codes: np.ndarray, m: int) -> np.ndarray:
-    """Vectorized reverse complement on integer-coded words (m <= 31).
-
-    The complement of a symbol is 3 - d = d ^ 3 on its 2-bit digit.  The
-    digits are reversed across the whole 64-bit word (swap neighbouring
-    digits, then neighbouring digit pairs, then the bytes) and the 32 - m
-    unused digits, now at the bottom, are shifted out.
-    """
-    x = _as_words(codes)
-    x ^= 4 ** m - 1
-    y = np.empty_like(x)  # the one scratch array; every other step is in place
-    for shift, mask in ((2, _EVEN_DIGITS), (4, _EVEN_PAIRS)):
-        np.right_shift(x, shift, out=y)
-        y &= mask
-        x &= mask
-        x <<= shift
-        x |= y
-    x.byteswap(inplace=True)
-    x >>= 64 - 2 * m
-    return x.view(np.int64)
-
-
-def tc_weights(codes: np.ndarray, m: int) -> np.ndarray:
-    """Number of T/C symbols per word.  T and C have odd codes.
-
-    The weight is the popcount of the digits' low bits, summed per nibble,
-    per byte, then over the bytes.
-    """
-    x = _as_words(codes)
-    x &= _LOW_BITS
-    y = x >> 2  # the one scratch array; every other step is in place
-    y &= _EVEN_DIGITS
-    x &= _EVEN_DIGITS
-    x += y
-    np.right_shift(x, 4, out=y)
-    x += y
-    x &= _EVEN_PAIRS
-    x *= 0x0101010101010101  # wraps: the top byte collects the byte sums
-    x >>= 56
-    return x.view(np.int64)
-
-
-def codes_with_tc_mask(m: int, mask: str) -> np.ndarray:
-    """All words whose TC pattern (T,C -> 1; A,G -> 0) equals the given mask."""
-    if len(mask) != m or any(ch not in "01" for ch in mask):
-        raise ValueError(f"mask {mask!r} is not a length-{m} binary string")
-    codes = all_codes(m)
-    # read in base 4, the mask has a 1 exactly at the low bit of each T/C digit
-    return codes[(codes & _LOW_BITS) == int(mask, 4)]
 
 
 def sorted_unique(codes, overwrite: bool = False) -> np.ndarray:
@@ -224,16 +160,16 @@ class RcClasses:
 
 
 def rc_classes(m: int, budget: Optional[int] = None) -> RcClasses:
-    if m < 2:
-        raise ValueError(f"m must be >= 2, got {m}")
-    if 4 ** m > enumeration_budget(budget):
-        raise BudgetExceededError(f"4^{m} words exceed the enumeration budget")
-    codes = all_codes(m)
-    rcs = rc_codes(codes, m)
-    self_rc = [code_to_word(int(c), m) for c in codes[codes == rcs]]
-    lower = codes[codes < rcs]
-    pairs = [(code_to_word(int(c), m), code_to_word(int(r), m))
-             for c, r in zip(lower, rcs[codes < rcs])]
+    """The string view of ``rc_pairs``; a self-RC word (even m only) is a
+    half-word followed by its reverse complement."""
+    lower, upper = rc_pairs(m, budget)
+    pairs = [(code_to_word(c, m), code_to_word(r, m))
+             for c, r in zip(lower.tolist(), upper.tolist())]
+    self_rc = []
+    if m % 2 == 0:
+        half = all_codes(m // 2)
+        self_rc = [code_to_word(c, m)
+                   for c in (half * 4 ** (m // 2) + rc_codes(half, m // 2)).tolist()]
     return RcClasses(m=m, pairs=pairs, self_rc=self_rc)
 
 

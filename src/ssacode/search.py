@@ -9,13 +9,13 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
 from .capacity import rate_of_set
-from .gensets import GeneratingSet, rc_classes, tc_weights
-from .sequences import BudgetExceededError, word_to_code
+from .gensets import GeneratingSet
+from .sequences import BudgetExceededError, rc_pairs, tc_weights
 
 DEFAULT_CANDIDATE_BUDGET = 1 << 16
 _RATE_EPS = 1e-9
@@ -30,24 +30,13 @@ class SearchResult:
     seed: Optional[int] = None
 
 
-def _pair_code_arrays(m: int) -> Tuple[np.ndarray, np.ndarray]:
-    classes = rc_classes(m)
-    a = np.array([word_to_code(p[0]) for p in classes.pairs], dtype=np.int64)
-    b = np.array([word_to_code(p[1]) for p in classes.pairs], dtype=np.int64)
-    return a, b
-
-
-def _set_from_choice(m: int, a: np.ndarray, b: np.ndarray,
-                     pick_a: np.ndarray) -> GeneratingSet:
-    return GeneratingSet.from_codes(m, np.where(pick_a, a, b))
-
-
 def _rate(s: GeneratingSet, tol: float) -> float:
     return rate_of_set(s, tol=tol).rate_bits_per_nt
 
 
-def _word_key(s: GeneratingSet) -> Tuple[str, ...]:
-    return tuple(s.words())
+def _word_key(s: GeneratingSet) -> Tuple[int, ...]:
+    # code order is the lexicographic order of equal-length words
+    return tuple(s.codes.tolist())
 
 
 def exhaustive_search(m: int, budget: Optional[int] = None,
@@ -56,7 +45,7 @@ def exhaustive_search(m: int, budget: Optional[int] = None,
 
     Ties on rate are broken by the lexicographically smallest word set.
     """
-    a, b = _pair_code_arrays(m)
+    a, b = rc_pairs(m)
     n_pairs = len(a)
     cap = DEFAULT_CANDIDATE_BUDGET if budget is None else budget
     if n_pairs >= 64 or 2 ** n_pairs > cap:
@@ -66,7 +55,7 @@ def exhaustive_search(m: int, budget: Optional[int] = None,
     best_set = None
     for mask in range(2 ** n_pairs):
         pick_a = np.array([(mask >> i) & 1 for i in range(n_pairs)], dtype=bool)
-        cand = _set_from_choice(m, a, b, pick_a)
+        cand = GeneratingSet.from_codes(m, np.where(pick_a, a, b))
         rate = _rate(cand, tol)
         if rate > best_rate + _RATE_EPS or (
                 abs(rate - best_rate) <= _RATE_EPS
@@ -80,16 +69,14 @@ def greedy_tc_choice(m: int) -> GeneratingSet:
     """Warm-start maximal set: from each RC pair keep the word with the larger
     TC weight, breaking ties toward centrally-placed T/C symbols (those words
     connect better to the TC-dominant core), then toward the smaller word."""
-    a, b = _pair_code_arrays(m)
-    return _set_from_choice(m, a, b, _greedy_bits(m, a, b))
+    a, b = rc_pairs(m)
+    return GeneratingSet.from_codes(m, np.where(_greedy_bits(m, a, b), a, b))
 
 
 def _centrality(codes: np.ndarray, m: int) -> np.ndarray:
-    c = codes.copy()
-    score = np.zeros_like(c)
-    for pos in range(m - 1, -1, -1):  # least-significant digit is the last position
-        score += (c % 4 & 1) * min(pos + 1, m - pos)
-        c //= 4
+    score = np.zeros_like(codes)
+    for pos in range(m):  # T/C at position pos: the low bit of its digit
+        score += (codes >> 2 * (m - 1 - pos) & 1) * min(pos + 1, m - pos)
     return score
 
 
@@ -114,7 +101,7 @@ def local_search(m: int, restarts: int = 20, iterations: int = 200,
     if m < 2:
         raise ValueError(f"m must be >= 2, got {m}")
     rng = random.Random(seed)
-    a, b = _pair_code_arrays(m)
+    a, b = rc_pairs(m)
     n_pairs = len(a)
     best_rate = -1.0
     best_set = None
@@ -126,14 +113,14 @@ def local_search(m: int, restarts: int = 20, iterations: int = 200,
             else:
                 pick_a = np.array([rng.random() < 0.5 for _ in range(n_pairs)],
                                   dtype=bool)
-            state = _set_from_choice(m, a, b, pick_a)
+            state = GeneratingSet.from_codes(m, np.where(pick_a, a, b))
             cur = _rate(state, tol)
             examined += 1
             plateau = 0
             for _ in range(iterations):
                 idx = rng.randrange(n_pairs)
                 pick_a[idx] = not pick_a[idx]
-                cand = _set_from_choice(m, a, b, pick_a)
+                cand = GeneratingSet.from_codes(m, np.where(pick_a, a, b))
                 rate = _rate(cand, tol)
                 examined += 1
                 if rate >= cur - 1e-12:

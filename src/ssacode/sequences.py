@@ -1,7 +1,10 @@
 """DNA alphabet, reverse-complement algebra, and secondary-structure checks.
 
-Sequences are plain uppercase ACGT strings.  Words are optionally handled as
-integer codes (base 4, A=0 C=1 G=2 T=3, big-endian) where speed matters.
+Sequences are plain uppercase ACGT strings.  This module is the one home of
+the word code the library computes on: a length-m word is an integer with
+one 2-bit digit per symbol (base 4, A=0 C=1 G=2 T=3, big-endian).  Scalar
+helpers and their vectorized forms on int64 code arrays sit side by side,
+and every array over all 4^m words passes the ``SSA_BUDGET`` guard first.
 All indices reported to callers (e.g. in :class:`Witness`) are 1-based.
 """
 
@@ -10,12 +13,13 @@ from __future__ import annotations
 import os
 from collections import Counter
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Tuple
+
+import numpy as np
 
 ALPHABET = "ACGT"
 COMPLEMENT = {"A": "T", "T": "A", "C": "G", "G": "C"}
-
-_CODE = {s: i for i, s in enumerate(ALPHABET)}
+DIGIT = {s: i for i, s in enumerate(ALPHABET)}  # symbol -> its 2-bit digit
 
 DEFAULT_ENUMERATION_BUDGET = 4 ** 13
 
@@ -32,6 +36,13 @@ def enumeration_budget(budget: Optional[int] = None) -> int:
     if env:
         return int(env)
     return DEFAULT_ENUMERATION_BUDGET
+
+
+def check_budget(size: int, what: str, budget: Optional[int] = None) -> None:
+    """Raise BudgetExceededError if ``size`` items (``what``) exceed the budget."""
+    cap = enumeration_budget(budget)
+    if size > cap:
+        raise BudgetExceededError(f"{what} exceed the enumeration budget {cap}")
 
 
 def parse_sequence(text: str) -> str:
@@ -54,7 +65,7 @@ def reverse_complement(x: str) -> str:
 def word_to_code(word: str) -> int:
     c = 0
     for ch in word:
-        c = c * 4 + _CODE[ch]
+        c = c * 4 + DIGIT[ch]
     return c
 
 
@@ -73,6 +84,85 @@ def rc_code(code: int, m: int) -> int:
         out = out * 4 + (3 - code % 4)
         code //= 4
     return out
+
+
+def all_codes(m: int, budget: Optional[int] = None) -> np.ndarray:
+    """Every length-m word code, 0 .. 4^m - 1, within the enumeration budget."""
+    check_budget(4 ** m, f"4^{m} words", budget)
+    return np.arange(4 ** m, dtype=np.int64)
+
+
+# Masks over the 2-bit digits of a 64-bit word.
+_LOW_BITS = 0x5555555555555555  # low bit of every digit: set for C and T
+_EVEN_BIT_PAIRS = 0x3333333333333333  # digits 0, 2, 4, ...
+_EVEN_NIBBLES = 0x0F0F0F0F0F0F0F0F  # digit pairs 0, 2, 4, ... (low nibble of each byte)
+
+
+def _as_words(codes) -> np.ndarray:
+    """A fresh uint64 copy of integer codes, so that shifts are logical."""
+    return np.asarray(codes, dtype=np.int64).astype(np.uint64)
+
+
+def rc_codes(codes: np.ndarray, m: int) -> np.ndarray:
+    """Vectorized reverse complement on integer-coded words (m <= 31).
+
+    The complement of a symbol is 3 - d = d ^ 3 on its 2-bit digit.  The
+    digits are reversed across the whole 64-bit word (swap neighbouring
+    digits, then neighbouring digit pairs, then the bytes) and the 32 - m
+    unused digits, now at the bottom, are shifted out.
+    """
+    x = _as_words(codes)
+    x ^= 4 ** m - 1
+    y = np.empty_like(x)  # the one scratch array; every other step is in place
+    for shift, mask in ((2, _EVEN_BIT_PAIRS), (4, _EVEN_NIBBLES)):
+        np.right_shift(x, shift, out=y)
+        y &= mask
+        x &= mask
+        x <<= shift
+        x |= y
+    x.byteswap(inplace=True)
+    x >>= 64 - 2 * m
+    return x.view(np.int64)
+
+
+def tc_weights(codes: np.ndarray, m: int) -> np.ndarray:
+    """Number of T/C symbols per word.  T and C have odd codes.
+
+    The weight is the popcount of the digits' low bits, summed per nibble,
+    per byte, then over the bytes.
+    """
+    x = _as_words(codes)
+    x &= _LOW_BITS
+    y = x >> 2  # the one scratch array; every other step is in place
+    y &= _EVEN_BIT_PAIRS
+    x &= _EVEN_BIT_PAIRS
+    x += y
+    np.right_shift(x, 4, out=y)
+    x += y
+    x &= _EVEN_NIBBLES
+    x *= 0x0101010101010101  # wraps: the top byte collects the byte sums
+    x >>= 56
+    return x.view(np.int64)
+
+
+def codes_with_tc_mask(m: int, mask: str) -> np.ndarray:
+    """All words whose TC pattern (T,C -> 1; A,G -> 0) equals the given mask."""
+    if len(mask) != m or any(ch not in "01" for ch in mask):
+        raise ValueError(f"mask {mask!r} is not a length-{m} binary string")
+    codes = all_codes(m)
+    # read in base 4, the mask has a 1 exactly at the low bit of each T/C digit
+    return codes[(codes & _LOW_BITS) == int(mask, 4)]
+
+
+def rc_pairs(m: int, budget: Optional[int] = None) -> Tuple[np.ndarray, np.ndarray]:
+    """The RC pairs {w, RC(w)}, w != RC(w), of length-m words as two code
+    arrays: ascending lower members and their reverse complements."""
+    if m < 2:
+        raise ValueError(f"m must be >= 2, got {m}")
+    codes = all_codes(m, budget)
+    rcs = rc_codes(codes, m)
+    lo = codes < rcs
+    return codes[lo], rcs[lo]
 
 
 @dataclass(frozen=True)
@@ -138,14 +228,12 @@ def count_all_ssa(n: int, m: int, budget: Optional[int] = None) -> int:
         raise ValueError(f"m must be >= 2, got {m}")
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    cap = enumeration_budget(budget)
-    if 4 ** n > cap:
-        raise BudgetExceededError(
-            f"4^{n} sequences exceed the enumeration budget {cap}")
+    check_budget(4 ** n, f"4^{n} sequences", budget)
     if n < 2 * m:
         return 4 ** n
     mod = 4 ** m
-    rc_table = [rc_code(c, m) for c in range(mod)] if mod <= 4 ** 8 else None
+    # 4^m <= 2^n entries, while the search visits at least 4^(2m) - 4^m prefixes
+    rc_table = rc_codes(all_codes(m, budget), m).tolist()
 
     earliest: dict = {}  # window code -> first (smallest) start position
 
@@ -155,8 +243,7 @@ def count_all_ssa(n: int, m: int, budget: Optional[int] = None) -> int:
             w = (window * 4 + d) % mod
             if pos + 1 >= m:
                 start = pos + 1 - m
-                r = rc_table[w] if rc_table is not None else rc_code(w, m)
-                if earliest.get(r, n) <= start - m:
+                if earliest.get(rc_table[w], n) <= start - m:
                     continue  # structure completed; whole subtree is non-SSA
                 added = w not in earliest
                 if added:

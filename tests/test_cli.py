@@ -77,6 +77,13 @@ class TestCapacity:
         proc = run_cli("capacity", "--set-file", str(path))
         assert proc.returncode == 1
 
+    def test_capacity_budget_env(self):
+        proc = run_cli("capacity", "--set", "tc-dominant", "--m", "6",
+                       env={"SSA_BUDGET": "1024"})
+        assert proc.returncode == 1
+        assert "budget" in proc.stderr
+        assert proc.stdout == ""
+
     def test_not_converged_exits_1(self, monkeypatch, capsys):
         from ssacode import capacity, cli
 
@@ -164,6 +171,12 @@ class TestCodecCommands:
         proc = run_cli("decode", "--m", "2", "--n", "4",
                        "--set", "block-concat-baseline", "--seq", "GGGG")
         assert proc.returncode == 1
+
+    def test_decode_names_block_and_position(self):
+        proc = run_cli("decode", "--m", "3", "--n", "12", "--set", "tc-dominant",
+                       "--seq", "TCCCTCCCTCTT" + "A" * 12)
+        assert proc.returncode == 1
+        assert proc.stderr == "error: block 2: window 'AAA' at position 13 not in S\n"
 
     def test_decode_rejects_bad_length(self):
         proc = run_cli("decode", "--m", "3", "--n", "12",

@@ -203,6 +203,18 @@ class TestPayloadFraming:
         with pytest.raises(CodecError, match="not in S"):
             decode_payload(t, C0FFEE_TC3_N12[:12] + "A" * 12)
 
+    def test_fault_named_by_block_and_sequence_position(self):
+        t = build_codec(tc_dominant_set(3), 12)
+        with pytest.raises(CodecError,
+                           match="^block 2: window 'AAA' at position 13 not in S$"):
+            decode_payload(t, C0FFEE_TC3_N12[:12] + "A" * 12)
+        seq = C0FFEE_TC3_N12[:17] + "N" + C0FFEE_TC3_N12[18:]
+        with pytest.raises(CodecError, match="^block 2: symbol 'N' at position 18 "):
+            decode_payload(t, seq)
+        # a single block still counts from its own start
+        with pytest.raises(CodecError, match="^window 'AAA' at position 1 not in S$"):
+            decode(t, "A" * 12)
+
 
 class TestAgainstEnumeration:
     """Rank/unrank against the naive prefix-tree enumeration."""

@@ -1,18 +1,31 @@
 import itertools
 import random
+import tracemalloc
 
+import numpy as np
 import pytest
 
 from ssacode import (
     BudgetExceededError,
     Witness,
+    binary_reduction_rate,
     complement,
     count_all_ssa,
     find_secondary_structure,
     is_tc_dominant,
     parse_sequence,
+    rc_classes,
     reverse_complement,
+    tc_dominant_set,
     window_multiset,
+)
+from ssacode import sequences
+from ssacode.sequences import (
+    all_codes,
+    codes_with_tc_mask,
+    rc_code,
+    rc_pairs,
+    word_to_code,
 )
 from conftest import ref_count_all_ssa_python, ref_has_structure
 
@@ -157,8 +170,78 @@ class TestCountAllSsa:
         with pytest.raises(BudgetExceededError):
             count_all_ssa(9, 2, budget=4 ** 8)
 
+    def test_m4_matches_flat_enumeration(self):
+        assert count_all_ssa(8, 4) == ref_count_all_ssa_python(8, 4)
+
     def test_rejects_bad_args(self):
         with pytest.raises(ValueError):
             count_all_ssa(4, 1)
         with pytest.raises(ValueError):
             count_all_ssa(0, 2)
+
+
+class TestRcPairs:
+    @pytest.mark.parametrize("m", range(2, 8))
+    def test_codes_of_rc_classes(self, m):
+        lower, upper = rc_pairs(m)
+        assert lower.dtype == upper.dtype == np.int64
+        pairs = rc_classes(m).pairs
+        assert lower.tolist() == [word_to_code(w) for w, _ in pairs]
+        assert upper.tolist() == [word_to_code(v) for _, v in pairs]
+        assert upper.tolist() == [rc_code(c, m) for c in lower.tolist()]
+
+    def test_rejects_short_words(self):
+        with pytest.raises(ValueError):
+            rc_pairs(1)
+
+
+@pytest.fixture
+def no_arange(monkeypatch):
+    """Every word array comes from np.arange; fail the test if one is made."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("allocated before the budget check")
+    monkeypatch.setattr(np, "arange", refuse)
+
+
+class TestBudgetGuard:
+    """Arrays over all 4^m words (2^m for the binary reduction) are
+    refused before anything is allocated once they exceed the budget."""
+
+    def test_all_codes_explicit_budget(self, no_arange):
+        with pytest.raises(BudgetExceededError, match="4\\^6 words"):
+            all_codes(6, budget=1024)
+        with pytest.raises(BudgetExceededError):
+            rc_pairs(6, budget=1024)
+        with pytest.raises(BudgetExceededError):
+            rc_classes(6, budget=1024)
+
+    def test_budget_is_inclusive(self):
+        assert all_codes(5, budget=1024).tolist() == list(range(1024))
+
+    def test_env_budget(self, monkeypatch, no_arange):
+        monkeypatch.setenv("SSA_BUDGET", "1024")
+        for build in (all_codes, rc_classes, rc_pairs, tc_dominant_set,
+                      lambda m: codes_with_tc_mask(m, "01" * (m // 2))):
+            with pytest.raises(BudgetExceededError):
+                build(6)
+        with pytest.raises(BudgetExceededError, match="2\\^11 binary words"):
+            binary_reduction_rate(11)
+
+    def test_default_budget(self, monkeypatch, no_arange):
+        monkeypatch.delenv("SSA_BUDGET", raising=False)
+        monkeypatch.setattr(sequences, "DEFAULT_ENUMERATION_BUDGET", 4 ** 4)
+        with pytest.raises(BudgetExceededError):
+            tc_dominant_set(5)
+        with pytest.raises(BudgetExceededError):
+            binary_reduction_rate(9)
+
+    def test_nothing_allocated(self, monkeypatch):
+        monkeypatch.setenv("SSA_BUDGET", "1024")
+        tracemalloc.start()
+        try:
+            with pytest.raises(BudgetExceededError):
+                tc_dominant_set(9)  # 4^9 int64 codes would be 2 MB
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024
