@@ -45,6 +45,7 @@ from .capacity import (
     build_digraph,
     count_constrained,
     largest_real_root,
+    mask_quotient,
     rate_of_set,
     recurrence_counts,
     spectral_radius,

@@ -11,21 +11,20 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterator, List, Sequence, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .gensets import GeneratingSet, sorted_unique
-from .sequences import check_budget
+from .sequences import check_budget, tc_masks, tc_weights
 
 
 @dataclass
 class TransitionDigraph:
     """Overlap digraph on a vertex set of length-m words over a q-ary alphabet.
 
-    Adjacency is never materialized as a matrix (``adjacency_matrix`` is a
-    small-graph reference for tests): since u -> v iff suffix(u) ==
-    prefix(v), a matrix-vector product reduces to a group-sum over shared
+    Adjacency is never materialized as a matrix: since u -> v iff suffix(u)
+    == prefix(v), a matrix-vector product reduces to a group-sum over shared
     overlap words, O(|V|) per product.
 
     ``codes`` may come in any order and with repeats; the stored vertex codes
@@ -62,11 +61,6 @@ class TransitionDigraph:
         """y = A x with A[u, v] = 1 iff u -> v."""
         t = np.bincount(self._pre, weights=x, minlength=self._nbins)
         return t[self._suf]
-
-    def adjacency_matrix(self, max_vertices: int = 4096) -> np.ndarray:
-        if self.vertex_count > max_vertices:
-            raise ValueError(f"{self.vertex_count} vertices: adjacency matrix too large")
-        return (self._suf[:, None] == self._pre[None, :]).astype(np.int64)
 
     def cyclic_components(self) -> List[np.ndarray]:
         """Vertex indices of each strongly connected component that has a cycle.
@@ -105,6 +99,17 @@ def build_digraph(s: GeneratingSet) -> TransitionDigraph:
 
 @dataclass
 class CapacityReport:
+    """How a Perron root, and the rate log2 of it, was reached.
+
+    ``method`` is "power-iteration" (``spectral_radius``), "mask-quotient"
+    (``rate_of_set`` on a union of TC-mask classes) or "binary-reduction"
+    (``binary_reduction_rate``).  For power iteration ``residual`` is the
+    eigenpair residual; for "mask-quotient" it is the relative width of
+    ``bracket``, the certified interval (lo, hi) that holds the root, and
+    ``spectral_radius`` is its midpoint.  ``bracket`` is None for the other
+    methods and is left out of ``to_dict``.
+    """
+
     m: int
     vertex_count: int
     arc_count: int
@@ -114,6 +119,7 @@ class CapacityReport:
     residual: float
     iterations: int
     converged: bool = True
+    bracket: Optional[Tuple[float, float]] = None
 
     def to_dict(self) -> dict:
         return {
@@ -136,7 +142,8 @@ def _shifted_power(matvec, size: int, tol: float, max_iter: int):
 
     The shift leaves the Perron vector fixed, moves the Perron root up by
     exactly 1, and makes periodic digraphs aperiodic so the norm ratio
-    converges.  Returns (rho, iterations, residual, converged).
+    converges.  Returns (rho, iterations, residual, converged, x), with x
+    the unit vector whose residual was last measured.
     """
     x = np.ones(size)
     x /= np.linalg.norm(x)
@@ -160,7 +167,7 @@ def _shifted_power(matvec, size: int, tol: float, max_iter: int):
     rho = max(shifted - 1.0, 0.0)
     if rho < math.sqrt(tol):  # nilpotent up to round-off: no cycle
         rho = 0.0
-    return rho, iterations, residual, converged
+    return rho, iterations, residual, converged, x
 
 
 def spectral_radius(g: TransitionDigraph, tol: float = 1e-10,
@@ -189,13 +196,13 @@ def spectral_radius(g: TransitionDigraph, tol: float = 1e-10,
         rho, iterations, residual, converged = 0.0, 0, 0.0, True
         for idx in g.cyclic_components():
             sub = TransitionDigraph(m=g.m, codes=g.codes[idx], q=g.q)
-            r, it, res, conv = _shifted_power(sub.matvec, len(idx), tol, max_iter)
+            r, it, res, conv, _ = _shifted_power(sub.matvec, len(idx), tol, max_iter)
             iterations += it
             residual = max(residual, res)
             converged = converged and conv
             rho = max(rho, r)
     else:
-        rho, iterations, residual, converged = _shifted_power(
+        rho, iterations, residual, converged, _ = _shifted_power(
             g.matvec, g.vertex_count, tol, max_iter)
     return CapacityReport(
         m=g.m,
@@ -210,10 +217,116 @@ def spectral_radius(g: TransitionDigraph, tol: float = 1e-10,
     )
 
 
+def _mask_digraph(m: int, masks: np.ndarray) -> TransitionDigraph:
+    """The binary window digraph on the given m-bit TC masks."""
+    return TransitionDigraph(m=m, codes=masks, q=2)
+
+
+def mask_quotient(s: GeneratingSet) -> Optional[Tuple[TransitionDigraph, np.ndarray]]:
+    """The quotient of S's overlap digraph by TC mask, if it is equitable.
+
+    When S is a union of whole TC-mask classes (every mask present has all
+    2^m words), a word u with mask a has exactly two successors in the
+    class of each mask b that a -> b in the binary window digraph on the
+    kept masks: the two symbols with the TC bit b ends in.  That digraph,
+    times 2, is then the quotient matrix of the partition by mask, and a
+    Perron vector of it read at each word's mask is one of the quaternary
+    digraph.  Returns (quotient digraph, each word's mask), or None when S
+    is not such a union.
+    """
+    classes = 2 ** s.m
+    if len(s) % classes:
+        return None
+    masks = tc_masks(s.codes, s.m)
+    counts = np.bincount(masks, minlength=classes)
+    kept = np.flatnonzero(counts)
+    if (counts[kept] != classes).any():
+        return None
+    return _mask_digraph(s.m, kept), masks
+
+
+# A ratio (Ax)_i / x_i is a sum of at most q <= 4 positive terms (one per
+# symbol that extends the overlap) and one division, so in floating point
+# it is within a relative gamma_4 = 4u / (1 - 4u) of its exact value
+# (u = eps / 2).  Widening each end by 8 eps = 16u covers that and the
+# rounding of the widening product itself.
+_BRACKET_MARGIN = 8 * np.finfo(float).eps
+
+# The quotient is iterated this much below tol: the lifted bracket came out
+# about ten times wider than the quotient's eigenpair residual.
+_QUOTIENT_TOL_FACTOR = 1e-3
+
+
+def perron_bracket(g: TransitionDigraph, x: np.ndarray) -> Optional[Tuple[float, float]]:
+    """Certified bounds lo <= rho(A) <= hi from one product with x > 0.
+
+    Collatz-Wielandt: for a nonnegative A and a positive x,
+    min_i (Ax)_i / x_i <= rho(A) <= max_i (Ax)_i / x_i.  Both ends are
+    widened by a float rounding margin.  None if an entry of x is not a
+    positive normal float, where that margin does not hold.
+    """
+    x = np.asarray(x, dtype=float)
+    if len(x) == 0 or len(x) != g.vertex_count or not x.min() >= np.finfo(float).tiny:
+        return None
+    ratio = g.matvec(x)
+    ratio /= x
+    return (float(ratio.min()) * (1.0 - _BRACKET_MARGIN),
+            float(ratio.max()) * (1.0 + _BRACKET_MARGIN))
+
+
+def _lifted_rate(g: TransitionDigraph, quotient: TransitionDigraph,
+                 masks: np.ndarray, tol: float,
+                 max_iter: int) -> Optional[CapacityReport]:
+    """The root of g bracketed by the quotient's lifted Perron vector, or
+    None if the bracket is not certified to ``tol``."""
+    cyclic = quotient.cyclic_components()
+    if len(cyclic) != 1 or len(cyclic[0]) != quotient.vertex_count:
+        return None  # reducible: its Perron vector need not be positive
+    _, iterations, _, _, y = _shifted_power(
+        quotient.matvec, quotient.vertex_count, tol * _QUOTIENT_TOL_FACTOR, max_iter)
+    by_mask = np.zeros(2 ** g.m)
+    by_mask[quotient.codes] = y
+    bracket = perron_bracket(g, by_mask[masks])
+    if bracket is None:
+        return None
+    lo, hi = bracket
+    if not hi - lo <= tol * lo:
+        return None
+    rho = (lo + hi) / 2
+    return CapacityReport(
+        m=g.m,
+        vertex_count=g.vertex_count,
+        arc_count=g.arc_count,
+        spectral_radius=rho,
+        rate_bits_per_nt=math.log2(rho),
+        method="mask-quotient",
+        residual=(hi - lo) / rho,
+        iterations=iterations,
+        bracket=bracket,
+    )
+
+
 def rate_of_set(s: GeneratingSet, tol: float = 1e-10,
                 max_iter: int = 100000) -> CapacityReport:
-    """Asymptotic rate of C_n(S) in bits/nt: log2 of the digraph Perron root."""
-    return spectral_radius(build_digraph(s), tol=tol, max_iter=max_iter)
+    """Asymptotic rate of C_n(S) in bits/nt: log2 of the digraph Perron root.
+
+    If S is a union of whole TC-mask classes whose quotient (see
+    ``mask_quotient``) is strongly connected, the quotient, at most 2^m
+    vertices, is iterated, its Perron vector is lifted to every word by
+    mask, and one product with the full 4^m-word operator brackets the root
+    (``perron_bracket``).  The bracket is taken on the full operator, so it
+    does not rest on the quotient being right.  If it is at most ``tol``
+    wide relative to the root, the report's method is "mask-quotient" and
+    it carries the bracket.  In every other case the rate is
+    ``spectral_radius`` of the full digraph, as for any set.
+    """
+    g = build_digraph(s)
+    quotient = mask_quotient(s)
+    if quotient is not None:
+        report = _lifted_rate(g, *quotient, tol, max_iter)
+        if report is not None:
+            return report
+    return spectral_radius(g, tol=tol, max_iter=max_iter)
 
 
 def walk_counts(g: TransitionDigraph, r_max: int) -> Iterator[List[int]]:
@@ -253,19 +366,20 @@ def binary_reduction_rate(m: int, tol: float = 1e-10,
 
     T,C -> 1 and A,G -> 0 is a 2^n-to-one map onto binary sequences whose
     m-windows have weight > m/2, so the quaternary rate is 1 + log2(rho_bin).
-    The reported spectral radius is the quaternary-equivalent 2 * rho_bin.
+    The binary window digraph on the weight > m/2 masks is the
+    ``mask_quotient`` of ``tc_dominant_set(m)``, built here without the 4^m
+    words.  The reported spectral radius is the quaternary-equivalent
+    2 * rho_bin.
     """
     if m < 2:
         raise ValueError(f"m must be >= 2, got {m}")
     check_budget(2 ** m, f"2^{m} binary words")
-    codes = np.arange(2 ** m, dtype=np.int64)
-    w = np.zeros_like(codes)
-    c = codes.copy()
-    for _ in range(m):
-        w += c & 1
-        c >>= 1
-    g = TransitionDigraph(m=m, codes=codes[2 * w > m], q=2)
-    report = spectral_radius(g, tol=tol, max_iter=max_iter)
+    masks = np.arange(2 ** m, dtype=np.int64)
+    # read as a word code, a mask's bits at even positions are the low bits
+    # of its digits, which tc_weights counts
+    weights = tc_weights(masks, m) + tc_weights(masks >> 1, m)
+    report = spectral_radius(_mask_digraph(m, masks[2 * weights > m]),
+                             tol=tol, max_iter=max_iter)
     rho_bin = report.spectral_radius
     report.method = "binary-reduction"
     report.spectral_radius = 2.0 * rho_bin

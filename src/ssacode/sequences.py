@@ -145,6 +145,28 @@ def tc_weights(codes: np.ndarray, m: int) -> np.ndarray:
     return x.view(np.int64)
 
 
+# (shift, mask) steps that pack the low bits of the 2-bit digits together:
+# each step halves the number of gaps, pairing bits, then nibbles, bytes, ...
+_PACK_LOW_BITS = ((1, 0x3333333333333333), (2, 0x0F0F0F0F0F0F0F0F),
+                  (4, 0x00FF00FF00FF00FF), (8, 0x0000FFFF0000FFFF),
+                  (16, 0x00000000FFFFFFFF))
+
+
+def tc_masks(codes: np.ndarray, m: int) -> np.ndarray:
+    """TC mask per word (T,C -> 1; A,G -> 0) as an m-bit big-endian integer.
+
+    The mask's bits are the low bits of the word's 2-bit digits, packed.
+    """
+    x = _as_words(codes)
+    x &= _LOW_BITS
+    y = np.empty_like(x)  # the one scratch array; every other step is in place
+    for shift, mask in _PACK_LOW_BITS:
+        np.right_shift(x, shift, out=y)
+        x |= y
+        x &= mask
+    return x.view(np.int64)
+
+
 def codes_with_tc_mask(m: int, mask: str) -> np.ndarray:
     """All words whose TC pattern (T,C -> 1; A,G -> 0) equals the given mask."""
     if len(mask) != m or any(ch not in "01" for ch in mask):

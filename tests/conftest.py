@@ -104,9 +104,45 @@ def rc_free_words(draw, ms=(2, 3, 4)):
     return random_valid_set(rng, m, drop_rate=drop_rate).words()
 
 
+def tc_pattern(word):
+    """TC mask of a word as a bit string: T, C -> 1; A, G -> 0."""
+    return "".join("1" if ch in "TC" else "0" for ch in word)
+
+
+def mask_rc(mask):
+    """TC mask of the reverse complements of a mask class: the complement
+    swaps T, C with A, G, then the word is reversed."""
+    return "".join("1" if b == "0" else "0" for b in reversed(mask))
+
+
+@st.composite
+def mask_unions(draw, ms=(2, 3, 4, 5)):
+    """Words of an RC-free union of whole TC-mask classes, perhaps empty.
+    From each pair of masks {a, mask_rc(a)} with a != mask_rc(a) it keeps
+    a, mask_rc(a) or neither; a self-paired class is never RC-free."""
+    m = draw(st.sampled_from(ms))
+    kept = []
+    for a in map("".join, itertools.product("01", repeat=m)):
+        if a < mask_rc(a):
+            pick = draw(st.sampled_from((a, mask_rc(a), None)))
+            if pick is not None:
+                kept.append(pick)
+    return [w for w in map("".join, itertools.product("ACGT", repeat=m))
+            if tc_pattern(w) in kept]
+
+
 @pytest.fixture
 def rng():
     return random.Random(0xDA7A)
+
+
+def adjacency_matrix(g, max_vertices=4096):
+    """Dense 0/1 adjacency of an overlap digraph, read off its vertex codes:
+    u -> v iff the last m-1 symbols of u are the first m-1 of v."""
+    if g.vertex_count > max_vertices:
+        raise ValueError(f"{g.vertex_count} vertices: adjacency matrix too large")
+    codes = g.codes
+    return (codes[:, None] % g.q ** (g.m - 1) == codes[None, :] // g.q).astype(np.int64)
 
 
 def dense_strong_components(adj):

@@ -1,7 +1,6 @@
 """Acceptance gate: one test per release criterion, each printing a verdict
 line.  Tolerances and runtime budgets are pinned; run with plain pytest."""
 
-import json
 import math
 import random
 import subprocess

@@ -1,8 +1,10 @@
 import math
+import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from ssacode import (
     F3,
@@ -15,21 +17,28 @@ from ssacode import (
     block_concat_count,
     build_digraph,
     count_constrained,
+    heuristic_set_m4,
+    heuristic_set_m6_stage,
     largest_real_root,
+    mask_quotient,
     rate_of_set,
     recurrence_counts,
     spectral_radius,
     tc_dominant_set,
     trivial_upper_bound,
 )
-from ssacode.capacity import BLOCK_CONCAT_WORDS
+from ssacode.capacity import BLOCK_CONCAT_WORDS, perron_bracket
+from ssacode.sequences import rc_code
 from conftest import (
+    adjacency_matrix,
     dense_spectral_radius,
     dense_strong_components,
+    mask_unions,
     random_valid_set,
     rc_free_words,
     ref_count_constrained,
     ref_good_binary_count,
+    tc_pattern,
 )
 
 WORKED_SET = GeneratingSet.from_words(["TT", "TC", "TG", "GT", "CT", "CC"])
@@ -66,7 +75,7 @@ class TestDigraph:
 
     def test_individual_arcs(self):
         # the digraph's vertices are the set's codes, in the set's order
-        A = build_digraph(WORKED_SET).adjacency_matrix()
+        A = adjacency_matrix(build_digraph(WORKED_SET))
         vertex = WORKED_SET.words().index
         assert A[vertex("TT"), vertex("TC")]
         assert not A[vertex("TC"), vertex("TT")]
@@ -76,7 +85,7 @@ class TestDigraph:
         order = ["TT", "TC", "TG", "GT", "CT", "CC"]
         vertex_words = WORKED_SET.words()
         perm = [vertex_words.index(w) for w in order]
-        A = g.adjacency_matrix()[np.ix_(perm, perm)]
+        A = adjacency_matrix(g)[np.ix_(perm, perm)]
         assert A.tolist() == WORKED_MATRIX
 
     def test_vertices_sorted_unique(self):
@@ -138,7 +147,7 @@ class TestSpectralRadius:
     @example(CHAINED_UNIT_CYCLES)
     def test_matches_dense_eigenvalues_random(self, words):
         g = build_digraph(GeneratingSet.from_words(words))
-        dense = dense_spectral_radius(g.adjacency_matrix())
+        dense = dense_spectral_radius(adjacency_matrix(g))
         rep = spectral_radius(g)
         assert rep.converged
         assert rep.spectral_radius == pytest.approx(dense, abs=1e-7)
@@ -151,7 +160,7 @@ class TestSpectralRadius:
     @example(CHAINED_UNIT_CYCLES)
     def test_cyclic_components_match_dense_scc(self, words):
         g = build_digraph(GeneratingSet.from_words(words))
-        adj = g.adjacency_matrix()
+        adj = adjacency_matrix(g)
         want = {tuple(idx.tolist()) for idx in dense_strong_components(adj)
                 if len(idx) > 1 or adj[idx[0], idx[0]]}
         got = g.cyclic_components()
@@ -182,6 +191,132 @@ class TestRateOfSet:
             for _ in range(10):
                 s = random_valid_set(rng, m, drop_rate=rng.choice([0.0, 0.25]))
                 assert rate_of_set(s).rate_bits_per_nt <= trivial_upper_bound(m) + 1e-9
+
+
+def exact_ratios(g, x):
+    """(Ax)_i / x_i for every vertex, in exact rational arithmetic."""
+    adj = adjacency_matrix(g)
+    xs = [Fraction(v) for v in x.tolist()]
+    return [sum((xs[j] for j in np.flatnonzero(row)), Fraction(0)) / xs[i]
+            for i, row in enumerate(adj)]
+
+
+class TestMaskQuotient:
+    @pytest.mark.parametrize("m", [3, 5])
+    def test_tc_dominant_quotient(self, m):
+        s = tc_dominant_set(m)
+        quotient, masks = mask_quotient(s)
+        assert quotient.q == 2
+        assert quotient.codes.tolist() == [a for a in range(2 ** m)
+                                           if 2 * bin(a).count("1") > m]
+        assert masks.tolist() == [int(tc_pattern(w), 2) for w in s.words()]
+        # binary_reduction_rate iterates the same digraph
+        binary = binary_reduction_rate(m)
+        assert binary.vertex_count == quotient.vertex_count
+        assert binary.arc_count == quotient.arc_count
+
+    def test_not_a_union(self):
+        s = tc_dominant_set(5)
+        swapped = GeneratingSet.from_codes(  # same size as a union, still RC-free
+            5, np.concatenate([s.codes[1:], [rc_code(int(s.codes[0]), 5)]]))
+        swapped.require_valid()
+        assert len(swapped) == len(s)
+        for t in (heuristic_set_m4(), WORKED_SET,
+                  GeneratingSet.from_codes(5, s.codes[1:]), swapped):
+            assert mask_quotient(t) is None
+            assert rate_of_set(t).method == "power-iteration"
+
+    @settings(max_examples=40, deadline=None)
+    @given(mask_unions())
+    @example(tc_dominant_set(3).words())
+    @example(tc_dominant_set(5).words())
+    @example([w for w in tc_dominant_set(3).words()  # a 3-cycle of masks
+              if w.count("T") + w.count("C") == 2])
+    def test_bracket_contains_dense_root(self, words):
+        assume(words)
+        s = GeneratingSet.from_words(words)
+        assert mask_quotient(s) is not None
+        rep = rate_of_set(s)
+        dense = dense_spectral_radius(adjacency_matrix(build_digraph(s)))
+        assert rep.converged
+        if rep.method == "mask-quotient":
+            lo, hi = rep.bracket
+            # LAPACK's root has rounding of its own: it read 2 + 4.4e-15
+            # for the weight-2 masks at m=3, whose root is exactly 2
+            assert lo * (1 - 1e-12) <= dense <= hi * (1 + 1e-12)
+            assert hi - lo <= 1e-10 * lo
+        else:
+            assert rep.method == "power-iteration" and rep.bracket is None
+            assert rep.spectral_radius == pytest.approx(dense, abs=1e-7)
+
+    @settings(max_examples=60, deadline=None)
+    @given(rc_free_words(), st.integers(0, 2 ** 32 - 1))
+    @example(WORKED_SET.words(), 0)  # the unwidened ends miss the exact ones
+    def test_perron_bracket_holds_exact_ratios(self, words, seed):
+        # Collatz-Wielandt holds for the exact ratios of any x > 0; the
+        # margin must cover the rounding of the float ones, and no more
+        g = build_digraph(GeneratingSet.from_words(words))
+        rng = random.Random(seed)
+        x = np.array([rng.uniform(0.1, 10.0) for _ in range(g.vertex_count)])
+        lo, hi = perron_bracket(g, x)
+        exact = exact_ratios(g, x)
+        assert lo <= min(exact) and max(exact) <= hi
+        assert min(exact) * (1 - Fraction(1, 10 ** 14)) <= lo
+        assert hi <= max(exact) * (1 + Fraction(1, 10 ** 14))
+
+    def test_perron_bracket_needs_positive_vector(self):
+        g = build_digraph(WORKED_SET)
+        assert perron_bracket(g, np.ones(6)) is not None
+        assert perron_bracket(g, np.array([1.0, 1, 1, 0, 1, 1])) is None
+        assert perron_bracket(g, np.array([1.0, 1, 1, 1e-320, 1, 1])) is None
+        assert perron_bracket(g, np.ones(5)) is None
+
+    @pytest.mark.parametrize("m", [3, 5, 7, 9, 11])
+    def test_tc_dominant_certified(self, m):
+        rep = rate_of_set(tc_dominant_set(m))
+        assert rep.method == "mask-quotient" and rep.converged
+        lo, hi = rep.bracket
+        assert lo <= rep.spectral_radius <= hi
+        assert hi - lo <= 1e-10 * lo
+        assert rep.residual == pytest.approx((hi - lo) / rep.spectral_radius)
+        assert rep.rate_bits_per_nt == math.log2(rep.spectral_radius)
+        assert set(rep.to_dict()) == {
+            "m", "vertex_count", "arc_count", "spectral_radius",
+            "rate_bits_per_nt", "method", "residual", "iterations"}
+        # the binary digraph's power iteration lands inside, within its residual
+        binary = binary_reduction_rate(m)
+        slack = binary.residual * binary.spectral_radius
+        assert lo - slack <= binary.spectral_radius <= hi + slack
+
+    def test_power_iteration_inside_bracket(self):
+        # keeps the iterative path on a quaternary TC-dominant digraph covered
+        s = tc_dominant_set(9)
+        lo, hi = rate_of_set(s).bracket
+        plain = spectral_radius(build_digraph(s), tol=1e-8)
+        assert plain.method == "power-iteration" and plain.converged
+        slack = plain.residual * plain.spectral_radius
+        assert lo - slack <= plain.spectral_radius <= hi + slack
+
+    def test_reducible_quotient_falls_back(self):
+        # the m6-stage quotient is not strongly connected
+        s = heuristic_set_m6_stage()
+        assert mask_quotient(s) is not None
+        rep = rate_of_set(s)
+        assert rep.method == "power-iteration" and rep.bracket is None
+        assert rep.to_dict() == spectral_radius(build_digraph(s)).to_dict()
+
+    def test_certificate_is_taken_on_the_full_operator(self, monkeypatch):
+        # a wrong quotient (all 32 masks) gives a Perron vector that is not
+        # one of the full digraph; the bracket on the 4^m operator is then
+        # wide, and the rate falls back to power iteration
+        from ssacode import capacity
+        s = tc_dominant_set(5)
+        _, masks = mask_quotient(s)
+        wrong = TransitionDigraph(m=5, codes=np.arange(32), q=2)
+        monkeypatch.setattr(capacity, "mask_quotient", lambda t: (wrong, masks))
+        rep = rate_of_set(s)
+        assert rep.method == "power-iteration"
+        assert rep.to_dict() == spectral_radius(build_digraph(s)).to_dict()
 
 
 class TestCountConstrained:

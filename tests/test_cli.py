@@ -2,9 +2,20 @@ import json
 import subprocess
 import sys
 
-import pytest
-
 from ssacode import GeneratingSet, write_set_file
+
+# ``ssacode table --format csv``, byte for byte (the csv module ends rows
+# with CRLF).  Rates that move in their last bits must not move these.
+TABLE_CSV = (
+    b"m,computed_rate,reference_rate,abs_diff\r\n"
+    b"2,1.1680,1.1679,8.70e-05\r\n"
+    b"3,1.5515,1.5515,3.69e-05\r\n"
+    b"4,1.5941,1.5940,5.53e-05\r\n"
+    b"5,1.6979,1.6980,7.79e-05\r\n"
+    b"7,1.7698,1.7698,4.47e-05\r\n"
+    b"9,1.8131,1.8131,2.33e-06\r\n"
+    b"11,1.8423,1.8423,8.10e-06\r\n"
+)
 
 
 def run_cli(*argv, env=None):
@@ -150,6 +161,32 @@ class TestTable:
         assert abs(rows[2] - 1.1679) < 2e-3
         assert abs(rows[9] - 1.8131) < 2e-3
         assert abs(rows[11] - 1.8423) < 2e-3
+
+    def test_table_csv_bytes(self):
+        proc = subprocess.run([sys.executable, "-m", "ssacode", "table",
+                               "--format", "csv"], capture_output=True)
+        assert proc.returncode == 0
+        assert proc.stdout == TABLE_CSV
+
+    def test_not_converged_exits_1(self, monkeypatch, capsys):
+        from ssacode import capacity, cli
+
+        real = capacity.binary_reduction_rate
+
+        def unconverged(m, tol=1e-10, max_iter=100000):
+            report = real(m, tol=tol, max_iter=max_iter)
+            report.residual, report.converged = 3e-4, False
+            return report
+
+        monkeypatch.setattr(capacity, "binary_reduction_rate", unconverged)
+        assert cli.main(["table", "--format", "json"]) == 1
+        out, err = capsys.readouterr()
+        assert "did not converge" in err
+        assert "residual 0.0003" in err
+        assert err.count("error:") == 5  # one line per row at m = 3, 5, 7, 9, 11
+        report = json.loads(out)
+        assert report["within_tolerance"] is True  # exit 1 from convergence alone
+        assert len(report["rows"]) == 7
 
 
 class TestCodecCommands:

@@ -1,5 +1,4 @@
 import itertools
-import random
 
 import numpy as np
 import pytest
@@ -21,8 +20,8 @@ from ssacode import (
     write_set_file,
 )
 from ssacode.gensets import codes_with_tc_mask, num_rc_pairs, num_self_rc, rc_codes, tc_weights
-from ssacode.sequences import code_to_word, rc_code
-from conftest import ref_rc
+from ssacode.sequences import code_to_word, rc_code, tc_masks
+from conftest import ref_rc, tc_pattern
 
 
 def codes_for_some_m(max_m, max_size=60):
@@ -56,10 +55,6 @@ class TestFromCodesDedup:
             GeneratingSet.from_codes(m, codes)
 
 
-def tc_pattern(word):
-    return "".join("1" if ch in "TC" else "0" for ch in word)
-
-
 class TestVectorWordHelpers:
     @pytest.mark.parametrize("m", range(2, 7))
     def test_rc_codes_match_scalar(self, m):
@@ -77,6 +72,13 @@ class TestVectorWordHelpers:
         assert weights.tolist() == [sum(ch in "TC" for ch in code_to_word(c, m))
                                     for c in range(4 ** m)]
 
+    @pytest.mark.parametrize("m", range(2, 7))
+    def test_tc_masks_match_per_character_pattern(self, m):
+        masks = tc_masks(np.arange(4 ** m, dtype=np.int64), m)
+        assert masks.dtype == np.int64
+        assert masks.tolist() == [int(tc_pattern(code_to_word(c, m)), 2)
+                                  for c in range(4 ** m)]
+
     @given(st.integers(2, 31).flatmap(lambda m: st.tuples(
         st.just(m), st.lists(st.integers(0, 4 ** m - 1), min_size=1, max_size=20))))
     def test_long_words(self, case):
@@ -86,6 +88,7 @@ class TestVectorWordHelpers:
         assert rc_codes(arr, m).tolist() == [rc_code(c, m) for c in codes]
         assert [code_to_word(c, m) for c in rc_codes(arr, m).tolist()] == [ref_rc(w) for w in words]
         assert tc_weights(arr, m).tolist() == [sum(ch in "TC" for ch in w) for w in words]
+        assert tc_masks(arr, m).tolist() == [int(tc_pattern(w), 2) for w in words]
 
     @pytest.mark.parametrize("mask", ["".join(bits) for bits in itertools.product("01", repeat=4)])
     def test_codes_with_tc_mask_match_per_character_pattern(self, mask):
