@@ -3,8 +3,8 @@
 Commands: check, capacity, count, oracle, search, table, encode, decode.
 All reports embed the resolved run configuration so results are reproducible.
 Exit codes: 0 success (or SSA verdict), 1 domain failure (non-SSA, out of
-range, budget exceeded, invalid set, power iteration not converged), 2 usage
-error.
+range, budget exceeded, invalid set, invalid or unreadable input file, power
+iteration not converged), 2 usage error.
 """
 
 from __future__ import annotations
@@ -108,6 +108,8 @@ def _emit(report: dict, args) -> None:
 
 
 def cmd_check(args) -> int:
+    if args.seq_file:
+        return _check_file(args)
     witness = seq.find_secondary_structure(args.seq, args.m)
     report = {
         "command": "check",
@@ -118,6 +120,32 @@ def cmd_check(args) -> int:
         report["witness"] = {"i": witness.i, "j": witness.j, "m": witness.m}
     _emit(report, args)
     return 0 if witness is None else 1
+
+
+def _check_file(args) -> int:
+    """One report row per line of the file, each line one read."""
+    rows = []
+    with open(args.seq_file) as fh:
+        for index, line in enumerate(fh, start=1):
+            try:
+                read = seq.parse_sequence(line.rstrip("\r\n"))
+            except ValueError as exc:
+                raise ValueError(f"{args.seq_file}, line {index}: {exc}") from None
+            witness = seq.find_secondary_structure(read, args.m)
+            if witness is None:
+                rows.append([index, len(read), True, None, None])
+            else:
+                rows.append([index, len(read), False, witness.i, witness.j])
+    non_ssa = sum(not row[2] for row in rows)
+    _emit({
+        "command": "check",
+        "config": _config(args, ("m", "seq_file")),
+        "reads": len(rows),
+        "non_ssa": non_ssa,
+        "columns": ["index", "length", "ssa", "i", "j"],
+        "rows": rows,
+    }, args)
+    return 0 if non_ssa == 0 else 1
 
 
 def cmd_capacity(args) -> int:
@@ -275,7 +303,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check", help="test a sequence for m-SSA membership")
     p.add_argument("--m", type=int, required=True)
-    p.add_argument("--seq", type=_sequence, required=True)
+    reads = p.add_mutually_exclusive_group(required=True)
+    reads.add_argument("--seq", type=_sequence, help="one read")
+    reads.add_argument("--seq-file", dest="seq_file",
+                       help="a file of reads, one per line (one report row each)")
     _add_common(p)
     p.set_defaults(func=cmd_check)
 
@@ -323,7 +354,7 @@ def main(argv: Optional[list] = None) -> int:
     try:
         return args.func(args)
     except (seq.BudgetExceededError, gs.InvalidGeneratingSetError,
-            cdc.CodecError, ValueError) as exc:
+            cdc.CodecError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

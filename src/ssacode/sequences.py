@@ -19,6 +19,7 @@ import numpy as np
 
 ALPHABET = "ACGT"
 COMPLEMENT = {"A": "T", "T": "A", "C": "G", "G": "C"}
+_COMPLEMENT_TABLE = str.maketrans(COMPLEMENT)
 DIGIT = {s: i for i, s in enumerate(ALPHABET)}  # symbol -> its 2-bit digit
 
 DEFAULT_ENUMERATION_BUDGET = 4 ** 13
@@ -47,9 +48,9 @@ def check_budget(size: int, what: str, budget: Optional[int] = None) -> None:
 
 def parse_sequence(text: str) -> str:
     """Validate a sequence string; only uppercase A, C, G, T are accepted."""
-    for ch in text:
-        if ch not in COMPLEMENT:
-            raise ValueError(f"invalid symbol {ch!r} in sequence (expected A/C/G/T)")
+    if not set(text) <= COMPLEMENT.keys():
+        bad = next(ch for ch in text if ch not in COMPLEMENT)
+        raise ValueError(f"invalid symbol {bad!r} in sequence (expected A/C/G/T)")
     return text
 
 
@@ -58,8 +59,12 @@ def complement(symbol: str) -> str:
 
 
 def reverse_complement(x: str) -> str:
-    """Reverse the sequence and complement every symbol."""
-    return "".join(COMPLEMENT[ch] for ch in reversed(x))
+    """Reverse the sequence and complement every symbol.
+
+    Symbols other than A, C, G, T pass through uncomplemented; validate
+    outside input with :func:`parse_sequence` first.
+    """
+    return x.translate(_COMPLEMENT_TABLE)[::-1]
 
 
 def word_to_code(word: str) -> int:
@@ -201,15 +206,24 @@ def find_secondary_structure(x: str, m: int) -> Optional[Witness]:
     """Return the smallest (i, j) witness of a secondary structure, or None.
 
     None means x is an m-SSA sequence.  Witnesses are ordered by i, then j.
+    A symbol other than A, C, G, T raises ValueError.
+
+    O(n*m): one dict maps each window that can close a pair (start j >= m)
+    to its last start.  The reverse complement of x[i:i+m] is a slice of the
+    reverse complement of x, so each i costs one slice and one lookup; the
+    first i whose target last starts at or after i + m is the witness, and
+    its j is the target's first start there.
     """
     if m < 2:
         raise ValueError(f"stem length m must be >= 2, got {m}")
+    parse_sequence(x)
     n = len(x)
+    last = {x[j:j + m]: j for j in range(m, n - m + 1)}
+    rc = reverse_complement(x)
     for i in range(n - 2 * m + 1):
-        target = reverse_complement(x[i:i + m])
-        for j in range(i + m, n - m + 1):
-            if x[j:j + m] == target:
-                return Witness(i=i + 1, j=j + 1, m=m)
+        target = rc[n - i - m:n - i]  # reverse complement of x[i:i+m]
+        if last.get(target, -1) >= i + m:
+            return Witness(i=i + 1, j=x.find(target, i + m) + 1, m=m)
     return None
 
 

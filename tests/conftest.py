@@ -17,14 +17,20 @@ def ref_rc(word):
     return "".join(COMP[ch] for ch in reversed(word))
 
 
-def ref_has_structure(x, m):
-    """Naive scan for two non-overlapping reverse-complement m-windows."""
+def ref_first_witness(x, m):
+    """Naive scan for the smallest 1-based (i, j) such that the m-windows at
+    i and j do not overlap and are reverse complements, or None."""
     n = len(x)
     for i in range(n - m + 1):
         for j in range(i + m, n - m + 1):
             if all(x[i + t] == COMP[x[j + m - 1 - t]] for t in range(m)):
-                return True
-    return False
+                return i + 1, j + 1
+    return None
+
+
+def ref_has_structure(x, m):
+    """Naive scan for two non-overlapping reverse-complement m-windows."""
+    return ref_first_witness(x, m) is not None
 
 
 def ref_count_all_ssa_python(n, m):

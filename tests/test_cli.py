@@ -48,6 +48,58 @@ class TestCheck:
         proc = run_cli("check", "--m", "2", "--seq", "TTXX")
         assert proc.returncode == 2
 
+    def test_seq_report_keys(self):
+        proc = run_cli("check", "--m", "2", "--seq", "TTAA", "--format", "json")
+        report = json.loads(proc.stdout)
+        assert set(report) == {"command", "config", "ssa", "witness"}
+        assert report["config"] == {"m": 2, "seq": "TTAA"}
+
+    def test_seq_file_mixed(self, tmp_path):
+        path = tmp_path / "reads.txt"
+        path.write_text("TTTT\nTTAA\n\nTCTCC\r\nGTTAA\n")
+        proc = run_cli("check", "--m", "2", "--seq-file", str(path),
+                       "--format", "json")
+        assert proc.returncode == 1
+        report = json.loads(proc.stdout)
+        assert report["config"] == {"m": 2, "seq_file": str(path)}
+        assert (report["reads"], report["non_ssa"]) == (5, 2)
+        assert report["columns"] == ["index", "length", "ssa", "i", "j"]
+        assert report["rows"] == [
+            [1, 4, True, None, None],
+            [2, 4, False, 1, 3],
+            [3, 0, True, None, None],
+            [4, 5, True, None, None],
+            [5, 5, False, 2, 4],
+        ]
+
+    def test_seq_file_all_ssa_exit_0(self, tmp_path):
+        path = tmp_path / "reads.txt"
+        path.write_text("TTTT\nTCTCC\n")
+        proc = run_cli("check", "--m", "2", "--seq-file", str(path),
+                       "--format", "csv")
+        assert proc.returncode == 0
+        assert proc.stdout.splitlines()[0] == "index,length,ssa,i,j"
+
+    def test_seq_file_invalid_read_names_line(self, tmp_path):
+        path = tmp_path / "reads.txt"
+        path.write_text("TTTT\nTTNA\n")
+        proc = run_cli("check", "--m", "2", "--seq-file", str(path))
+        assert proc.returncode == 1
+        assert "line 2: invalid symbol 'N'" in proc.stderr
+        assert proc.stdout == ""
+
+    def test_seq_file_missing(self, tmp_path):
+        proc = run_cli("check", "--m", "2", "--seq-file", str(tmp_path / "none"))
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error:")
+
+    def test_seq_and_seq_file_exclusive(self, tmp_path):
+        path = tmp_path / "reads.txt"
+        path.write_text("TTTT\n")
+        proc = run_cli("check", "--m", "2", "--seq", "TTAA", "--seq-file", str(path))
+        assert proc.returncode == 2
+        assert run_cli("check", "--m", "2").returncode == 2
+
 
 class TestCapacity:
     def test_tc_dominant_m5(self):

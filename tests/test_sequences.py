@@ -1,9 +1,11 @@
 import itertools
 import random
+import time
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from ssacode import (
     BudgetExceededError,
@@ -27,7 +29,35 @@ from ssacode.sequences import (
     rc_pairs,
     word_to_code,
 )
-from conftest import ref_count_all_ssa_python, ref_has_structure
+from conftest import (
+    ref_count_all_ssa_python,
+    ref_first_witness,
+    ref_has_structure,
+    ref_rc,
+)
+
+
+@st.composite
+def reads_with_planted_pairs(draw):
+    """A read of at most 60 symbols over a drawn sub-alphabet and a stem
+    length m in 2..8, with up to two windows planted next to their reverse
+    complements: at the very start or end, adjacent (j = i + m), apart or
+    overlapping (a later plant may overwrite an earlier one)."""
+    m = draw(st.integers(2, 8))
+    alphabet = draw(st.sampled_from(["ACGT", "TC", "AT", "ACG"]))
+    x = list(draw(st.text(alphabet=alphabet, max_size=60)))
+    n = len(x)
+    for _ in range(draw(st.integers(0, 2))):
+        if n < m:
+            break
+        word = draw(st.text(alphabet="ACGT", min_size=m, max_size=m))
+        i = draw(st.one_of(st.just(0), st.integers(0, n - m)))
+        j = draw(st.one_of(st.just(i + m), st.just(n - m),
+                           st.integers(max(0, i - m + 1), n - m)))
+        if j + m <= n:
+            x[i:i + m] = word
+            x[j:j + m] = ref_rc(word)
+    return "".join(x), m
 
 
 class TestComplement:
@@ -92,6 +122,67 @@ class TestFindSecondaryStructure:
         # TTAA has witnesses (1,3); prepending symbols shifts but keeps order
         w = find_secondary_structure("GTTAA", 2)
         assert (w.i, w.j) == (2, 4)
+
+    def test_smallest_witness_cases(self):
+        # planted at the very start and the very end
+        assert find_secondary_structure("AC" + "T" * 10 + "GT", 2) == Witness(1, 13, 2)
+        # adjacent windows are allowed: j = i + m
+        assert find_secondary_structure("AACCGGTT", 4) == Witness(1, 5, 4)
+        # RC(AT) = AT starts at 1 (overlapping), 5 and 9: the first at or
+        # after i + m is the witness, not the last
+        assert find_secondary_structure("ATCCATCCAT", 2) == Witness(1, 5, 2)
+        # ACGT's windows ACG, CGT are reverse complements but overlap
+        assert find_secondary_structure("TACGTTTT", 3) is None
+
+    @settings(max_examples=300, deadline=None)
+    @given(reads_with_planted_pairs())
+    @example(("AC" + "T" * 10 + "GT", 2))
+    @example(("AACCGGTT", 4))
+    @example(("ATCCATCCAT", 2))
+    @example(("TACGTTTT", 3))
+    def test_matches_naive_smallest_witness(self, read):
+        x, m = read
+        w = find_secondary_structure(x, m)
+        assert (None if w is None else (w.i, w.j)) == ref_first_witness(x, m)
+        assert w is None or w.m == m
+
+    def test_long_tc_read_scans_in_linear_time(self):
+        # the reverse complement of a T/C window is all A/G: SSA, full scan
+        rng = random.Random(13)
+        x = "".join(rng.choice("TC") for _ in range(100_000))
+        start = time.perf_counter()
+        assert find_secondary_structure(x, 13) is None
+        assert time.perf_counter() - start < 2.0
+
+    @pytest.mark.parametrize("m", [32, 40])
+    def test_witness_at_large_m(self, m):
+        # past 31 symbols a word no longer fits a 2-bit code in an int64
+        rng = random.Random(m)
+        word = "".join(rng.choice("ACGT") for _ in range(m))
+
+        def fill(k):
+            return "".join(rng.choice("TC") for _ in range(k))
+
+        x = fill(17) + word + fill(m + 5) + ref_rc(word) + fill(9)
+        w = find_secondary_structure(x, m)
+        assert w is not None
+        assert (w.i, w.j) == ref_first_witness(x, m)
+
+    @pytest.mark.parametrize("x, m", [
+        ("NACGTTACG", 2),  # start
+        ("ACGTNTACG", 2),  # middle
+        ("ACGTTACGN", 2),  # end
+        ("ACNT", 2),
+        ("NACGT", 2),
+        ("TaC", 2),  # shorter than 2m
+        ("AC GT", 3),
+    ])
+    def test_invalid_symbol_raises(self, x, m):
+        with pytest.raises(ValueError) as expected:
+            parse_sequence(x)
+        with pytest.raises(ValueError) as got:
+            find_secondary_structure(x, m)
+        assert str(got.value) == str(expected.value)
 
     def test_witness_validity_random(self):
         rng = random.Random(7)
