@@ -27,6 +27,16 @@ class TransitionDigraph:
     == prefix(v), a matrix-vector product reduces to a group-sum over shared
     overlap words, O(|V|) per product.
 
+    Each vertex carries two bin indices, ``_pre`` for its (m-1)-prefix and
+    ``_suf`` for its (m-1)-suffix, and u -> v iff ``_suf[u] == _pre[v]``.
+    When q^(m-1) <= |V| the bins are the overlap words' own codes, so no
+    index is built.  A sparser set would leave most of those q^(m-1) bins
+    empty (a few words at m = 16 would need 4^15), so its bins are the
+    ranks of its distinct overlap words instead.  Both maps keep the order
+    of the overlap words, so ``_pre`` is non-decreasing, and a bin sums
+    the same vertices in the same order either way: every product, count
+    and walk is the same to the bit.
+
     ``codes`` may come in any order and with repeats; the stored vertex codes
     are sorted and duplicate-free.  A strictly increasing int64 array, such
     as ``GeneratingSet.codes``, is kept as it is, without a copy.
@@ -37,16 +47,17 @@ class TransitionDigraph:
     q: int = 4
 
     def __post_init__(self):
-        codes = np.asarray(self.codes, dtype=np.int64)
-        if codes.ndim != 1 or (codes[1:] <= codes[:-1]).any():
-            codes = sorted_unique(codes)
-        self.codes = codes
-        pre_raw = codes // self.q
-        suf_raw = codes % (self.q ** (self.m - 1))
-        keys = sorted_unique(np.concatenate([pre_raw, suf_raw]), overwrite=True)
-        self._pre = np.searchsorted(keys, pre_raw)
-        self._suf = np.searchsorted(keys, suf_raw)
-        self._nbins = len(keys)
+        self.codes = codes = sorted_unique(self.codes)
+        overlaps = self.q ** (self.m - 1)
+        self._pre = codes // self.q
+        self._suf = codes % overlaps
+        if overlaps <= len(codes):
+            self._nbins = overlaps
+        else:
+            keys = sorted_unique(np.concatenate([self._pre, self._suf]), overwrite=True)
+            self._pre = np.searchsorted(keys, self._pre)
+            self._suf = np.searchsorted(keys, self._suf)
+            self._nbins = len(keys)
 
     @property
     def vertex_count(self) -> int:

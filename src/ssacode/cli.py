@@ -26,6 +26,7 @@ REFERENCE_TABLE = {2: 1.1679, 3: 1.5515, 4: 1.5940, 5: 1.6980,
                7: 1.7698, 9: 1.8131, 11: 1.8423}
 TABLE_GATE_TOL = 2e-3
 TABLE_RATE_TOL = 1e-10  # power-iteration tolerance of every table row
+_SEARCH_TOL = {"exhaustive": 1e-10, "local": 1e-8}  # the searches' own defaults
 
 BUILTIN_SETS = ("tc-dominant", "m4-heuristic", "m6-stage", "block-concat-baseline")
 
@@ -35,6 +36,27 @@ def _sequence(text: str) -> str:
         return seq.parse_sequence(text)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc))
+
+
+def _word_length(text: str) -> int:
+    try:
+        m = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if m < 2:
+        raise argparse.ArgumentTypeError(f"must be at least 2, got {m}")
+    return m
+
+
+def _usage_error(args) -> Optional[str]:
+    """Why the parsed options cannot go together, or None."""
+    m, n = getattr(args, "m", None), getattr(args, "n", None)
+    if m is not None and n is not None and n < m:
+        return f"--n {n} is smaller than the word length --m {m}"
+    if getattr(args, "mode", None) == "local" and args.tol is not None:
+        return (f"--tol applies to --mode exhaustive only; local search "
+                f"iterates at {_SEARCH_TOL['local']:g}")
+    return None
 
 
 def _resolve_set(args) -> gs.GeneratingSet:
@@ -191,6 +213,8 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_search(args) -> int:
+    if args.tol is None:
+        args.tol = _SEARCH_TOL[args.mode]
     if args.mode == "exhaustive":
         result = srch.exhaustive_search(args.m, tol=args.tol)
     else:
@@ -199,7 +223,7 @@ def cmd_search(args) -> int:
                   file=sys.stderr)
         result = srch.local_search(args.m, restarts=args.restarts,
                                    iterations=args.iters, seed=args.seed,
-                                   on_restart=progress)
+                                   tol=args.tol, on_restart=progress)
     report = {
         "command": "search",
         "config": _config(args, ("m", "mode", "restarts", "iters", "seed", "tol")),
@@ -280,7 +304,7 @@ def cmd_decode(args) -> int:
 
 def _add_common(p, *, m=False, n=False, set_source=False, tol=False):
     if m:
-        p.add_argument("--m", type=int, help="stem / word length")
+        p.add_argument("--m", type=_word_length, help="stem / word length")
     if n:
         p.add_argument("--n", type=int, required=True, help="sequence length")
     if set_source:
@@ -302,7 +326,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("check", help="test a sequence for m-SSA membership")
-    p.add_argument("--m", type=int, required=True)
+    p.add_argument("--m", type=_word_length, required=True)
     reads = p.add_mutually_exclusive_group(required=True)
     reads.add_argument("--seq", type=_sequence, help="one read")
     reads.add_argument("--seq-file", dest="seq_file",
@@ -319,17 +343,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_count)
 
     p = sub.add_parser("oracle", help="exact number of m-SSA sequences of length n")
-    p.add_argument("--m", type=int, required=True)
+    p.add_argument("--m", type=_word_length, required=True)
     _add_common(p, n=True)
     p.set_defaults(func=cmd_oracle)
 
     p = sub.add_parser("search", help="search for a high-rate generating set")
-    p.add_argument("--m", type=int, required=True)
+    p.add_argument("--m", type=_word_length, required=True)
     p.add_argument("--mode", choices=("exhaustive", "local"), default="local")
     p.add_argument("--restarts", type=int, default=20)
     p.add_argument("--iters", type=int, default=200)
     p.add_argument("--seed", type=int, default=0)
-    _add_common(p, tol=True)
+    p.add_argument("--tol", type=float,
+                   help="power-iteration tolerance of --mode exhaustive "
+                        f"(default {_SEARCH_TOL['exhaustive']:g}); local search "
+                        f"always iterates at {_SEARCH_TOL['local']:g}")
+    _add_common(p)
     p.set_defaults(func=cmd_search)
 
     p = sub.add_parser("table", help="reproduce the reference rate table")
@@ -345,12 +373,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seq", type=_sequence, required=True)
     _add_common(p, m=True, n=True, set_source=True)
     p.set_defaults(func=cmd_decode)
+    for p in sub.choices.values():
+        p.set_defaults(usage_error=p.error)
     return parser
 
 
 def main(argv: Optional[list] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    problem = _usage_error(args)
+    if problem:
+        args.usage_error(problem)  # exits 2
     try:
         return args.func(args)
     except (seq.BudgetExceededError, gs.InvalidGeneratingSetError,

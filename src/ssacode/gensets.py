@@ -17,6 +17,7 @@ from .sequences import (
     all_codes,
     code_to_word,
     codes_with_tc_mask,
+    parse_sequence,
     rc_codes,
     rc_pairs,
     tc_weights,
@@ -34,12 +35,16 @@ def sorted_unique(codes, overwrite: bool = False) -> np.ndarray:
 
     Sort-and-diff, not ``np.unique``: numpy 2.3+ takes a hash path in
     ``np.unique`` that is about 50x slower on millions of int64 codes.
-    The input is left as it is, unless ``overwrite`` is set: then a 1-d
-    int64 array is sorted in place, which saves a copy.
+    A 1-d int64 array that is already strictly increasing is returned as
+    it is, not copied.  Otherwise the input is left as it is, unless
+    ``overwrite`` is set: then a 1-d int64 array is sorted in place, which
+    saves a copy.
     """
     if not isinstance(codes, np.ndarray):
         codes = list(codes)
     arr = np.asarray(codes, dtype=np.int64)
+    if arr.ndim == 1 and (arr[1:] > arr[:-1]).all():
+        return arr
     if overwrite and arr.ndim == 1:
         arr.sort()
     else:
@@ -69,6 +74,9 @@ class GeneratingSet:
             arr = sorted_unique(codes)
         except OverflowError:
             raise ValueError(f"word code out of range for m={m}") from None
+        if arr is codes or (isinstance(codes, np.ndarray)
+                            and np.may_share_memory(arr, codes)):
+            arr = arr.copy()  # sorted already: the caller's array stays theirs
         if len(arr) and (arr[0] < 0 or arr[-1] >= 4 ** m):
             raise ValueError(f"word code out of range for m={m}")
         arr.setflags(write=False)
@@ -225,16 +233,15 @@ def in_c_tilde(x: str, s: GeneratingSet) -> bool:
 def read_set_file(path) -> GeneratingSet:
     """Read a generating set: one word per line, '#' comments, blanks ignored."""
     words = []
-    for raw in Path(path).read_text().splitlines():
+    for index, raw in enumerate(Path(path).read_text().splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if line:
-            words.append(line)
+            try:
+                words.append(parse_sequence(line))
+            except ValueError as exc:
+                raise ValueError(f"{path}, line {index}: {exc}") from None
     if not words:
         raise ValueError(f"no words found in set file {path}")
-    for w in words:
-        for ch in w:
-            if ch not in "ACGT":
-                raise ValueError(f"invalid word {w!r} in set file {path}")
     return GeneratingSet.from_words(words)
 
 

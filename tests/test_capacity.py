@@ -1,3 +1,4 @@
+import copy
 import math
 import random
 from fractions import Fraction
@@ -27,7 +28,7 @@ from ssacode import (
     tc_dominant_set,
     trivial_upper_bound,
 )
-from ssacode.capacity import BLOCK_CONCAT_WORDS, perron_bracket
+from ssacode.capacity import BLOCK_CONCAT_WORDS, perron_bracket, walk_counts
 from ssacode.sequences import rc_code
 from conftest import (
     adjacency_matrix,
@@ -122,6 +123,111 @@ class TestDigraphVertexDedup:
             assert g.codes.tolist() == want
             assert g.vertex_count == len(want)
             assert g.arc_count == naive_arc_count(want, m, q)
+
+
+@st.composite
+def indexed_digraphs(draw):
+    """(q, m, digraph, dense) with dense = q^(m-1) <= |V|, on both sides of
+    that rule: a random code set of fewer or of at least q^(m-1) codes.
+    Dense sets stay within a few hundred codes of q^(m-1), so that the
+    adjacency matrix stays small."""
+    q = draw(st.sampled_from([2, 4]))
+    m = draw(st.integers(2, 6))
+    overlaps = q ** (m - 1)
+    dense = draw(st.booleans())
+    if dense:
+        size = draw(st.integers(overlaps, min(q ** m, overlaps + 300)))
+    else:
+        size = draw(st.integers(0, overlaps - 1))
+    rng = random.Random(draw(st.integers(0, 2 ** 32 - 1)))
+    codes = rng.sample(range(q ** m), size)
+    return q, m, TransitionDigraph(m=m, codes=codes, q=q), dense
+
+
+def reindexed(g, dense):
+    """A copy of g with the other index: the ranks of its distinct overlap
+    words if g is indexed by the overlap codes (``dense``), else those codes."""
+    h = copy.copy(g)
+    pre, suf = g.codes // g.q, g.codes % g.q ** (g.m - 1)
+    if dense:
+        keys = np.unique(np.concatenate([pre, suf]))
+        h._pre, h._suf = np.searchsorted(keys, pre), np.searchsorted(keys, suf)
+        h._nbins = len(keys)
+    else:
+        h._pre, h._suf, h._nbins = pre, suf, g.q ** (g.m - 1)
+    return h
+
+
+class TestIndexModes:
+    @settings(max_examples=60, deadline=None)
+    @given(indexed_digraphs(), st.integers(0, 2 ** 32 - 1))
+    @example((2, 2, TransitionDigraph(m=2, codes=[0, 1], q=2), True), 0)
+    @example((4, 2, TransitionDigraph(m=2, codes=[0, 5, 15], q=4), False), 0)
+    def test_against_adjacency_matrix(self, case, seed):
+        q, m, g, dense = case
+        overlaps = q ** (m - 1)
+        if dense:
+            assert g._nbins == overlaps
+            assert np.array_equal(g._pre, g.codes // q)
+            assert np.array_equal(g._suf, g.codes % overlaps)
+        else:
+            assert g._nbins <= 2 * g.vertex_count
+        assert (np.diff(g._pre) >= 0).all()
+        adj = adjacency_matrix(g)
+        rng = np.random.default_rng(seed)
+        x = rng.integers(0, 1000, g.vertex_count)
+        assert g.matvec(x).tolist() == (adj @ x).tolist()
+        assert g.arc_count == naive_arc_count(g.codes.tolist(), m, q) == adj.sum()
+        want = {tuple(idx.tolist()) for idx in dense_strong_components(adj)
+                if len(idx) > 1 or adj[idx[0], idx[0]]}
+        assert {tuple(idx.tolist()) for idx in g.cyclic_components()} == want
+        row = np.ones(g.vertex_count, dtype=np.int64)
+        for counts in walk_counts(g, 4):
+            assert counts == row.tolist()  # row r is A^r 1
+            row = adj @ row
+
+    @settings(max_examples=60, deadline=None)
+    @given(indexed_digraphs(), st.integers(0, 2 ** 32 - 1))
+    def test_both_indexes_agree_to_the_bit(self, case, seed):
+        q, m, g, dense = case
+        other = reindexed(g, dense)
+        x = np.random.default_rng(seed).uniform(0.1, 10.0, g.vertex_count)
+        assert g.matvec(x).tobytes() == other.matvec(x).tobytes()
+        assert g.arc_count == other.arc_count
+        assert ({tuple(idx.tolist()) for idx in g.cyclic_components()}
+                == {tuple(idx.tolist()) for idx in other.cyclic_components()})
+        assert list(walk_counts(g, 5)) == list(walk_counts(other, 5))
+        # the codec's successor table
+        assert np.array_equal(np.searchsorted(g._pre, g._suf),
+                              np.searchsorted(other._pre, other._suf))
+
+    @pytest.mark.parametrize("m", [5, 7, 11])
+    def test_tc_dominant_is_dense(self, m):
+        s = tc_dominant_set(m)
+        g = build_digraph(s)
+        assert g._nbins == 4 ** (m - 1)
+        assert g.codes is s.codes
+
+    def test_sparse_m16(self):
+        # the 16 rotations of A^15 C and A^16: every window of a sequence
+        # over {A, C} whose C's stand at least 16 apart; RC-free, since the
+        # reverse complements are words over {G, T}
+        m = 16
+        words = ["A" * m] + ["A" * (m - 1 - k) + "C" + "A" * k for k in range(m)]
+        s = GeneratingSet.from_words(words)
+        g = build_digraph(s)
+        assert g.vertex_count == 17
+        assert g._nbins <= 2 * g.vertex_count
+        assert g.arc_count == naive_arc_count(s.codes.tolist(), m, 4) == 19
+        # f(n) = f(n-1) + f(n-16): the root of x^16 = x^15 + 1
+        root = largest_real_root([1, -1] + [0] * 14 + [-1])
+        rep = rate_of_set(s)
+        assert rep.converged
+        assert rep.spectral_radius == pytest.approx(root, abs=1e-8)
+        assert rep.spectral_radius == pytest.approx(
+            dense_spectral_radius(adjacency_matrix(g)), abs=1e-9)
+        for n in (16, 17, 24, 31):  # no C, one C, or two C's 16 or more apart
+            assert count_constrained(s, n) == 1 + n + (n - 15) * (n - 16) // 2
 
 
 class TestSpectralRadius:

@@ -2,6 +2,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from ssacode import GeneratingSet, write_set_file
 
 # ``ssacode table --format csv``, byte for byte (the csv module ends rows
@@ -99,6 +101,62 @@ class TestCheck:
         proc = run_cli("check", "--m", "2", "--seq", "TTAA", "--seq-file", str(path))
         assert proc.returncode == 2
         assert run_cli("check", "--m", "2").returncode == 2
+
+
+    def test_set_file_and_read_name_a_bad_symbol_alike(self, tmp_path):
+        reads = tmp_path / "reads.txt"
+        reads.write_text("TTTT\nTTNA\n")
+        words = tmp_path / "set.txt"
+        words.write_text("TT\nTN\n")
+        from_reads = run_cli("check", "--m", "2", "--seq-file", str(reads))
+        from_set = run_cli("capacity", "--set-file", str(words))
+        assert from_set.returncode == 1
+        tail = ", line 2: invalid symbol 'N' in sequence (expected A/C/G/T)\n"
+        assert from_reads.stderr == f"error: {reads}{tail}"
+        assert from_set.stderr == f"error: {words}{tail}"
+
+
+def usage_error(capsys, *argv):
+    """The message of a usage error (exit 2) from ``ssacode argv``."""
+    from ssacode import cli
+    with pytest.raises(SystemExit) as stop:
+        cli.main(list(argv))
+    assert stop.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    return err.splitlines()[-1]
+
+
+class TestUsageErrors:
+    @pytest.mark.parametrize("argv", [
+        ("check", "--seq", "ACGT"),
+        ("capacity", "--set", "tc-dominant"),
+        ("count", "--n", "4", "--set", "tc-dominant"),
+        ("oracle", "--n", "4"),
+        ("search", "--mode", "exhaustive"),
+        ("encode", "--n", "12", "--set", "tc-dominant", "--payload", "ff"),
+        ("decode", "--n", "12", "--set", "tc-dominant", "--seq", "TTTTTTTTTTTT"),
+    ])
+    @pytest.mark.parametrize("m", ["1", "0", "-3"])
+    def test_m_below_2(self, capsys, argv, m):
+        err = usage_error(capsys, *argv, "--m", m)
+        assert err.endswith(f"argument --m: must be at least 2, got {m}")
+
+    @pytest.mark.parametrize("argv", [
+        ("count", "--set", "tc-dominant"),
+        ("oracle",),
+        ("encode", "--set", "tc-dominant", "--payload", "ff"),
+        ("decode", "--set", "tc-dominant", "--seq", "TT"),
+    ])
+    def test_n_below_m(self, capsys, argv):
+        err = usage_error(capsys, *argv, "--m", "3", "--n", "2")
+        assert err.endswith("--n 2 is smaller than the word length --m 3")
+
+    def test_n_equal_to_m_is_fine(self):
+        proc = run_cli("count", "--m", "3", "--n", "3", "--set", "tc-dominant",
+                       "--format", "json")
+        assert proc.returncode == 0
+        assert json.loads(proc.stdout)["count"] == "32"
 
 
 class TestCapacity:
@@ -200,6 +258,25 @@ class TestSearch:
         report = json.loads(proc.stdout)
         assert abs(report["best_rate"] - 1.1679) < 1e-3
         assert report["config"]["seed"] == 1
+        assert report["config"]["tol"] == 1e-8  # the tolerance it ran at
+
+    def test_local_rejects_tol(self, capsys):
+        err = usage_error(capsys, "search", "--m", "2", "--mode", "local",
+                          "--tol", "1e-6")
+        assert "--tol applies to --mode exhaustive only" in err
+        # also when the mode is local by default
+        usage_error(capsys, "search", "--m", "2", "--tol", "1e-10")
+
+    def test_exhaustive_tol(self):
+        default = json.loads(run_cli("search", "--m", "2", "--mode", "exhaustive",
+                                     "--format", "json").stdout)
+        assert default["config"]["tol"] == 1e-10
+        proc = run_cli("search", "--m", "2", "--mode", "exhaustive",
+                       "--tol", "1e-9", "--format", "json")
+        assert proc.returncode == 0
+        report = json.loads(proc.stdout)
+        assert report["config"]["tol"] == 1e-9
+        assert abs(report["best_rate"] - default["best_rate"]) < 1e-8
 
 
 class TestTable:

@@ -20,7 +20,7 @@ from ssacode import (
     write_set_file,
 )
 from ssacode.gensets import codes_with_tc_mask, num_rc_pairs, num_self_rc, rc_codes, tc_weights
-from ssacode.sequences import code_to_word, rc_code, tc_masks
+from ssacode.sequences import code_to_word, parse_sequence, rc_code, tc_masks
 from conftest import ref_rc, tc_pattern
 
 
@@ -45,6 +45,15 @@ class TestFromCodesDedup:
             assert not s.codes.flags.writeable
         # the caller's array is neither reordered nor frozen
         assert source.tolist() == codes and source.flags.writeable
+
+    def test_sorted_caller_array_stays_the_callers(self):
+        source = np.arange(5, 40, 3, dtype=np.int64)  # strictly increasing
+        s = GeneratingSet.from_codes(3, source)
+        assert s.codes.tolist() == list(range(5, 40, 3))
+        assert not np.shares_memory(s.codes, source)
+        assert source.flags.writeable and not s.codes.flags.writeable
+        source[0] = 63
+        assert s.codes[0] == 5
 
     @given(codes_for_some_m(8, max_size=20), st.data())
     def test_out_of_range_rejected(self, case, data):
@@ -266,6 +275,16 @@ class TestSetFiles:
         path.write_text("TT\nTX\n")
         with pytest.raises(ValueError):
             read_set_file(path)
+
+    def test_bad_symbol_named_as_in_a_read(self, tmp_path):
+        path = tmp_path / "set.txt"
+        path.write_text("TT\n# comment\nTN\n")
+        with pytest.raises(ValueError) as from_file:
+            read_set_file(path)
+        with pytest.raises(ValueError) as from_read:
+            parse_sequence("TN")
+        assert str(from_read.value).startswith("invalid symbol 'N'")
+        assert str(from_file.value) == f"{path}, line 3: {from_read.value}"
 
     def test_rejects_mixed_lengths(self, tmp_path):
         path = tmp_path / "set.txt"
