@@ -145,16 +145,14 @@ class CapacityReport:
         }
 
 
-_SCC_THRESHOLD = 4096
-
-
 def _shifted_power(matvec, size: int, tol: float, max_iter: int):
     """Power iteration on A + I from the all-ones vector.
 
     The shift leaves the Perron vector fixed, moves the Perron root up by
     exactly 1, and makes periodic digraphs aperiodic so the norm ratio
-    converges.  Returns (rho, iterations, residual, converged, x), with x
-    the unit vector whose residual was last measured.
+    converges.  The digraph is strongly connected with a cycle, so its
+    root is at least 1.  Returns (rho, iterations, residual, converged,
+    x), with x the unit vector whose residual was last measured.
     """
     x = np.ones(size)
     x /= np.linalg.norm(x)
@@ -175,10 +173,7 @@ def _shifted_power(matvec, size: int, tol: float, max_iter: int):
                 break
         shifted = norm
         x = y / norm
-    rho = max(shifted - 1.0, 0.0)
-    if rho < math.sqrt(tol):  # nilpotent up to round-off: no cycle
-        rho = 0.0
-    return rho, iterations, residual, converged, x
+    return shifted - 1.0, iterations, residual, converged, x
 
 
 def spectral_radius(g: TransitionDigraph, tol: float = 1e-10,
@@ -186,35 +181,30 @@ def spectral_radius(g: TransitionDigraph, tol: float = 1e-10,
     """Dominant eigenvalue of the adjacency operator by power iteration.
 
     The Perron root of a nonnegative matrix is the max over its irreducible
-    components.  For digraphs of at most ``_SCC_THRESHOLD`` vertices each
-    strong component with a cycle is therefore iterated on its own, which
-    avoids the merely algebraic convergence that reducible graphs with
-    repeated Perron roots inflict on a global iteration.  The components
-    come from the key graph (see ``TransitionDigraph.cyclic_components``),
-    and the subgraph induced on a subset of an overlap digraph is the
-    overlap digraph of that subset, so every component iterates with the
-    same O(|V|) group-sum product and no adjacency matrix is formed.  Each
-    component's root depends only on its own codes, so equal components in
-    two sets give bit-identical roots.
-
-    Larger digraphs are iterated globally from the all-ones vector: split
-    the same way, the 2M-vertex m=11 digraph took more memory and more
-    time.  Convergence is judged by the eigenpair residual.
+    components, so each strong component with a cycle is iterated on its
+    own, and a digraph with no cycle has root 0.  Iterating components
+    apart avoids the merely algebraic convergence that reducible graphs
+    with repeated Perron roots inflict on a global iteration.  The
+    components come from the key graph (see
+    ``TransitionDigraph.cyclic_components``), and the subgraph induced on a
+    subset of an overlap digraph is the overlap digraph of that subset, so
+    every component iterates with the same O(|V|) group-sum product and no
+    adjacency matrix is formed; a component that spans every vertex
+    iterates ``g`` itself.  Each component's root depends only on its own
+    codes, so equal components in two sets give bit-identical roots.
+    Convergence is judged by the eigenpair residual.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
-    if g.vertex_count <= _SCC_THRESHOLD:
-        rho, iterations, residual, converged = 0.0, 0, 0.0, True
-        for idx in g.cyclic_components():
-            sub = TransitionDigraph(m=g.m, codes=g.codes[idx], q=g.q)
-            r, it, res, conv, _ = _shifted_power(sub.matvec, len(idx), tol, max_iter)
-            iterations += it
-            residual = max(residual, res)
-            converged = converged and conv
-            rho = max(rho, r)
-    else:
-        rho, iterations, residual, converged, _ = _shifted_power(
-            g.matvec, g.vertex_count, tol, max_iter)
+    rho, iterations, residual, converged = 0.0, 0, 0.0, True
+    for idx in g.cyclic_components():
+        sub = (g if len(idx) == g.vertex_count
+               else TransitionDigraph(m=g.m, codes=g.codes[idx], q=g.q))
+        r, it, res, conv, _ = _shifted_power(sub.matvec, len(idx), tol, max_iter)
+        iterations += it
+        residual = max(residual, res)
+        converged = converged and conv
+        rho = max(rho, r)
     return CapacityReport(
         m=g.m,
         vertex_count=g.vertex_count,

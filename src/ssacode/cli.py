@@ -236,6 +236,9 @@ def cmd_search(args) -> int:
     if len(result.best_set) <= 4096:
         report["best_set"] = result.best_set.words()
     _emit(report, args)
+    if not result.report.converged:
+        _not_converged(result.report, result.tol)
+        return 1
     return 0
 
 

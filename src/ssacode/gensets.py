@@ -14,6 +14,7 @@ from typing import Iterable, List, Optional, Tuple
 import numpy as np
 
 from .sequences import (
+    DIGIT,
     all_codes,
     code_to_word,
     codes_with_tc_mask,
@@ -91,6 +92,7 @@ class GeneratingSet:
         for w in words:
             if len(w) != m:
                 raise ValueError(f"mixed word lengths: {words[0]!r} vs {w!r}")
+            parse_sequence(w)
         return cls.from_codes(m, [word_to_code(w) for w in words])
 
     def words(self) -> List[str]:
@@ -100,7 +102,8 @@ class GeneratingSet:
         return len(self.codes)
 
     def __contains__(self, word: str) -> bool:
-        if len(word) != self.m:
+        """False for a word of another length or with a non-ACGT symbol."""
+        if len(word) != self.m or not set(word) <= DIGIT.keys():
             return False
         c = word_to_code(word)
         i = int(np.searchsorted(self.codes, c))
@@ -223,8 +226,10 @@ def heuristic_set_m6_stage() -> GeneratingSet:
 
 def in_c_tilde(x: str, s: GeneratingSet) -> bool:
     """Membership in the relaxed code: every window of x outside S occurs
-    at most 2m-1 times in the window multiset of x."""
+    at most 2m-1 times in the window multiset of x.  ValueError if x has a
+    non-ACGT symbol."""
     s.require_valid()
+    parse_sequence(x)
     counts = window_multiset(x, s.m)
     limit = 2 * s.m - 1
     return all(c <= limit for w, c in counts.items() if w not in s)

@@ -13,20 +13,26 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .capacity import rate_of_set
+from .capacity import CapacityReport, rate_of_set
 from .gensets import GeneratingSet
 from .sequences import BudgetExceededError, rc_pairs, tc_weights
 
 DEFAULT_CANDIDATE_BUDGET = 1 << 16
 _RATE_EPS = 1e-9
+_FINAL_TOL = 1e-10  # local search re-evaluates its winner at full precision
 
 
 @dataclass(frozen=True)
 class SearchResult:
+    """The best set found; ``best_rate`` is read from ``report``, which was
+    computed at tolerance ``tol``."""
+
     best_set: GeneratingSet
     best_rate: float
     candidates_examined: int
     method: str
+    report: CapacityReport
+    tol: float
     seed: Optional[int] = None
 
 
@@ -52,17 +58,19 @@ def exhaustive_search(m: int, budget: Optional[int] = None,
         raise BudgetExceededError(
             f"2^{n_pairs} candidate sets exceed the search budget {cap}")
     best_rate = -1.0
-    best_set = None
+    best_set = best_report = None
     for mask in range(2 ** n_pairs):
         pick_a = np.array([(mask >> i) & 1 for i in range(n_pairs)], dtype=bool)
         cand = GeneratingSet.from_codes(m, np.where(pick_a, a, b))
-        rate = _rate(cand, tol)
+        report = rate_of_set(cand, tol=tol)
+        rate = report.rate_bits_per_nt
         if rate > best_rate + _RATE_EPS or (
                 abs(rate - best_rate) <= _RATE_EPS
                 and _word_key(cand) < _word_key(best_set)):
-            best_rate, best_set = rate, cand
+            best_rate, best_set, best_report = rate, cand, report
     return SearchResult(best_set=best_set, best_rate=best_rate,
-                        candidates_examined=2 ** n_pairs, method="exhaustive")
+                        candidates_examined=2 ** n_pairs, method="exhaustive",
+                        report=best_report, tol=tol)
 
 
 def greedy_tc_choice(m: int) -> GeneratingSet:
@@ -139,7 +147,7 @@ def local_search(m: int, restarts: int = 20, iterations: int = 200,
     except KeyboardInterrupt:
         if best_set is None:
             raise
-    # re-evaluate the winner at full precision
-    best_rate = rate_of_set(best_set).rate_bits_per_nt
-    return SearchResult(best_set=best_set, best_rate=best_rate,
-                        candidates_examined=examined, method="local", seed=seed)
+    report = rate_of_set(best_set, tol=_FINAL_TOL)
+    return SearchResult(best_set=best_set, best_rate=report.rate_bits_per_nt,
+                        candidates_examined=examined, method="local",
+                        report=report, tol=_FINAL_TOL, seed=seed)

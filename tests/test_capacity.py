@@ -1,4 +1,5 @@
 import copy
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -29,7 +30,7 @@ from ssacode import (
     trivial_upper_bound,
 )
 from ssacode.capacity import BLOCK_CONCAT_WORDS, perron_bracket, walk_counts
-from ssacode.sequences import rc_code
+from ssacode.sequences import rc_code, word_to_code
 from conftest import (
     adjacency_matrix,
     dense_spectral_radius,
@@ -273,6 +274,21 @@ class TestSpectralRadius:
         assert all((np.diff(idx) > 0).all() for idx in got)
         assert {tuple(idx.tolist()) for idx in got} == want
         assert len(got) == len(want)
+
+    def test_chained_full_shifts(self):
+        # x + y with x in {A,C}^k and y in {G,T}^(9-k), k = 0..9: two
+        # 2-symbol full shifts, {A,C}^9 and {G,T}^9, each of root 2, joined
+        # one way through 4,096 vertices on no cycle.  Not RC-free, so the
+        # digraph is built directly.
+        words = ["".join(x + y) for k in range(10)
+                 for x in itertools.product("AC", repeat=k)
+                 for y in itertools.product("GT", repeat=9 - k)]
+        g = TransitionDigraph(m=9, q=4, codes=[word_to_code(w) for w in words])
+        assert g.vertex_count == 5120
+        assert sorted(map(len, g.cyclic_components())) == [512, 512]
+        rep = spectral_radius(g)
+        assert rep.converged
+        assert rep.spectral_radius == pytest.approx(2.0, abs=1e-12)
 
     def test_rejects_bad_tol(self):
         with pytest.raises(ValueError):

@@ -278,6 +278,33 @@ class TestSearch:
         assert report["config"]["tol"] == 1e-9
         assert abs(report["best_rate"] - default["best_rate"]) < 1e-8
 
+    # the tolerance named is the winner's: local search re-evaluates it at
+    # 1e-10, whatever its candidates ran at
+    @pytest.mark.parametrize("options, tol", [
+        (["--mode", "exhaustive", "--tol", "1e-9"], "1e-09"),
+        (["--mode", "local", "--restarts", "2", "--iters", "5"], "1e-10")],
+        ids=["exhaustive", "local"])
+    def test_not_converged_exits_1(self, monkeypatch, capsys, options, tol):
+        from ssacode import capacity, cli, search
+
+        def unconverged(s, tol=1e-10, max_iter=100000):
+            return capacity.CapacityReport(
+                m=s.m, vertex_count=len(s), arc_count=0, spectral_radius=2.0,
+                rate_bits_per_nt=1.0, method="power-iteration", residual=3e-4,
+                iterations=100000, converged=False)
+
+        argv = ["search", "--m", "2", *options, "--format", "json"]
+        assert cli.main(argv) == 0
+        keys = set(json.loads(capsys.readouterr().out))
+        monkeypatch.setattr(search, "rate_of_set", unconverged)
+        assert cli.main(argv) == 1
+        out, err = capsys.readouterr()
+        assert "did not converge: residual 0.0003 after 100000 iterations" in err
+        assert f"(tol {tol})" in err
+        report = json.loads(out)
+        assert set(report) == keys
+        assert report["best_rate"] == 1.0
+
 
 class TestTable:
     def test_table_gate(self):

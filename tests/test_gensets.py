@@ -168,6 +168,32 @@ class TestValidate:
             GeneratingSet.from_words(["TT", "TTT"])
 
 
+class TestBadSymbols:
+    """A non-ACGT symbol is a ValueError or a non-member, never a KeyError."""
+
+    def test_from_words_names_the_symbol_as_a_read_does(self):
+        with pytest.raises(ValueError) as from_words:
+            GeneratingSet.from_words(["AC", "GN"])
+        with pytest.raises(ValueError) as from_read:
+            parse_sequence("GN")
+        assert str(from_words.value) == str(from_read.value)
+
+    def test_from_words_rejects_lowercase(self):
+        with pytest.raises(ValueError, match="invalid symbol 'a'"):
+            GeneratingSet.from_words(["ac"])
+
+    def test_contains_is_false(self):
+        s = GeneratingSet.from_words(["AC", "AA"])
+        assert "AC" in s
+        assert "AN" not in s
+        assert "ac" not in s
+
+    def test_in_c_tilde_rejects_symbol(self):
+        s = GeneratingSet.from_words(["TT", "TC", "TG", "GT", "CT", "CC"])
+        with pytest.raises(ValueError, match="invalid symbol 'N'"):
+            in_c_tilde("ACNA", s)
+
+
 class TestTcDominantSet:
     def test_sizes(self):
         assert len(tc_dominant_set(3)) == 32
