@@ -16,7 +16,7 @@ from typing import Iterator, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .gensets import GeneratingSet, sorted_unique
-from .sequences import check_budget, tc_masks, tc_weights
+from .sequences import tc_dominant_masks
 
 
 @dataclass
@@ -39,7 +39,8 @@ class TransitionDigraph:
 
     ``codes`` may come in any order and with repeats; the stored vertex codes
     are sorted and duplicate-free.  A strictly increasing int64 array, such
-    as ``GeneratingSet.codes``, is kept as it is, without a copy.
+    as ``GeneratingSet.codes``, is kept as it is, without a copy.  ``q`` is
+    2 or 4, so a symbol is one or two bits of a code.
     """
 
     m: int
@@ -47,10 +48,12 @@ class TransitionDigraph:
     q: int = 4
 
     def __post_init__(self):
+        if self.q not in (2, 4):
+            raise ValueError(f"alphabet size q must be 2 or 4, got {self.q}")
         self.codes = codes = sorted_unique(self.codes)
         overlaps = self.q ** (self.m - 1)
-        self._pre = codes // self.q
-        self._suf = codes % overlaps
+        self._pre = codes >> (self.q.bit_length() - 1)  # codes // q
+        self._suf = codes & (overlaps - 1)  # codes % q^(m-1)
         if overlaps <= len(codes):
             self._nbins = overlaps
         else:
@@ -233,16 +236,13 @@ def mask_quotient(s: GeneratingSet) -> Optional[Tuple[TransitionDigraph, np.ndar
     times 2, is then the quotient matrix of the partition by mask, and a
     Perron vector of it read at each word's mask is one of the quaternary
     digraph.  Returns (quotient digraph, each word's mask), or None when S
-    is not such a union.
+    is not such a union.  The masks are ``s.mask_classes``, computed once
+    per set and shared with ``validate``.
     """
-    classes = 2 ** s.m
-    if len(s) % classes:
+    union = s.mask_classes
+    if union is None:
         return None
-    masks = tc_masks(s.codes, s.m)
-    counts = np.bincount(masks, minlength=classes)
-    kept = np.flatnonzero(counts)
-    if (counts[kept] != classes).any():
-        return None
+    kept, masks = union
     return _mask_digraph(s.m, kept), masks
 
 
@@ -374,12 +374,7 @@ def binary_reduction_rate(m: int, tol: float = 1e-10,
     """
     if m < 2:
         raise ValueError(f"m must be >= 2, got {m}")
-    check_budget(2 ** m, f"2^{m} binary words")
-    masks = np.arange(2 ** m, dtype=np.int64)
-    # read as a word code, a mask's bits at even positions are the low bits
-    # of its digits, which tc_weights counts
-    weights = tc_weights(masks, m) + tc_weights(masks >> 1, m)
-    report = spectral_radius(_mask_digraph(m, masks[2 * weights > m]),
+    report = spectral_radius(_mask_digraph(m, np.flatnonzero(tc_dominant_masks(m))),
                              tol=tol, max_iter=max_iter)
     rho_bin = report.spectral_radius
     report.method = "binary-reduction"

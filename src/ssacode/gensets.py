@@ -8,6 +8,7 @@ the set of length-n sequences all of whose m-windows lie in S.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import Iterable, List, Optional, Tuple
 
@@ -16,12 +17,15 @@ import numpy as np
 from .sequences import (
     DIGIT,
     all_codes,
+    check_budget,
     code_to_word,
-    codes_with_tc_mask,
     parse_sequence,
     rc_codes,
+    rc_masks,
     rc_pairs,
-    tc_weights,
+    tc_dominant_masks,
+    tc_mask_members,
+    tc_masks,
     window_multiset,
     word_to_code,
 )
@@ -98,6 +102,30 @@ class GeneratingSet:
     def words(self) -> List[str]:
         return [code_to_word(int(c), self.m) for c in self.codes]
 
+    @cached_property
+    def mask_classes(self) -> Optional[Tuple[np.ndarray, np.ndarray]]:
+        """(kept masks, each word's int32 mask) if S is a union of whole TC-mask
+        classes (T,C -> 1; A,G -> 0), that is, every mask present has all
+        2^m words; None otherwise.
+
+        One ``tc_masks`` pass and one ``bincount``, made on first use and
+        kept (``codes`` is read-only): ``validate`` and
+        ``capacity.mask_quotient`` both read it.  A set whose size is not
+        a multiple of 2^m is no union, and no mask is computed.
+        """
+        classes = 2 ** self.m
+        if len(self.codes) % classes:
+            return None
+        masks = tc_masks(self.codes, self.m)
+        counts = np.bincount(masks, minlength=classes)
+        kept = np.flatnonzero(counts)
+        if (counts[kept] != classes).any():
+            return None
+        masks = masks.astype(np.int32)  # kept with the set: int32 (m <= 31) halves it
+        masks.setflags(write=False)
+        kept.setflags(write=False)
+        return kept, masks
+
     def __len__(self) -> int:
         return len(self.codes)
 
@@ -148,7 +176,27 @@ def num_self_rc(m: int) -> int:
 
 
 def validate(s: GeneratingSet) -> ValidationResult:
-    """Check RC-freeness; maximal means one word from every RC pair."""
+    """Check RC-freeness; maximal means one word from every RC pair.
+
+    The reverse complements of TC-mask class a make up class
+    ``rc_masks(a)``, so a union of whole mask classes
+    (``GeneratingSet.mask_classes``) is RC-free iff no kept mask has its
+    partner kept, itself included: 2^m work, with no word touched.  Every
+    other set, and a union that fails this test, is checked word by word,
+    which also lists the violations.
+    """
+    union = s.mask_classes
+    if union is not None:
+        kept = union[0]
+        if not np.isin(rc_masks(kept, s.m), kept).any():
+            return ValidationResult(valid=True, maximal=len(s) == num_rc_pairs(s.m),
+                                    violations=[])
+    return _validate_words(s)
+
+
+def _validate_words(s: GeneratingSet) -> ValidationResult:
+    """``validate`` word by word: each word's reverse complement is looked
+    up in S, and every violating pair is listed once."""
     rcs = rc_codes(s.codes, s.m)
     bad = np.isin(rcs, s.codes)
     violations = [
@@ -184,12 +232,25 @@ def rc_classes(m: int, budget: Optional[int] = None) -> RcClasses:
     return RcClasses(m=m, pairs=pairs, self_rc=self_rc)
 
 
+def _mask_union(m: int, keep: np.ndarray, words: Tuple[str, ...] = ()) -> GeneratingSet:
+    """The words whose TC mask is kept (``keep``, a boolean table over the
+    2^m masks), plus the listed ``words``; sorted as built, never re-sorted."""
+    member = tc_mask_members(m, keep)
+    member[[word_to_code(w) for w in words]] = True
+    return GeneratingSet.from_codes(m, np.flatnonzero(member))
+
+
 def tc_dominant_set(m: int) -> GeneratingSet:
-    """All length-m words with strictly more than m/2 symbols from {T, C}."""
+    """All length-m words with strictly more than m/2 symbols from {T, C}.
+
+    The union of the mask classes with more than m/2 ones, built from the
+    2^m masks (``sequences.tc_mask_members``): no int64 pass over all 4^m
+    codes and their weights.
+    """
     if m < 2:
         raise ValueError(f"m must be >= 2, got {m}")
-    codes = all_codes(m)
-    return GeneratingSet.from_codes(m, codes[tc_weights(codes, m) > m // 2])
+    check_budget(4 ** m, f"4^{m} words")  # before the 2^m mask table too
+    return _mask_union(m, tc_dominant_masks(m))
 
 
 # The 12 mask-1010/0101 words selected by brute force over the 12 remaining
@@ -200,13 +261,9 @@ _M4_LISTED = ("CACA", "TACA", "CGCA", "CATA", "TACG", "CACG",
 
 def heuristic_set_m4() -> GeneratingSet:
     """The 108-word m=4 set: TC-weight >= 3, mask 0110, plus 12 listed words."""
-    codes = all_codes(4)
-    parts = [
-        codes[tc_weights(codes, 4) >= 3],
-        codes_with_tc_mask(4, "0110"),
-        np.array([word_to_code(w) for w in _M4_LISTED], dtype=np.int64),
-    ]
-    return GeneratingSet.from_codes(4, np.concatenate(parts))
+    keep = tc_dominant_masks(4)  # TC-weight >= 3
+    keep[0b0110] = True
+    return _mask_union(4, keep, _M4_LISTED)
 
 
 _M6_KEPT_MASKS = ("001110", "010110", "011010", "011100", "001101", "101100")
@@ -218,10 +275,9 @@ def heuristic_set_m6_stage() -> GeneratingSet:
     Stops before the unresolved 010101/101010 and 011001/100110 classes;
     its digraph already has spectral radius 3.2443 (rate 1.6979 bits/nt).
     """
-    codes = all_codes(6)
-    parts = [codes[tc_weights(codes, 6) >= 4]]
-    parts += [codes_with_tc_mask(6, mask) for mask in _M6_KEPT_MASKS]
-    return GeneratingSet.from_codes(6, np.concatenate(parts))
+    keep = tc_dominant_masks(6)  # TC-weight >= 4
+    keep[[int(mask, 2) for mask in _M6_KEPT_MASKS]] = True
+    return _mask_union(6, keep)
 
 
 def in_c_tilde(x: str, s: GeneratingSet) -> bool:

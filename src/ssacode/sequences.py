@@ -172,13 +172,60 @@ def tc_masks(codes: np.ndarray, m: int) -> np.ndarray:
     return x.view(np.int64)
 
 
+def rc_masks(masks: np.ndarray, m: int) -> np.ndarray:
+    """TC mask of the reverse complements of each m-bit mask class.
+
+    The complement swaps T, C with A, G, so every bit flips; then the word,
+    and with it the mask, is reversed.
+    """
+    x = np.asarray(masks, dtype=np.int64) ^ (2 ** m - 1)
+    out = np.zeros_like(x)
+    for _ in range(m):
+        out <<= 1
+        out |= x & 1
+        x >>= 1
+    return out
+
+
+def tc_dominant_masks(m: int) -> np.ndarray:
+    """Keep table over the 2^m TC masks: True where more than m/2 bits are 1,
+    the masks of the TC-dominant words."""
+    check_budget(2 ** m, f"2^{m} binary words")
+    masks = np.arange(2 ** m, dtype=np.int64)
+    # read as a word code, a mask's bits at even positions are the low bits
+    # of its digits, which tc_weights counts (np.bitwise_count needs numpy 2)
+    weights = tc_weights(masks, m) + tc_weights(masks >> 1, m)
+    return weights > m // 2
+
+
+def tc_mask_members(m: int, keep: np.ndarray) -> np.ndarray:
+    """Which length-m words have a kept TC mask, as a boolean array indexed
+    by word code; ``keep`` is a boolean table indexed by mask.
+
+    A word's mask is its high half-word's mask followed by its low
+    half-word's.  So ``keep``, read as a matrix with one row per high mask
+    and one column per low mask, is gathered by the masks of the at most
+    4^ceil(m/2) low half-words, then row by row by those of the high
+    half-words.  The result has one row per high half-word and one column
+    per low one, so it reads in word-code order; no mask or code of a
+    whole word is formed, and ``np.flatnonzero`` of it gives the kept codes.
+    """
+    check_budget(4 ** m, f"4^{m} words")
+    low = m // 2
+    hi = tc_masks(np.arange(4 ** (m - low), dtype=np.int64), m - low)
+    lo = tc_masks(np.arange(4 ** low, dtype=np.int64), low)
+    by_low = keep.reshape(2 ** (m - low), 2 ** low)[:, lo]
+    return np.take(by_low, hi, axis=0).ravel()  # whole rows: C order
+
+
 def codes_with_tc_mask(m: int, mask: str) -> np.ndarray:
     """All words whose TC pattern (T,C -> 1; A,G -> 0) equals the given mask."""
     if len(mask) != m or any(ch not in "01" for ch in mask):
         raise ValueError(f"mask {mask!r} is not a length-{m} binary string")
-    codes = all_codes(m)
-    # read in base 4, the mask has a 1 exactly at the low bit of each T/C digit
-    return codes[(codes & _LOW_BITS) == int(mask, 4)]
+    check_budget(4 ** m, f"4^{m} words")  # before the 2^m mask table too
+    keep = np.zeros(2 ** m, dtype=bool)
+    keep[int(mask, 2)] = True
+    return np.flatnonzero(tc_mask_members(m, keep))
 
 
 def rc_pairs(m: int, budget: Optional[int] = None) -> Tuple[np.ndarray, np.ndarray]:

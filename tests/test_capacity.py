@@ -28,6 +28,7 @@ from ssacode import (
     spectral_radius,
     tc_dominant_set,
     trivial_upper_bound,
+    validate,
 )
 from ssacode.capacity import BLOCK_CONCAT_WORDS, perron_bracket, walk_counts
 from ssacode.sequences import rc_code, word_to_code
@@ -103,6 +104,12 @@ class TestDigraph:
     def test_set_codes_taken_as_they_are(self):
         s = tc_dominant_set(5)
         assert build_digraph(s).codes is s.codes
+
+    @pytest.mark.parametrize("q", [3, 8])
+    def test_alphabet_of_two_or_four(self, q):
+        # a symbol is one or two bits of a code; other q have no such digit
+        with pytest.raises(ValueError, match="q must be 2 or 4"):
+            TransitionDigraph(m=2, codes=[0, 1], q=q)
 
 
 def naive_arc_count(vertices, m, q):
@@ -426,6 +433,25 @@ class TestMaskQuotient:
         rep = rate_of_set(s)
         assert rep.method == "power-iteration" and rep.bracket is None
         assert rep.to_dict() == spectral_radius(build_digraph(s)).to_dict()
+
+    @pytest.mark.parametrize("build", [lambda: tc_dominant_set(7),
+                                       heuristic_set_m6_stage])
+    def test_masks_computed_once(self, monkeypatch, build):
+        from ssacode import gensets
+        calls = []
+        tc_masks = gensets.tc_masks
+
+        def counted(codes, m):
+            calls.append(codes)
+            return tc_masks(codes, m)
+
+        s = build()
+        monkeypatch.setattr(gensets, "tc_masks", counted)
+        _, masks = mask_quotient(s)
+        assert validate(s).valid
+        rate_of_set(s)
+        assert len(calls) == 1 and calls[0] is s.codes
+        assert mask_quotient(s)[1] is masks
 
     def test_certificate_is_taken_on_the_full_operator(self, monkeypatch):
         # a wrong quotient (all 32 masks) gives a Perron vector that is not

@@ -1,8 +1,9 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from ssacode import (
     GeneratingSet,
@@ -19,9 +20,11 @@ from ssacode import (
     window_multiset,
     write_set_file,
 )
-from ssacode.gensets import codes_with_tc_mask, num_rc_pairs, num_self_rc, rc_codes, tc_weights
-from ssacode.sequences import code_to_word, parse_sequence, rc_code, tc_masks
-from conftest import ref_rc, tc_pattern
+from ssacode.gensets import _validate_words, num_rc_pairs, num_self_rc
+from ssacode.sequences import (
+    all_codes, code_to_word, codes_with_tc_mask, parse_sequence, rc_code, rc_codes, rc_masks,
+    tc_dominant_masks, tc_mask_members, tc_masks, tc_weights)
+from conftest import mask_rc, mask_unions, rc_free_words, ref_rc, tc_pattern
 
 
 def codes_for_some_m(max_m, max_size=60):
@@ -106,6 +109,30 @@ class TestVectorWordHelpers:
                 if tc_pattern(w) == mask]
         assert got == want
 
+    @pytest.mark.parametrize("m", range(1, 9))
+    def test_rc_masks_match_per_character_pattern(self, m):
+        masks = np.arange(2 ** m)
+        assert rc_masks(masks, m).tolist() == [
+            int(mask_rc(format(a, f"0{m}b")), 2) for a in range(2 ** m)]
+        # the reverse complements of a word lie in its mask's partner class
+        codes = np.arange(4 ** min(m, 5))
+        k = min(m, 5)
+        assert np.array_equal(rc_masks(tc_masks(codes, k), k), tc_masks(rc_codes(codes, k), k))
+
+    @pytest.mark.parametrize("m", range(1, 13))
+    def test_tc_dominant_masks(self, m):
+        assert tc_dominant_masks(m).tolist() == [2 * bin(a).count("1") > m
+                                                 for a in range(2 ** m)]
+
+    @given(st.integers(1, 7).flatmap(lambda m: st.tuples(
+        st.just(m), st.lists(st.booleans(), min_size=2 ** m, max_size=2 ** m))))
+    def test_tc_mask_members_match_per_word_masks(self, case):
+        m, keep = case
+        keep = np.array(keep)
+        member = tc_mask_members(m, keep)
+        assert member.dtype == bool and member.shape == (4 ** m,)
+        assert np.array_equal(member, keep[tc_masks(np.arange(4 ** m), m)])
+
 
 class TestRcClasses:
     def test_m2(self):
@@ -168,6 +195,74 @@ class TestValidate:
             GeneratingSet.from_words(["TT", "TTT"])
 
 
+def with_mask_classes(words, masks):
+    """``words`` plus every word whose TC mask is one of ``masks``."""
+    m = len(words[0])
+    extra = [w for w in map("".join, itertools.product("ACGT", repeat=m))
+             if tc_pattern(w) in masks]
+    return GeneratingSet.from_words(words + extra)
+
+
+class TestMaskLevelValidate:
+    """On a union of whole TC-mask classes, ``validate`` decides from the
+    kept masks alone; its result must be the word-by-word one."""
+
+    @staticmethod
+    def same_as_word_path(s):
+        result = validate(s)
+        words = _validate_words(s)
+        assert (result.valid, result.maximal, result.violations) == (
+            words.valid, words.maximal, words.violations)
+        return result
+
+    @settings(max_examples=60, deadline=None)
+    @given(mask_unions())
+    @example(tc_dominant_set(5).words())
+    def test_unions(self, words):
+        assume(words)
+        s = GeneratingSet.from_words(words)
+        assert s.mask_classes is not None
+        assert self.same_as_word_path(s).valid
+
+    @settings(max_examples=60, deadline=None)
+    @given(mask_unions(), st.integers(0, 2 ** 16))
+    def test_union_with_a_partner_class(self, words, pick):
+        assume(words)
+        kept = sorted({tc_pattern(w) for w in words})
+        s = with_mask_classes(words, {mask_rc(kept[pick % len(kept)])})
+        assert s.mask_classes is not None
+        result = self.same_as_word_path(s)
+        assert not result.valid and not result.maximal and result.violations
+
+    @pytest.mark.parametrize("m", [2, 4, 6])
+    def test_self_paired_class(self, m):
+        # at even m, mask 0^(m/2) 1^(m/2) is its own partner
+        mask = "0" * (m // 2) + "1" * (m // 2)
+        assert mask_rc(mask) == mask
+        s = with_mask_classes(tc_dominant_set(m).words(), {mask})
+        result = self.same_as_word_path(s)
+        assert not result.valid
+        assert ("A" * (m // 2) + "T" * (m // 2),) * 2 in result.violations
+
+    @settings(max_examples=60, deadline=None)
+    @given(rc_free_words(ms=(2, 3, 4, 5)), st.integers(0, 2 ** 16))
+    def test_other_sets(self, words, pick):
+        s = GeneratingSet.from_words(words)
+        assert self.same_as_word_path(s).valid
+        rcw = ref_rc(words[pick % len(words)])
+        assert not self.same_as_word_path(GeneratingSet.from_words(words + [rcw])).valid
+
+    @pytest.mark.parametrize("m", range(2, 12))
+    def test_tc_dominant_from_masks(self, m):
+        s = tc_dominant_set(m)
+        kept, masks = s.mask_classes
+        assert np.array_equal(kept, np.flatnonzero(tc_dominant_masks(m)))
+        assert masks.dtype == np.int32
+        assert np.array_equal(masks, tc_masks(s.codes, m))
+        result = validate(s)
+        assert result.valid and result.maximal == (m % 2 == 1) and not result.violations
+
+
 class TestBadSymbols:
     """A non-ACGT symbol is a ValueError or a non-member, never a KeyError."""
 
@@ -214,6 +309,23 @@ class TestTcDominantSet:
         for w in tc_dominant_set(3).words():
             assert 2 * sum(ch in "TC" for ch in w) > 3
 
+    @pytest.mark.parametrize("m", range(2, 12))
+    def test_codes_match_weight_filter(self, m):
+        codes = all_codes(m)
+        s = tc_dominant_set(m)
+        assert s.codes.dtype == np.int64
+        assert np.array_equal(s.codes, codes[tc_weights(codes, m) > m // 2])
+
+    def test_built_from_masks_in_little_memory(self):
+        # all 4^11 int64 codes and their weights would need 96 MB
+        tracemalloc.start()
+        try:
+            tc_dominant_set(11)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 48 * 2 ** 20
+
 
 class TestHeuristicSets:
     def test_m4_size_and_members(self):
@@ -232,8 +344,24 @@ class TestHeuristicSets:
         assert "AATCCA" in s
         assert "AAATCC" not in s
 
+    def test_built_as_mask_unions(self):
+        # the same sets, filtered word by word from their definitions
+        all4 = ["".join(t) for t in itertools.product("ACGT", repeat=4)]
+        m4 = GeneratingSet.from_words(
+            [w for w in all4 if tc_pattern(w).count("1") >= 3 or tc_pattern(w) == "0110"]
+            + ["CACA", "TACA", "CGCA", "CATA", "TACG", "CACG",
+               "ACAC", "GCAC", "ATAC", "ACGC", "GCAT", "ACAT"])
+        assert heuristic_set_m4().codes.tobytes() == m4.codes.tobytes()
+        kept6 = {"001110", "010110", "011010", "011100", "001101", "101100"}
+        m6 = GeneratingSet.from_words(
+            ["".join(t) for t in itertools.product("ACGT", repeat=6)
+             if tc_pattern("".join(t)).count("1") >= 4 or tc_pattern("".join(t)) in kept6])
+        assert heuristic_set_m6_stage().codes.tobytes() == m6.codes.tobytes()
+        assert heuristic_set_m6_stage().mask_classes is not None
+        assert heuristic_set_m4().mask_classes is None
+
     def test_m6_mask_census(self):
-        from ssacode.gensets import codes_with_tc_mask
+        from ssacode.sequences import codes_with_tc_mask
         s = heuristic_set_m6_stage()
         words = set(s.words())
         from ssacode.sequences import code_to_word
