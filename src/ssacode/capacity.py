@@ -86,18 +86,22 @@ class TransitionDigraph:
         digraph exactly when they share that component of H.  So the split
         costs O(|V| + keys) and never forms the adjacency matrix.  Each index
         array is ascending; components come in no particular order.
+
+        H is built as ``connected_components`` reads it, float64 data with
+        int32 indices and row pointers, so scipy converts nothing again.
         """
         from scipy.sparse import csr_matrix
         from scipy.sparse.csgraph import connected_components
 
         # codes are sorted, so _pre is non-decreasing: rows of H by bincount
-        indptr = np.zeros(self._nbins + 1, dtype=np.int64)
+        indptr = np.zeros(self._nbins + 1, dtype=np.int32)
         np.cumsum(np.bincount(self._pre, minlength=self._nbins), out=indptr[1:])
         key_graph = csr_matrix(
-            (np.ones(self.vertex_count, dtype=np.int8), self._suf, indptr),
+            (np.ones(self.vertex_count), self._suf.astype(np.int32), indptr),
             shape=(self._nbins, self._nbins))
         _, key_labels = connected_components(
             key_graph, directed=True, connection="strong")
+        del key_graph, indptr  # freed before the per-vertex arrays below
         label = key_labels[self._pre]
         on_cycle = np.flatnonzero(label == key_labels[self._suf])
         if len(on_cycle) == 0:
@@ -121,7 +125,11 @@ class CapacityReport:
     eigenpair residual; for "mask-quotient" it is the relative width of
     ``bracket``, the certified interval (lo, hi) that holds the root, and
     ``spectral_radius`` is its midpoint.  ``bracket`` is None for the other
-    methods and is left out of ``to_dict``.
+    methods and is left out of ``to_dict``.  A "mask-quotient" report's
+    ``arc_count`` is 2^(m+1) times the quotient's: every word has two
+    successors per quotient arc of its mask, which is exact for a union
+    that ``GeneratingSet.mask_classes`` verified from the codes, so the
+    4^m-word digraph's arcs are not counted again.
     """
 
     m: int
@@ -158,24 +166,28 @@ def _shifted_power(matvec, size: int, tol: float, max_iter: int):
     x), with x the unit vector whose residual was last measured.
     """
     x = np.ones(size)
-    x /= np.linalg.norm(x)
+    x /= math.sqrt(x.dot(x))
     shifted = 1.0
     residual = math.inf
     converged = False
     iterations = 0
     check_every = 1 if size <= 100000 else 5
     for iterations in range(1, max_iter + 1):
-        y = matvec(x) + x
-        norm = float(np.linalg.norm(y))
+        y = matvec(x)
+        y += x
+        norm = math.sqrt(y.dot(y))  # np.linalg.norm of a real vector, to the bit
         if iterations % check_every == 0 or iterations == max_iter:
             # true eigenpair residual; norm ratios can agree by accident
-            residual = float(np.linalg.norm(y - norm * x)) / norm
+            r = x * norm
+            np.subtract(y, r, out=r)
+            residual = math.sqrt(r.dot(r)) / norm
             if residual < tol:
                 shifted = norm
                 converged = True
                 break
         shifted = norm
-        x = y / norm
+        y /= norm
+        x = y
     return shifted - 1.0, iterations, residual, converged, x
 
 
@@ -297,7 +309,7 @@ def _lifted_rate(g: TransitionDigraph, quotient: TransitionDigraph,
     return CapacityReport(
         m=g.m,
         vertex_count=g.vertex_count,
-        arc_count=g.arc_count,
+        arc_count=2 ** (g.m + 1) * quotient.arc_count,
         spectral_radius=rho,
         rate_bits_per_nt=math.log2(rho),
         method="mask-quotient",
@@ -318,7 +330,8 @@ def rate_of_set(s: GeneratingSet, tol: float = 1e-10,
     (``perron_bracket``).  The bracket is taken on the full operator, so it
     does not rest on the quotient being right.  If it is at most ``tol``
     wide relative to the root, the report's method is "mask-quotient" and
-    it carries the bracket.  In every other case the rate is
+    it carries the bracket; its ``arc_count`` is read off the quotient
+    (see ``CapacityReport``).  In every other case the rate is
     ``spectral_radius`` of the full digraph, as for any set.
     """
     g = build_digraph(s)

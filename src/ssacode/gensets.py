@@ -23,12 +23,17 @@ from .sequences import (
     rc_codes,
     rc_masks,
     rc_pairs,
+    tc_class_codes,
     tc_dominant_masks,
     tc_mask_members,
     tc_masks,
     window_multiset,
     word_to_code,
 )
+
+
+# bincount casts int32 masks to intp: a block at a time, the cast stays in cache
+_COUNT_BLOCK = 1 << 16
 
 
 class InvalidGeneratingSetError(ValueError):
@@ -73,14 +78,20 @@ class GeneratingSet:
     codes: np.ndarray
 
     @classmethod
-    def from_codes(cls, m: int, codes: Iterable[int]) -> "GeneratingSet":
-        """Codes in [0, 4^m), in any order and with repeats; others raise ValueError."""
+    def from_codes(cls, m: int, codes: Iterable[int], *,
+                   _owned: bool = False) -> "GeneratingSet":
+        """Codes in [0, 4^m), in any order and with repeats; others raise ValueError.
+
+        A caller's array is never kept: if it is already sorted, it is
+        copied.  ``_owned`` is for this module's builders, which hand over
+        a fresh array that nothing else holds; it is kept without a copy.
+        """
         try:
             arr = sorted_unique(codes)
         except OverflowError:
             raise ValueError(f"word code out of range for m={m}") from None
-        if arr is codes or (isinstance(codes, np.ndarray)
-                            and np.may_share_memory(arr, codes)):
+        if not _owned and (arr is codes or (isinstance(codes, np.ndarray)
+                                            and np.may_share_memory(arr, codes))):
             arr = arr.copy()  # sorted already: the caller's array stays theirs
         if len(arr) and (arr[0] < 0 or arr[-1] >= 4 ** m):
             raise ValueError(f"word code out of range for m={m}")
@@ -108,20 +119,26 @@ class GeneratingSet:
         classes (T,C -> 1; A,G -> 0), that is, every mask present has all
         2^m words; None otherwise.
 
-        One ``tc_masks`` pass and one ``bincount``, made on first use and
-        kept (``codes`` is read-only): ``validate`` and
+        One ``tc_masks`` pass and a blockwise ``bincount``, made on first
+        use and kept (``codes`` is read-only): ``validate`` and
         ``capacity.mask_quotient`` both read it.  A set whose size is not
-        a multiple of 2^m is no union, and no mask is computed.
+        a positive multiple of 2^m is no union, and neither is one that
+        misses a word of its first word's class (``tc_class_codes``, 2^m
+        lookups); for those no mask is computed.
         """
-        classes = 2 ** self.m
-        if len(self.codes) % classes:
+        codes, classes = self.codes, 2 ** self.m
+        if len(codes) == 0 or len(codes) % classes:
             return None
-        masks = tc_masks(self.codes, self.m)
-        counts = np.bincount(masks, minlength=classes)
+        first = tc_class_codes(int(codes[0]), self.m)
+        at = np.searchsorted(codes, first)
+        if at[-1] == len(codes) or (codes[at] != first).any():
+            return None
+        masks = tc_masks(codes, self.m)
+        counts = sum(np.bincount(masks[i:i + _COUNT_BLOCK], minlength=classes)
+                     for i in range(0, len(masks), _COUNT_BLOCK))
         kept = np.flatnonzero(counts)
         if (counts[kept] != classes).any():
             return None
-        masks = masks.astype(np.int32)  # kept with the set: int32 (m <= 31) halves it
         masks.setflags(write=False)
         kept.setflags(write=False)
         return kept, masks
@@ -237,7 +254,7 @@ def _mask_union(m: int, keep: np.ndarray, words: Tuple[str, ...] = ()) -> Genera
     2^m masks), plus the listed ``words``; sorted as built, never re-sorted."""
     member = tc_mask_members(m, keep)
     member[[word_to_code(w) for w in words]] = True
-    return GeneratingSet.from_codes(m, np.flatnonzero(member))
+    return GeneratingSet.from_codes(m, np.flatnonzero(member), _owned=True)
 
 
 def tc_dominant_set(m: int) -> GeneratingSet:

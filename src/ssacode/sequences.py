@@ -150,26 +150,66 @@ def tc_weights(codes: np.ndarray, m: int) -> np.ndarray:
     return x.view(np.int64)
 
 
-# (shift, mask) steps that pack the low bits of the 2-bit digits together:
-# each step halves the number of gaps, pairing bits, then nibbles, bytes, ...
-_PACK_LOW_BITS = ((1, 0x3333333333333333), (2, 0x0F0F0F0F0F0F0F0F),
-                  (4, 0x00FF00FF00FF00FF), (8, 0x0000FFFF0000FFFF),
-                  (16, 0x00000000FFFFFFFF))
+_MASK_CHUNK = 8  # digits per mask table: at most 4^8 int32 entries
+_MASK_BLOCK = 1 << 16  # words per step, so the scratch arrays stay in cache
+_DIGIT_LOW_BIT = np.array([0, 1, 0, 1], dtype=np.int32)  # A C G T -> TC bit
+
+
+def _mask_table(k: int, shift: int) -> np.ndarray:
+    """TC masks of all k-digit words, shifted left by ``shift`` bits, as
+    int32 indexed by code."""
+    table = np.zeros(1, dtype=np.int32)
+    for _ in range(k):
+        table = (2 * table[:, None] + _DIGIT_LOW_BIT).ravel()
+    table <<= shift
+    return table
 
 
 def tc_masks(codes: np.ndarray, m: int) -> np.ndarray:
-    """TC mask per word (T,C -> 1; A,G -> 0) as an m-bit big-endian integer.
+    """TC mask per word (T,C -> 1; A,G -> 0) as an m-bit big-endian int32
+    integer (m <= 31).
 
-    The mask's bits are the low bits of the word's 2-bit digits, packed.
+    The m digits are cut into near-equal chunks of at most 8 digits (two
+    half-words up to m = 16).  Each chunk's bits of the mask are gathered
+    from a table over its at most 4^8 digit strings and ORed in, one
+    block of words at a time.
     """
-    x = _as_words(codes)
-    x &= _LOW_BITS
-    y = np.empty_like(x)  # the one scratch array; every other step is in place
-    for shift, mask in _PACK_LOW_BITS:
-        np.right_shift(x, shift, out=y)
-        x |= y
-        x &= mask
-    return x.view(np.int64)
+    codes = np.asarray(codes, dtype=np.int64)
+    chunks = max(1, -(-m // _MASK_CHUNK))
+    tables = []  # (table, bit shift of the chunk's digits, digit mask)
+    low = 0  # digits below the current chunk
+    for left in range(chunks, 0, -1):
+        k = (m - low) // left
+        tables.append((_mask_table(k, low), 2 * low, 4 ** k - 1))
+        low += k
+    flat = codes.ravel()
+    masks = np.zeros(len(flat), dtype=np.int32)
+    index = np.empty(min(len(flat), _MASK_BLOCK), dtype=np.int64)
+    part = np.empty(len(index), dtype=np.int32)
+    for start in range(0, len(flat), _MASK_BLOCK):
+        block = flat[start:start + _MASK_BLOCK]
+        n = len(block)
+        for table, shift, digits in tables:
+            np.right_shift(block, shift, out=index[:n])
+            index[:n] &= digits
+            # in range after the digit mask; "clip" spares take a copy of out
+            np.take(table, index[:n], out=part[:n], mode="clip")
+            masks[start:start + n] |= part[:n]
+    return masks.reshape(codes.shape)
+
+
+def tc_class_codes(code: int, m: int) -> np.ndarray:
+    """The 2^m codes that share the TC mask of ``code``, ascending.
+
+    A digit's low bit is its TC bit, so the class keeps those bits of
+    ``code`` and takes both values of every digit's high bit; each new
+    high bit lies above all lower ones, so doubling the list digit by
+    digit from the last keeps it sorted.  2^m work, no 4^m array.
+    """
+    words = np.array([code & _LOW_BITS], dtype=np.int64)
+    for pos in range(m):
+        words = np.concatenate((words, words | 2 << 2 * pos))
+    return words
 
 
 def rc_masks(masks: np.ndarray, m: int) -> np.ndarray:

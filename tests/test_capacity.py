@@ -434,6 +434,36 @@ class TestMaskQuotient:
         assert rep.method == "power-iteration" and rep.bracket is None
         assert rep.to_dict() == spectral_radius(build_digraph(s)).to_dict()
 
+    @pytest.mark.parametrize("m", range(2, 10))
+    def test_quotient_arc_count_tc_dominant(self, m):
+        s = tc_dominant_set(m)
+        rep = rate_of_set(s)
+        assert rep.method == "mask-quotient"
+        assert rep.arc_count == build_digraph(s).arc_count
+        if m <= 5:
+            assert rep.arc_count == naive_arc_count(s.codes.tolist(), m, 4)
+
+    @settings(max_examples=40, deadline=None)
+    @given(mask_unions())
+    @example([w for w in tc_dominant_set(3).words()  # a 3-cycle of masks
+              if w.count("T") + w.count("C") == 2])
+    def test_quotient_arc_count_unions(self, words):
+        # kept: the classes of the quotient's largest strong component, whose
+        # induced quotient is strongly connected (random unions seldom are)
+        assume(words)
+        s = GeneratingSet.from_words(words)
+        quotient, masks = mask_quotient(s)
+        cyclic = quotient.cyclic_components()
+        assume(cyclic)
+        core = quotient.codes[max(cyclic, key=len)]
+        s = GeneratingSet.from_codes(s.m, s.codes[np.isin(masks, core)])
+        quotient, _ = mask_quotient(s)
+        assert [len(c) for c in quotient.cyclic_components()] == [quotient.vertex_count]
+        rep = rate_of_set(s)
+        assert rep.method == "mask-quotient"
+        assert rep.arc_count == build_digraph(s).arc_count
+        assert rep.arc_count == naive_arc_count(s.codes.tolist(), s.m, 4)
+
     @pytest.mark.parametrize("build", [lambda: tc_dominant_set(7),
                                        heuristic_set_m6_stage])
     def test_masks_computed_once(self, monkeypatch, build):

@@ -1,4 +1,5 @@
 import itertools
+import sys
 import tracemalloc
 
 import numpy as np
@@ -23,7 +24,7 @@ from ssacode import (
 from ssacode.gensets import _validate_words, num_rc_pairs, num_self_rc
 from ssacode.sequences import (
     all_codes, code_to_word, codes_with_tc_mask, parse_sequence, rc_code, rc_codes, rc_masks,
-    tc_dominant_masks, tc_mask_members, tc_masks, tc_weights)
+    rc_pairs, tc_class_codes, tc_dominant_masks, tc_mask_members, tc_masks, tc_weights)
 from conftest import mask_rc, mask_unions, rc_free_words, ref_rc, tc_pattern
 
 
@@ -87,20 +88,44 @@ class TestVectorWordHelpers:
     @pytest.mark.parametrize("m", range(2, 7))
     def test_tc_masks_match_per_character_pattern(self, m):
         masks = tc_masks(np.arange(4 ** m, dtype=np.int64), m)
-        assert masks.dtype == np.int64
+        assert masks.dtype == np.int32
         assert masks.tolist() == [int(tc_pattern(code_to_word(c, m)), 2)
                                   for c in range(4 ** m)]
 
-    @given(st.integers(2, 31).flatmap(lambda m: st.tuples(
+    @given(st.integers(1, 31).flatmap(lambda m: st.tuples(
         st.just(m), st.lists(st.integers(0, 4 ** m - 1), min_size=1, max_size=20))))
+    @example((1, [0, 1, 2, 3]))
+    @example((31, [0, 4 ** 31 - 1, 0x5555555555555555 >> 2]))
     def test_long_words(self, case):
+        # tc_masks: one table up to m = 8, two half-words up to 16, then more
         m, codes = case
         arr = np.array(codes, dtype=np.int64)
         words = [code_to_word(c, m) for c in codes]
         assert rc_codes(arr, m).tolist() == [rc_code(c, m) for c in codes]
         assert [code_to_word(c, m) for c in rc_codes(arr, m).tolist()] == [ref_rc(w) for w in words]
         assert tc_weights(arr, m).tolist() == [sum(ch in "TC" for ch in w) for w in words]
+        assert tc_masks(arr, m).dtype == np.int32
         assert tc_masks(arr, m).tolist() == [int(tc_pattern(w), 2) for w in words]
+
+    @pytest.mark.parametrize("m", [9, 12])
+    def test_tc_masks_over_several_blocks(self, m):
+        rng = np.random.default_rng(m)
+        codes = rng.integers(0, 4 ** m, size=3 * 2 ** 16 + 123, dtype=np.int64)
+        want = sum(((codes >> 2 * i) & 1) << i for i in range(m))
+        assert np.array_equal(tc_masks(codes, m), want)
+        assert np.array_equal(tc_masks(codes.reshape(-1, 3), m), want.reshape(-1, 3))
+
+    @given(st.integers(1, 12).flatmap(lambda m: st.tuples(
+        st.just(m), st.integers(0, 4 ** m - 1))))
+    def test_tc_class_codes(self, case):
+        m, code = case
+        words = tc_class_codes(code, m)
+        assert words.dtype == np.int64 and len(words) == 2 ** m
+        assert (np.diff(words) > 0).all() and code in words
+        assert (tc_masks(words, m) == tc_masks(np.array([code]), m)[0]).all()
+        if m <= 6:
+            mask = tc_pattern(code_to_word(code, m))
+            assert np.array_equal(words, codes_with_tc_mask(m, mask))
 
     @pytest.mark.parametrize("mask", ["".join(bits) for bits in itertools.product("01", repeat=4)])
     def test_codes_with_tc_mask_match_per_character_pattern(self, mask):
@@ -252,6 +277,25 @@ class TestMaskLevelValidate:
         rcw = ref_rc(words[pick % len(words)])
         assert not self.same_as_word_path(GeneratingSet.from_words(words + [rcw])).valid
 
+    def test_non_union_skips_the_mask_pass(self, monkeypatch):
+        # a maximal set at odd m has 2^(2m-1) words, a multiple of 2^m; a
+        # random one misses most of its first word's class
+        from ssacode import gensets
+        calls = []
+
+        def counted(codes, m):
+            calls.append(codes)
+            return tc_masks(codes, m)
+
+        monkeypatch.setattr(gensets, "tc_masks", counted)
+        lower, upper = rc_pairs(9)
+        pick = np.random.default_rng(9).random(len(lower)) < 0.5
+        s = GeneratingSet.from_codes(9, np.where(pick, lower, upper))
+        assert len(s) % 2 ** 9 == 0
+        result = validate(s)
+        assert result == _validate_words(s) and result.valid and result.maximal
+        assert s.mask_classes is None and not calls
+
     @pytest.mark.parametrize("m", range(2, 12))
     def test_tc_dominant_from_masks(self, m):
         s = tc_dominant_set(m)
@@ -315,6 +359,25 @@ class TestTcDominantSet:
         s = tc_dominant_set(m)
         assert s.codes.dtype == np.int64
         assert np.array_equal(s.codes, codes[tc_weights(codes, m) > m // 2])
+
+    def test_codes_built_once_and_held_by_the_set_alone(self):
+        # the builder hands its fresh code array to the set without a copy:
+        # the peak is that 16 MB array, the 4 MB membership table and the
+        # small mask tables, where a copy would add 16 MB more
+        tracemalloc.start()
+        try:
+            s = tc_dominant_set(11)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < s.codes.nbytes + 8 * 2 ** 20
+        # nothing else keeps that array or its base: each is held once, by
+        # the set or as the next one's base, plus ``chain`` and the argument
+        chain = [s.codes]
+        while chain[-1].base is not None:
+            chain.append(chain[-1].base)
+        assert [sys.getrefcount(chain[i]) for i in range(len(chain))] == [3] * len(chain)
+        assert not s.codes.flags.writeable
 
     def test_built_from_masks_in_little_memory(self):
         # all 4^11 int64 codes and their weights would need 96 MB
