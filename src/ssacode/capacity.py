@@ -15,6 +15,7 @@ from typing import Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from . import sequences
 from .gensets import GeneratingSet, sorted_unique
 from .sequences import tc_dominant_masks
 
@@ -125,11 +126,12 @@ class CapacityReport:
     eigenpair residual; for "mask-quotient" it is the relative width of
     ``bracket``, the certified interval (lo, hi) that holds the root, and
     ``spectral_radius`` is its midpoint.  ``bracket`` is None for the other
-    methods and is left out of ``to_dict``.  A "mask-quotient" report's
-    ``arc_count`` is 2^(m+1) times the quotient's: every word has two
-    successors per quotient arc of its mask, which is exact for a union
-    that ``GeneratingSet.mask_classes`` verified from the codes, so the
-    4^m-word digraph's arcs are not counted again.
+    methods and is left out of ``to_dict``.  A "mask-quotient" report comes
+    with no word-level digraph built: its ``vertex_count`` is the size of
+    the set, and its ``arc_count`` is 2^(m+1) times the quotient's, since
+    every word has two successors per quotient arc of its mask.  That is
+    exact for a union that ``GeneratingSet.mask_classes`` verified from the
+    codes.
     """
 
     m: int
@@ -287,19 +289,80 @@ def perron_bracket(g: TransitionDigraph, x: np.ndarray) -> Optional[Tuple[float,
             float(ratio.max()) * (1.0 + _BRACKET_MARGIN))
 
 
-def _lifted_rate(g: TransitionDigraph, quotient: TransitionDigraph,
+def _lifted_bracket(m: int, codes: np.ndarray, masks: np.ndarray,
+                    by_mask: np.ndarray) -> Optional[Tuple[float, float]]:
+    """``perron_bracket(TransitionDigraph(m, codes), by_mask[masks])``, to
+    the bit, taken a block of words at a time: no digraph is built, and the
+    one array over the words' overlaps is the 4^(m-1) prefix sums.
+
+    The bins are those of ``TransitionDigraph``: the overlap words' codes
+    for a set of at least 4^(m-1) words, their ranks otherwise.  The first
+    pass sums x = ``by_mask[masks]`` per prefix bin, with one ``bincount``
+    per block offset by the block's first bin.  The codes are sorted, so
+    the prefix bins are non-decreasing: of a block's bins only the first
+    can hold a sum begun in earlier blocks, and that sum is added to the
+    block's first weight.  Every bin is thus summed from 0 in word order,
+    as one ``bincount`` sums it.  The second pass reads the sums at the
+    suffix bins and keeps the least and greatest ratio.  None if an entry
+    of x is not a positive normal float.
+    """
+    if len(codes) == 0:
+        return None
+    overlaps = 4 ** (m - 1)
+    keys = None  # the overlap words, when the bins are their ranks
+    if len(codes) < overlaps:
+        keys = sorted_unique(np.concatenate([codes >> 2, codes & (overlaps - 1)]),
+                             overwrite=True)
+    step = sequences._MASK_BLOCK
+    x = np.empty(min(len(codes), step))  # a block's x, reused
+    ratio = np.empty(len(x))
+    words = np.empty(len(x), dtype=np.int64)  # a block's prefixes or suffixes
+    t = np.zeros(overlaps if keys is None else len(keys))
+
+    def blocks():
+        """(codes, x, overlap-word buffer) of each block of words."""
+        for start in range(0, len(codes), step):
+            block = codes[start:start + step]
+            n = len(block)
+            # masks index by_mask in range; "clip" spares take a copy of out
+            np.take(by_mask, masks[start:start + n], out=x[:n], mode="clip")
+            yield block, x[:n], words[:n]
+
+    def binned(overlap_words):
+        return overlap_words if keys is None else np.searchsorted(keys, overlap_words)
+
+    for block, xb, buf in blocks():
+        if not xb.min() >= np.finfo(float).tiny:
+            return None
+        pre = binned(np.right_shift(block, 2, out=buf))
+        first = pre[0]
+        xb[0] += t[first]  # the sum its bin began in earlier blocks, or 0
+        pre -= first
+        sums = np.bincount(pre, weights=xb)
+        t[first:first + len(sums)] = sums
+    lo, hi = math.inf, -math.inf
+    for block, xb, buf in blocks():
+        suf = binned(np.bitwise_and(block, overlaps - 1, out=buf))
+        rb = np.take(t, suf, out=ratio[:len(xb)], mode="clip")
+        rb /= xb
+        lo = min(lo, float(rb.min()))
+        hi = max(hi, float(rb.max()))
+    return lo * (1.0 - _BRACKET_MARGIN), hi * (1.0 + _BRACKET_MARGIN)
+
+
+def _lifted_rate(s: GeneratingSet, quotient: TransitionDigraph,
                  masks: np.ndarray, tol: float,
                  max_iter: int) -> Optional[CapacityReport]:
-    """The root of g bracketed by the quotient's lifted Perron vector, or
-    None if the bracket is not certified to ``tol``."""
+    """The root of S's digraph bracketed by the quotient's lifted Perron
+    vector, or None if the bracket is not certified to ``tol``."""
     cyclic = quotient.cyclic_components()
     if len(cyclic) != 1 or len(cyclic[0]) != quotient.vertex_count:
         return None  # reducible: its Perron vector need not be positive
     _, iterations, _, _, y = _shifted_power(
         quotient.matvec, quotient.vertex_count, tol * _QUOTIENT_TOL_FACTOR, max_iter)
-    by_mask = np.zeros(2 ** g.m)
+    by_mask = np.zeros(2 ** s.m)
     by_mask[quotient.codes] = y
-    bracket = perron_bracket(g, by_mask[masks])
+    bracket = _lifted_bracket(s.m, s.codes, masks, by_mask)
     if bracket is None:
         return None
     lo, hi = bracket
@@ -307,9 +370,9 @@ def _lifted_rate(g: TransitionDigraph, quotient: TransitionDigraph,
         return None
     rho = (lo + hi) / 2
     return CapacityReport(
-        m=g.m,
-        vertex_count=g.vertex_count,
-        arc_count=2 ** (g.m + 1) * quotient.arc_count,
+        m=s.m,
+        vertex_count=len(s),
+        arc_count=2 ** (s.m + 1) * quotient.arc_count,
         spectral_radius=rho,
         rate_bits_per_nt=math.log2(rho),
         method="mask-quotient",
@@ -327,20 +390,24 @@ def rate_of_set(s: GeneratingSet, tol: float = 1e-10,
     ``mask_quotient``) is strongly connected, the quotient, at most 2^m
     vertices, is iterated, its Perron vector is lifted to every word by
     mask, and one product with the full 4^m-word operator brackets the root
-    (``perron_bracket``).  The bracket is taken on the full operator, so it
-    does not rest on the quotient being right.  If it is at most ``tol``
-    wide relative to the root, the report's method is "mask-quotient" and
-    it carries the bracket; its ``arc_count`` is read off the quotient
-    (see ``CapacityReport``).  In every other case the rate is
-    ``spectral_radius`` of the full digraph, as for any set.
+    (Collatz-Wielandt, as in ``perron_bracket``).  That product is taken a
+    block of words at a time, straight from the codes, and no digraph is
+    built.  The bracket is taken on the full operator, so it does not rest
+    on the quotient being right.  If it is at most ``tol`` wide relative to
+    the root, the report's method is "mask-quotient" and it carries the
+    bracket; its ``arc_count`` is read off the quotient (see
+    ``CapacityReport``).  In every other case the rate is
+    ``spectral_radius`` of the full digraph, as for any set.  S is
+    validated once either way: after the certificate, or by
+    ``build_digraph``.
     """
-    g = build_digraph(s)
     quotient = mask_quotient(s)
     if quotient is not None:
-        report = _lifted_rate(g, *quotient, tol, max_iter)
+        report = _lifted_rate(s, *quotient, tol, max_iter)
         if report is not None:
+            s.require_valid()
             return report
-    return spectral_radius(g, tol=tol, max_iter=max_iter)
+    return spectral_radius(build_digraph(s), tol=tol, max_iter=max_iter)
 
 
 def walk_counts(g: TransitionDigraph, r_max: int) -> Iterator[List[int]]:

@@ -14,6 +14,7 @@ from typing import Iterable, List, Optional, Tuple
 
 import numpy as np
 
+from . import sequences
 from .sequences import (
     DIGIT,
     all_codes,
@@ -30,10 +31,6 @@ from .sequences import (
     window_multiset,
     word_to_code,
 )
-
-
-# bincount casts int32 masks to intp: a block at a time, the cast stays in cache
-_COUNT_BLOCK = 1 << 16
 
 
 class InvalidGeneratingSetError(ValueError):
@@ -134,8 +131,11 @@ class GeneratingSet:
         if at[-1] == len(codes) or (codes[at] != first).any():
             return None
         masks = tc_masks(codes, self.m)
-        counts = sum(np.bincount(masks[i:i + _COUNT_BLOCK], minlength=classes)
-                     for i in range(0, len(masks), _COUNT_BLOCK))
+        # bincount casts int32 masks to intp: a block at a time, the cast
+        # stays in cache
+        step = sequences._MASK_BLOCK
+        counts = sum(np.bincount(masks[i:i + step], minlength=classes)
+                     for i in range(0, len(masks), step))
         kept = np.flatnonzero(counts)
         if (counts[kept] != classes).any():
             return None

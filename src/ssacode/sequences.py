@@ -151,7 +151,10 @@ def tc_weights(codes: np.ndarray, m: int) -> np.ndarray:
 
 
 _MASK_CHUNK = 8  # digits per mask table: at most 4^8 int32 entries
-_MASK_BLOCK = 1 << 16  # words per step, so the scratch arrays stay in cache
+# Words per step of every blockwise pass over a set's words (``tc_masks``,
+# ``GeneratingSet.mask_classes``, the lifted bracket of ``capacity``), so the
+# scratch arrays stay in cache.
+_MASK_BLOCK = 1 << 16
 _DIGIT_LOW_BIT = np.array([0, 1, 0, 1], dtype=np.int32)  # A C G T -> TC bit
 
 

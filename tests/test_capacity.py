@@ -2,6 +2,7 @@ import copy
 import itertools
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -13,6 +14,7 @@ from ssacode import (
     F5,
     COMPOSITION_BASELINE,
     GeneratingSet,
+    InvalidGeneratingSetError,
     TransitionDigraph,
     baseline_block_concat_rate,
     binary_reduction_rate,
@@ -68,6 +70,10 @@ CHAINED_UNIT_CYCLES = [
     "AAGA", "ACAG", "AGAC", "CAGA", "CGCT", "CGTT", "CTTG", "GAAG", "GACA",
     "GCTT", "GGCT", "GTTC", "TCGC", "TCGT", "TGAA", "TGCT", "TTCG", "TTGA",
     "TTGC"]
+
+# The 32 words of TC mask 11100: a union of 2^m words, sparser than 4^(m-1)
+ONE_CLASS = [w for w in map("".join, itertools.product("ACGT", repeat=5))
+             if tc_pattern(w) == "11100"]
 
 
 class TestDigraph:
@@ -495,6 +501,104 @@ class TestMaskQuotient:
         rep = rate_of_set(s)
         assert rep.method == "power-iteration"
         assert rep.to_dict() == spectral_radius(build_digraph(s)).to_dict()
+
+    @pytest.mark.parametrize("build, method", [
+        (lambda: tc_dominant_set(5), "mask-quotient"),  # certified union
+        (heuristic_set_m6_stage, "power-iteration"),  # reducible quotient
+        (heuristic_set_m4, "power-iteration"),  # no union
+    ])
+    def test_validated_once_digraph_only_on_fallback(self, monkeypatch, build, method):
+        from ssacode import capacity, gensets
+        s = build()
+        validated, built, alphabets = [], [], []
+        validate_ = gensets.validate
+        build_digraph_ = capacity.build_digraph
+        post_init = capacity.TransitionDigraph.__post_init__
+
+        def counted_validate(t):
+            validated.append(t)
+            return validate_(t)
+
+        def counted_build(t):
+            built.append(t)
+            return build_digraph_(t)
+
+        def counted_post_init(g):
+            alphabets.append(g.q)
+            post_init(g)
+
+        monkeypatch.setattr(gensets, "validate", counted_validate)
+        monkeypatch.setattr(capacity, "build_digraph", counted_build)
+        monkeypatch.setattr(capacity.TransitionDigraph, "__post_init__", counted_post_init)
+        assert rate_of_set(s).method == method
+        assert len(validated) == 1 and validated[0] is s
+        if method == "mask-quotient":
+            assert built == [] and 4 not in alphabets  # only the q=2 quotient
+        else:
+            assert len(built) == 1 and built[0] is s
+
+    def test_invalid_union_raises(self):
+        # the all-words set is one union of every class and not RC-free
+        s = GeneratingSet.from_codes(3, np.arange(64))
+        assert mask_quotient(s) is not None
+        with pytest.raises(InvalidGeneratingSetError):
+            rate_of_set(s)
+
+    @settings(max_examples=40, deadline=None)
+    @given(mask_unions(), st.integers(0, 2 ** 32 - 1),
+           st.sampled_from([None, 0.0, 5e-324, 1e-310]), st.sampled_from([1, 3, 4, 7, None]))
+    @example(tc_dominant_set(3).words(), 0, None, 7)  # dense; splits runs 1|3 and 2|2
+    @example(ONE_CLASS, 0, None, 3)  # sparse
+    @example(ONE_CLASS, 0, 5e-324, 4)
+    def test_lifted_bracket_is_perron_bracket(self, words, seed, bad, step):
+        # blocks of 1, 3, 4 and 7 words split prefix runs (up to 4 words)
+        # at every offset and leave a short last block; a zero or subnormal
+        # entry at a kept mask turns both away
+        from ssacode import capacity, sequences
+        assume(words)
+        s = GeneratingSet.from_words(words)
+        kept, masks = s.mask_classes
+        rng = random.Random(seed)
+        by_mask = np.zeros(2 ** s.m)
+        by_mask[kept] = [rng.uniform(0.1, 10.0) for _ in kept]
+        if bad is not None:
+            by_mask[rng.choice(kept.tolist())] = bad
+        expected = perron_bracket(build_digraph(s), by_mask[masks])
+        assert (expected is None) == (bad is not None)
+        with pytest.MonkeyPatch.context() as mp:
+            if step is not None:
+                mp.setattr(sequences, "_MASK_BLOCK", step)
+            assert capacity._lifted_bracket(s.m, s.codes, masks, by_mask) == expected
+
+    @pytest.mark.parametrize("m", range(2, 10))
+    def test_lifted_bracket_tc_dominant(self, monkeypatch, m):
+        from ssacode import capacity, sequences
+        s = tc_dominant_set(m)
+        quotient, masks = mask_quotient(s)
+        y = np.random.default_rng(m).uniform(0.1, 10.0, quotient.vertex_count)
+        by_mask = np.zeros(2 ** m)
+        by_mask[quotient.codes] = y
+        expected = perron_bracket(build_digraph(s), by_mask[masks])
+        assert capacity._lifted_bracket(m, s.codes, masks, by_mask) == expected
+        # tiny blocks cost a few numpy calls per word: all four up to m=6
+        for step in (1, 3, 4, 7) if m <= 6 else (7,):
+            monkeypatch.setattr(sequences, "_MASK_BLOCK", step)
+            assert capacity._lifted_bracket(m, s.codes, masks, by_mask) == expected
+
+    def test_certified_rate_in_little_memory(self):
+        # the digraph's two bin arrays, the lifted vector, the product and
+        # the ratios would each take 16 MB at m=11; streamed, the prefix
+        # sums (8 MB) and the block buffers remain
+        s = tc_dominant_set(11)
+        assert s.mask_classes is not None
+        tracemalloc.start()
+        try:
+            rep = rate_of_set(s)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert rep.method == "mask-quotient"
+        assert peak < 16 * 2 ** 20
 
 
 class TestCountConstrained:
