@@ -9,6 +9,7 @@ rate of C_n(S) is log2 of the Perron root of the adjacency matrix.
 from __future__ import annotations
 
 import math
+import operator
 from collections import deque
 from dataclasses import dataclass
 from typing import Iterator, List, Optional, Sequence, Tuple
@@ -410,25 +411,87 @@ def rate_of_set(s: GeneratingSet, tol: float = 1e-10,
     return spectral_radius(build_digraph(s), tol=tol, max_iter=max_iter)
 
 
+class SiblingTrie:
+    """The runs of sibling vertices of an overlap digraph, as a trie of
+    suffix keys; the walk-count DP runs on its nodes.
+
+    Siblings share a prefix key, so they form a contiguous run of the sorted
+    codes: the successors of every vertex whose suffix key that is.  A walk
+    count depends on a vertex only through its suffix key, so the counts of
+    a run summed up to a vertex depend only on the tuple of suffix keys of
+    the run up to there.  Each such tuple is a node (576 for the 1,792
+    words of the m=6 staged set).  Node 0 is the empty tuple; the others
+    are numbered by length, so ``sums`` fills them one length at a time
+    with ``map``, in C, with no Python loop per vertex.
+
+    - ``earlier[v]``: the node of v's earlier siblings (0 for the first of
+      a run), the sibling class the codec ranks v by.
+    - ``succ_node[v]``: the node of the whole run of v's successors (0 if v
+      has none), so a walk count of v is that node's sum one length down.
+    """
+
+    def __init__(self, g: TransitionDigraph):
+        depth = np.arange(g.vertex_count) - np.searchsorted(g._pre, g._pre) + 1
+        through = np.zeros(g.vertex_count, dtype=np.int64)  # node of v's tuple
+        earlier = np.zeros(g.vertex_count, dtype=np.int64)
+        # per tuple length: for each new node, the node of its tuple without
+        # the last key, and a vertex with that last key
+        levels = []
+        nodes = 1
+        for k in range(1, int(depth.max(initial=0)) + 1):
+            vs = np.flatnonzero(depth == k)
+            if k > 1:
+                earlier[vs] = through[vs - 1]
+            keys, rep, inv = np.unique(earlier[vs] * g._nbins + g._suf[vs],
+                                       return_index=True, return_inverse=True)
+            through[vs] = nodes + inv
+            levels.append((earlier[vs[rep]].tolist(), vs[rep].tolist()))
+            nodes += len(keys)
+        self._heads = levels[0][1] if levels else []  # one-vertex tuples
+        self._levels = levels[1:]
+        self.earlier = earlier.tolist()
+        last = np.searchsorted(g._pre, g._suf, side="right") - 1  # of the successor run
+        has = g._pre[np.maximum(last, 0)] == g._suf
+        self.succ_node = np.where(has, through[last], 0).tolist()
+
+    def sums(self, row: List[int]) -> List[int]:
+        """``sums[node]``: ``row`` summed over the vertices of the node's
+        tuple.  ``row`` must depend on a vertex only through its suffix
+        key, as every walk-count row does, so that a node has one sum
+        wherever its tuple occurs.  A one-vertex tuple's sum is that
+        vertex's own int."""
+        out = [0]
+        out += map(row.__getitem__, self._heads)
+        for up, vs in self._levels:  # list(): the sums read out before it grows
+            out += list(map(operator.add, map(out.__getitem__, up),
+                            map(row.__getitem__, vs)))
+        return out
+
+    def walk(self, r_max: int) -> Iterator[Tuple[List[int], List[int]]]:
+        """``(row, sums(row))`` for r = 0 .. r_max, where ``row[v]`` is the
+        number of length-r walks starting at vertex v."""
+        row = [1] * len(self.succ_node)
+        sums = self.sums(row)
+        yield row, sums
+        for _ in range(r_max):
+            row = list(map(sums.__getitem__, self.succ_node))
+            sums = self.sums(row)
+            yield row, sums
+
+
 def walk_counts(g: TransitionDigraph, r_max: int) -> Iterator[List[int]]:
     """Exact walk counts, one row per length: yields ``row[v]``, the number
     of length-r walks starting at vertex v, for r = 0 .. r_max.
 
     A walk from v continues through any vertex whose prefix key is v's
-    suffix key, so each row is the previous one summed per prefix key and
-    read back at each vertex's suffix key.  Python ints throughout: the
-    counts outgrow int64 (about 2^102 at m=6, n=60).  Rows are yielded, not
-    kept, so a caller that needs only the last holds one row at a time.
+    suffix key, so each row is the previous one summed over each run of
+    siblings and read back at each vertex's suffix key (``SiblingTrie``).
+    Vertices with one suffix key share one int.  Python ints throughout:
+    the counts outgrow int64 (about 2^102 at m=6, n=60).  Rows are
+    yielded, not kept, so a caller that needs only the last holds one row
+    at a time.
     """
-    pre = g._pre.tolist()
-    suf = g._suf.tolist()
-    row = [1] * g.vertex_count
-    yield row
-    for _ in range(r_max):
-        sums = [0] * g._nbins
-        for p, c in zip(pre, row):
-            sums[p] += c
-        row = [sums[k] for k in suf]
+    for row, _ in SiblingTrie(g).walk(r_max):
         yield row
 
 

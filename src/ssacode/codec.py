@@ -4,8 +4,11 @@ Message index k maps to the k-th element of C_n(S) in lexicographic order
 (A < C < G < T over whole sequences); decoding is the exact inverse (Cover,
 "Enumerative source encoding", IEEE Trans. IT 19(1), 1973).  The table
 holds big-integer counts of walk completions per vertex and a few lookup
-tables built once, so both directions run in O(n) steps of plain Python
-with at most four successors looked at per step.
+tables built once.  Encoding walks n - m steps of plain Python, looking at
+most four successors per step.  Decoding is one lookup pass over the
+windows with no Python loop per symbol: a codeword's rank is a count for
+its first window plus, for each later window, one entry of a small
+per-step row of sibling sums, found through the window's sibling class.
 
 Payloads are framed on top: a big-endian hex string is cut into blocks of
 ``bits_per_block`` bits, each block index is encoded as one codeword, and
@@ -20,13 +23,13 @@ import re
 from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import accumulate
-from typing import Dict, List
+from typing import Callable, Dict, List, Tuple
 
 import numpy as np
 
-from .capacity import TransitionDigraph, build_digraph, walk_counts
+from .capacity import SiblingTrie, TransitionDigraph, build_digraph
 from .gensets import GeneratingSet
-from .sequences import ALPHABET, DIGIT, code_to_word
+from .sequences import DIGIT, codes_to_words
 
 _NON_HEX = re.compile(r"[^0-9A-Fa-f]")
 
@@ -41,9 +44,10 @@ class CodecTable:
 
     Vertices are the words of S in sorted-code order.  path_counts[r][vi] is
     the number of length-r walks starting at vertex vi; total is |C_n(S)|,
-    the sum of the row at r = n - m.  The lookup tables, all Python ints:
+    the sum of the row at r = n - m.  The lookup tables, all plain Python:
 
-    - codes[vi]: the word code of vertex vi; index_of maps it back to vi.
+    - words[vi]: the word of vertex vi; vertex_of maps it back to vi, and
+      last_symbol[vi] is its last symbol.
     - succ_start[vi]: the first successor of vi.  The successors of vi are
       the words that begin with its (m-1)-suffix, a contiguous run of the
       sorted codes, so a step from vi chooses among succ_start[vi],
@@ -52,6 +56,22 @@ class CodecTable:
     - first_prefix[vi]: the number of codewords whose first window comes
       before vertex vi, i.e. the prefix sums of path_counts[n - m]
       (|V| + 1 entries, the last one total).
+    - sibling_class[word]: the word's sibling class.  The siblings of a
+      word share its (m-1)-prefix; those that end in a smaller symbol come
+      before it in rank order.  A walk count depends on a vertex only
+      through its (m-1)-suffix, so the summed counts of the earlier
+      siblings depend only on the step and on the tuple of their suffix
+      keys, which is the class: a node of ``capacity.SiblingTrie`` (385
+      classes for the 1,792 words of the m=6 staged set).
+    - sibling_rows[j - 1][c]: for the window at offset j >= 1, where
+      r = n - m - j steps remain, the summed path_counts[r] of the earlier
+      siblings of a class-c word.  These are the trie's node sums, which
+      the walk-count DP computes on its way to the next row, kept as they
+      are; the ints are those of the DP (576 nodes a row at m=6).
+    - windows(x): the tuple of x's windows at offsets 1 .. n - m.
+
+    So the rank of x is first_prefix of its first window plus one
+    sibling_rows entry per later window.
     """
 
     gen_set: GeneratingSet
@@ -59,25 +79,44 @@ class CodecTable:
     digraph: TransitionDigraph
     path_counts: List[List[int]]
     total: int
-    codes: List[int]
-    index_of: Dict[int, int]
+    words: List[str]
+    vertex_of: Dict[str, int]
+    last_symbol: List[str]
     succ_start: List[int]
     first_prefix: List[int]
+    sibling_class: Dict[str, int]
+    sibling_rows: List[List[int]]
+    windows: Callable[[str], Tuple[str, ...]]
 
 
 def build_codec(s: GeneratingSet, n: int) -> CodecTable:
-    g = build_digraph(s)
     if n < s.m:
         raise ValueError(f"block length n={n} is smaller than m={s.m}")
-    path_counts = list(walk_counts(g, n - s.m))
+    g = build_digraph(s)
+    trie = SiblingTrie(g)
+    steps = list(trie.walk(n - s.m))
+    path_counts = [row for row, _ in steps]
     first_prefix = list(accumulate(path_counts[-1], initial=0))
-    codes = g.codes.tolist()
+    words = codes_to_words(g.codes, s.m)
     # successors of v: the run of vertices whose prefix key is v's suffix key
     succ_start = np.searchsorted(g._pre, g._suf).tolist()
     return CodecTable(gen_set=s, n=n, digraph=g, path_counts=path_counts,
-                      total=first_prefix[-1], codes=codes,
-                      index_of={c: vi for vi, c in enumerate(codes)},
-                      succ_start=succ_start, first_prefix=first_prefix)
+                      total=first_prefix[-1], words=words,
+                      vertex_of={w: vi for vi, w in enumerate(words)},
+                      last_symbol=[w[-1] for w in words],
+                      succ_start=succ_start, first_prefix=first_prefix,
+                      sibling_class=dict(zip(words, trie.earlier)),
+                      sibling_rows=[sums for _, sums in steps[-2::-1]],
+                      windows=_window_reader(s.m, n))
+
+
+def _window_reader(m: int, n: int) -> Callable[[str], Tuple[str, ...]]:
+    """x -> the tuple of x's windows at offsets 1 .. n - m, cut in one C call."""
+    slices = [slice(j, j + m) for j in range(1, n - m + 1)]
+    if len(slices) > 1:
+        return operator.itemgetter(*slices)
+    # itemgetter needs a slice and returns a bare string for just one
+    return lambda x: tuple(x[j] for j in slices)
 
 
 def encode(t: CodecTable, index: int) -> str:
@@ -87,16 +126,18 @@ def encode(t: CodecTable, index: int) -> str:
         raise ValueError(f"index {index} out of range [0, {t.total})")
     vi = bisect_right(t.first_prefix, index) - 1
     index -= t.first_prefix[vi]
-    codes, succ_start, path_counts = t.codes, t.succ_start, t.path_counts
-    symbols = [code_to_word(codes[vi], t.gen_set.m)]
-    for r in range(t.n - t.gen_set.m - 1, -1, -1):
-        row = path_counts[r]
+    word = t.words[vi]
+    succ_start = t.succ_start
+    path = []
+    for row in t.path_counts[-2::-1]:  # r = n - m - 1, ..., 0
         vi = succ_start[vi]
-        while index >= row[vi]:
-            index -= row[vi]
+        c = row[vi]
+        while index >= c:
+            index -= c
             vi += 1
-        symbols.append(ALPHABET[codes[vi] & 3])
-    return "".join(symbols)
+            c = row[vi]
+        path.append(vi)
+    return word + "".join(map(t.last_symbol.__getitem__, path))
 
 
 def decode(t: CodecTable, x: str) -> int:
@@ -108,32 +149,29 @@ def decode(t: CodecTable, x: str) -> int:
 
 def _rank(t: CodecTable, x: str, offset: int) -> int:
     """:func:`decode` for x at ``offset`` in a longer sequence (for messages)."""
+    try:
+        # a window not in S looks up None, and indexing by None raises
+        return (t.first_prefix[t.vertex_of.get(x[:t.gen_set.m])]
+                + sum(map(operator.getitem, t.sibling_rows,
+                          map(t.sibling_class.get, t.windows(x)))))
+    except TypeError:
+        _raise_first_fault(t, x, offset)
+        raise
+
+
+def _raise_first_fault(t: CodecTable, x: str, offset: int) -> None:
+    """Raise the :class:`CodecError` for the leftmost fault of x, found by a
+    scan symbol by symbol: a symbol other than A, C, G, T, or else a window
+    not in S that ends at that symbol.  Only a failed :func:`_rank` runs
+    it, and it returns only if x has no fault."""
     m = t.gen_set.m
-    mask = (1 << 2 * m) - 1
-    index_of, succ_start, path_counts = t.index_of, t.succ_start, t.path_counts
-    code = rank = 0
-    vi = -1
-    r = t.n - m
     for i, ch in enumerate(x):
-        digit = DIGIT.get(ch)
-        if digit is None:
+        if ch not in DIGIT:
             raise CodecError(f"symbol {ch!r} at position {offset + i + 1} "
-                             "is not one of A, C, G, T")
-        code = (code << 2 | digit) & mask
-        if i + 1 < m:
-            continue
-        k = index_of.get(code)
-        if k is None:
+                             "is not one of A, C, G, T") from None
+        if i + 1 >= m and x[i + 1 - m:i + 1] not in t.vertex_of:
             raise CodecError(f"window {x[i + 1 - m:i + 1]!r} at position "
-                             f"{offset + i + 2 - m} not in S")
-        if vi < 0:
-            rank = t.first_prefix[k]
-        else:
-            # consecutive windows overlap in m - 1 symbols: k is a successor
-            r -= 1
-            rank += sum(path_counts[r][succ_start[vi]:k])
-        vi = k
-    return rank
+                             f"{offset + i + 2 - m} not in S") from None
 
 
 def bits_per_block(t: CodecTable) -> int:

@@ -20,6 +20,7 @@ from .sequences import (
     all_codes,
     check_budget,
     code_to_word,
+    codes_to_words,
     parse_sequence,
     rc_codes,
     rc_masks,
@@ -108,7 +109,7 @@ class GeneratingSet:
         return cls.from_codes(m, [word_to_code(w) for w in words])
 
     def words(self) -> List[str]:
-        return [code_to_word(int(c), self.m) for c in self.codes]
+        return codes_to_words(self.codes, self.m)
 
     @cached_property
     def mask_classes(self) -> Optional[Tuple[np.ndarray, np.ndarray]]:

@@ -13,7 +13,7 @@ from __future__ import annotations
 import os
 from collections import Counter
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -21,6 +21,7 @@ ALPHABET = "ACGT"
 COMPLEMENT = {"A": "T", "T": "A", "C": "G", "G": "C"}
 _COMPLEMENT_TABLE = str.maketrans(COMPLEMENT)
 DIGIT = {s: i for i, s in enumerate(ALPHABET)}  # symbol -> its 2-bit digit
+_SYMBOL_POINTS = np.array([ord(s) for s in ALPHABET], dtype=np.uint32)  # digit -> code point
 
 DEFAULT_ENUMERATION_BUDGET = 4 ** 13
 
@@ -80,6 +81,14 @@ def code_to_word(code: int, m: int) -> str:
         out.append(ALPHABET[code % 4])
         code //= 4
     return "".join(reversed(out))
+
+
+def codes_to_words(codes, m: int) -> List[str]:
+    """:func:`code_to_word` over an array of codes, in one vectorized pass:
+    the digits become UCS4 code points, read back as length-m strings."""
+    shifts = np.arange(2 * (m - 1), -1, -2, dtype=np.int64)
+    digits = (np.asarray(codes, dtype=np.int64)[:, None] >> shifts) & 3
+    return _SYMBOL_POINTS[digits].view(f"U{m}")[:, 0].tolist()
 
 
 def rc_code(code: int, m: int) -> int:

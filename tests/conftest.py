@@ -176,3 +176,29 @@ def dense_spectral_radius(adj):
     adj = np.asarray(adj, dtype=float)
     return max((max(abs(np.linalg.eigvals(adj[np.ix_(idx, idx)])))
                 for idx in dense_strong_components(adj)), default=0.0)
+
+
+def ref_block_fault(x, words, offset=0):
+    """The ``CodecError`` text for the leftmost fault of one block x on the
+    word set ``words``, or None.  Naive: it finds the first symbol outside
+    A, C, G, T and the first m-window not in ``words`` separately, and a
+    scan symbol by symbol meets a window at its last symbol.  Positions
+    are 1-based and counted from ``offset``."""
+    m = len(next(iter(words)))
+    bad_symbol = next((i for i, ch in enumerate(x) if ch not in ("A", "C", "G", "T")), None)
+    bad_window = next((i for i in range(len(x) - m + 1) if x[i:i + m] not in words), None)
+    if bad_symbol is not None and (bad_window is None or bad_symbol <= bad_window + m - 1):
+        return (f"symbol {x[bad_symbol]!r} at position {offset + bad_symbol + 1} "
+                "is not one of A, C, G, T")
+    if bad_window is not None:
+        return (f"window {x[bad_window:bad_window + m]!r} at position "
+                f"{offset + bad_window + 1} not in S")
+    return None
+
+
+def ref_decode_fault(x, words, n):
+    """The ``CodecError`` text ``decode`` gives for x on blocks of length n,
+    or None."""
+    if len(x) != n:
+        return f"expected length {n}, got {len(x)}"
+    return ref_block_fault(x, words)

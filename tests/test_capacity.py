@@ -32,7 +32,7 @@ from ssacode import (
     trivial_upper_bound,
     validate,
 )
-from ssacode.capacity import BLOCK_CONCAT_WORDS, perron_bracket, walk_counts
+from ssacode.capacity import BLOCK_CONCAT_WORDS, SiblingTrie, perron_bracket, walk_counts
 from ssacode.sequences import rc_code, word_to_code
 from conftest import (
     adjacency_matrix,
@@ -214,6 +214,26 @@ class TestIndexModes:
         # the codec's successor table
         assert np.array_equal(np.searchsorted(g._pre, g._suf),
                               np.searchsorted(other._pre, other._suf))
+
+    @settings(max_examples=60, deadline=None)
+    @given(indexed_digraphs(), st.integers(0, 2 ** 32 - 1))
+    @example((2, 2, TransitionDigraph(m=2, codes=[0, 1], q=2), True), 0)
+    @example((4, 2, TransitionDigraph(m=2, codes=[], q=4), False), 0)
+    def test_sibling_trie_sums(self, case, seed):
+        # naive sums over the siblings before v and over v's successors, of
+        # a row that depends on a vertex only through its suffix, as walk
+        # counts do
+        q, m, g, dense = case
+        trie = SiblingTrie(g)
+        codes = g.codes.tolist()
+        by_suffix = np.random.default_rng(seed).integers(0, 1000, q ** (m - 1)).tolist()
+        row = [by_suffix[c % q ** (m - 1)] for c in codes]
+        sums = trie.sums(row)
+        for v, code in enumerate(codes):
+            earlier = [u for u in range(v) if codes[u] // q == code // q]
+            successors = [u for u, c in enumerate(codes) if c // q == code % q ** (m - 1)]
+            assert sums[trie.earlier[v]] == sum(row[u] for u in earlier)
+            assert sums[trie.succ_node[v]] == sum(row[u] for u in successors)
 
     @pytest.mark.parametrize("m", [5, 7, 11])
     def test_tc_dominant_is_dense(self, m):

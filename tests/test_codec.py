@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from collections import Counter
@@ -20,8 +21,14 @@ from ssacode import (
     rate_of_set,
     tc_dominant_set,
 )
+from ssacode import codec
 from ssacode.codec import bits_per_block, indices_to_payload, payload_to_indices
-from conftest import rc_free_words, ref_constrained_members
+from conftest import (
+    rc_free_words,
+    ref_block_fault,
+    ref_constrained_members,
+    ref_decode_fault,
+)
 
 M2_SET = GeneratingSet.from_words(["TT", "TC", "TG", "GT", "CT", "CC"])
 
@@ -52,6 +59,18 @@ class TestBuildCodec:
     def test_rejects_short_block(self):
         with pytest.raises(ValueError):
             build_codec(M2_SET, 1)
+
+    def test_short_block_rejected_before_the_digraph(self, monkeypatch):
+        calls = []
+        real = codec.build_digraph
+        monkeypatch.setattr(codec, "build_digraph",
+                            lambda s: calls.append(s) or real(s))
+        # AT is its own reverse complement: validating this set would fail
+        with pytest.raises(ValueError, match="^block length n=1 is smaller than m=2$"):
+            build_codec(GeneratingSet.from_words(["AT"]), 1)
+        assert calls == []
+        build_codec(M2_SET, 2)
+        assert calls == [M2_SET]
 
 
 class TestEncodeDecode:
@@ -214,6 +233,100 @@ class TestPayloadFraming:
         # a single block still counts from its own start
         with pytest.raises(CodecError, match="^window 'AAA' at position 1 not in S$"):
             decode(t, "A" * 12)
+
+
+FAULT_SYMBOLS = "ACGTNacgtn-"
+
+
+@st.composite
+def corruptions(draw, x, m, foreign):
+    """x with one fault put in: a symbol substituted (A, C, G, T, N,
+    lowercase or other), a word not in S written over the first window,
+    the last window or a window anywhere (across a block boundary, for a
+    payload), or a symbol inserted or deleted."""
+    kind = draw(st.sampled_from(["symbol", "first", "last", "window", "insert", "delete"]))
+    pos = draw(st.integers(0, len(x) - 1))
+    ch = draw(st.sampled_from(FAULT_SYMBOLS))
+    if kind == "symbol":
+        return x[:pos] + ch + x[pos + 1:]
+    if kind == "insert":
+        return x[:pos] + ch + x[pos:]
+    if kind == "delete":
+        return x[:pos] + x[pos + 1:]
+    w = draw(st.sampled_from(foreign))
+    if kind == "first":
+        return w + x[m:]
+    if kind == "last":
+        return x[:-m] + w
+    pos = draw(st.integers(0, len(x) - m))
+    return x[:pos] + w + x[pos + m:]
+
+
+def foreign_words(s):
+    words = set(s.words())
+    return [w for w in map("".join, itertools.product("ACGT", repeat=s.m))
+            if w not in words]
+
+
+class TestFaultLocation:
+    """Every ``CodecError`` names the fault the naive scan in conftest finds
+    first, at the same position, for ``decode`` and ``decode_payload``."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(rc_free_words(), st.data())
+    def test_decode(self, words, data):
+        s = GeneratingSet.from_words(words)
+        t = build_codec(s, data.draw(st.integers(s.m, s.m + 8), label="n"))
+        assume(t.total > 0)
+        x = encode(t, data.draw(st.integers(0, t.total - 1)))
+        y = data.draw(corruptions(x, s.m, foreign_words(s)), label="corrupted")
+        want = ref_decode_fault(y, set(words), t.n)
+        if want is None:
+            assert encode(t, decode(t, y)) == y
+        else:
+            with pytest.raises(CodecError) as exc:
+                decode(t, y)
+            assert str(exc.value) == want
+
+    @settings(max_examples=200, deadline=None)
+    @given(rc_free_words(), st.data())
+    def test_decode_payload(self, words, data):
+        s = GeneratingSet.from_words(words)
+        t = build_codec(s, data.draw(st.integers(s.m, s.m + 8), label="n"))
+        assume(t.total >= 2)
+        k = bits_per_block(t)
+        indices = data.draw(st.lists(st.integers(0, (1 << k) - 1), min_size=1, max_size=4))
+        seq = "".join(encode(t, i) for i in indices)
+        y = data.draw(corruptions(seq, s.m, foreign_words(s)), label="corrupted")
+        if len(y) % t.n:
+            want = f"sequence length {len(y)} is not a multiple of n={t.n}"
+        else:
+            want = None
+            for b in range(len(y) // t.n):
+                block = y[b * t.n:(b + 1) * t.n]
+                fault = ref_block_fault(block, set(words), b * t.n)
+                if fault is not None:
+                    want = f"block {b + 1}: {fault}"
+                    break
+                idx = decode(t, block)
+                if idx >> k:
+                    want = (f"block {b + 1} decodes to index {idx}, outside the "
+                            f"{k}-bit payload range")
+                    break
+        if want is None:
+            assert decode_payload(t, y) == indices_to_payload(
+                [decode(t, y[b:b + t.n]) for b in range(0, len(y), t.n)], k)
+        else:
+            with pytest.raises(CodecError) as exc:
+                decode_payload(t, y)
+            assert str(exc.value) == want
+
+    def test_oracle_matches_pinned_messages(self):
+        words = set(tc_dominant_set(3).words())
+        assert ref_block_fault("A" * 12, words, 12) == "window 'AAA' at position 13 not in S"
+        assert ref_block_fault("TTTN", words) == (
+            "symbol 'N' at position 4 is not one of A, C, G, T")
+        assert ref_block_fault("TTTTTT", words) is None
 
 
 class TestAgainstEnumeration:

@@ -23,7 +23,7 @@ from ssacode import (
 )
 from ssacode.gensets import _validate_words, num_rc_pairs, num_self_rc
 from ssacode.sequences import (
-    all_codes, code_to_word, codes_with_tc_mask, parse_sequence, rc_code, rc_codes, rc_masks,
+    all_codes, code_to_word, codes_to_words, codes_with_tc_mask, parse_sequence, rc_code, rc_codes, rc_masks,
     rc_pairs, tc_class_codes, tc_dominant_masks, tc_mask_members, tc_masks, tc_weights)
 from conftest import mask_rc, mask_unions, rc_free_words, ref_rc, tc_pattern
 
@@ -101,6 +101,7 @@ class TestVectorWordHelpers:
         m, codes = case
         arr = np.array(codes, dtype=np.int64)
         words = [code_to_word(c, m) for c in codes]
+        assert codes_to_words(arr, m) == words
         assert rc_codes(arr, m).tolist() == [rc_code(c, m) for c in codes]
         assert [code_to_word(c, m) for c in rc_codes(arr, m).tolist()] == [ref_rc(w) for w in words]
         assert tc_weights(arr, m).tolist() == [sum(ch in "TC" for ch in w) for w in words]
