@@ -20,6 +20,22 @@ from . import sequences
 from .gensets import GeneratingSet, sorted_unique
 from .sequences import tc_dominant_masks
 
+DEFAULT_TOL = 1e-10  # the relative tolerance of a rate, unless one is given
+_MAX_ITER = 100000  # the iteration cap of every power iteration
+_ROOT_GRID = 4096  # largest_real_root's scan steps
+_ROOT_TOL = 1e-9  # and the width it bisects down to
+
+
+def _overlap_keys(m: int, q: int, codes: np.ndarray) -> Optional[np.ndarray]:
+    """The bins of an overlap digraph on ``codes``: None if there are at
+    least q^(m-1) codes, so the bins are the overlap words' own codes; else
+    the sorted distinct overlap words, whose ranks are the bins."""
+    overlaps = q ** (m - 1)
+    if overlaps <= len(codes):
+        return None
+    return sorted_unique(np.concatenate([codes >> (q.bit_length() - 1),
+                                         codes & (overlaps - 1)]), overwrite=True)
+
 
 @dataclass
 class TransitionDigraph:
@@ -56,10 +72,10 @@ class TransitionDigraph:
         overlaps = self.q ** (self.m - 1)
         self._pre = codes >> (self.q.bit_length() - 1)  # codes // q
         self._suf = codes & (overlaps - 1)  # codes % q^(m-1)
-        if overlaps <= len(codes):
+        keys = _overlap_keys(self.m, self.q, codes)
+        if keys is None:
             self._nbins = overlaps
         else:
-            keys = sorted_unique(np.concatenate([self._pre, self._suf]), overwrite=True)
             self._pre = np.searchsorted(keys, self._pre)
             self._suf = np.searchsorted(keys, self._suf)
             self._nbins = len(keys)
@@ -159,7 +175,7 @@ class CapacityReport:
         }
 
 
-def _shifted_power(matvec, size: int, tol: float, max_iter: int):
+def _shifted_power(matvec, size: int, tol: float):
     """Power iteration on A + I from the all-ones vector.
 
     The shift leaves the Perron vector fixed, moves the Perron root up by
@@ -175,11 +191,11 @@ def _shifted_power(matvec, size: int, tol: float, max_iter: int):
     converged = False
     iterations = 0
     check_every = 1 if size <= 100000 else 5
-    for iterations in range(1, max_iter + 1):
+    for iterations in range(1, _MAX_ITER + 1):
         y = matvec(x)
         y += x
         norm = math.sqrt(y.dot(y))  # np.linalg.norm of a real vector, to the bit
-        if iterations % check_every == 0 or iterations == max_iter:
+        if iterations % check_every == 0 or iterations == _MAX_ITER:
             # true eigenpair residual; norm ratios can agree by accident
             r = x * norm
             np.subtract(y, r, out=r)
@@ -194,8 +210,7 @@ def _shifted_power(matvec, size: int, tol: float, max_iter: int):
     return shifted - 1.0, iterations, residual, converged, x
 
 
-def spectral_radius(g: TransitionDigraph, tol: float = 1e-10,
-                    max_iter: int = 100000) -> CapacityReport:
+def spectral_radius(g: TransitionDigraph, tol: float = DEFAULT_TOL) -> CapacityReport:
     """Dominant eigenvalue of the adjacency operator by power iteration.
 
     The Perron root of a nonnegative matrix is the max over its irreducible
@@ -218,7 +233,7 @@ def spectral_radius(g: TransitionDigraph, tol: float = 1e-10,
     for idx in g.cyclic_components():
         sub = (g if len(idx) == g.vertex_count
                else TransitionDigraph(m=g.m, codes=g.codes[idx], q=g.q))
-        r, it, res, conv, _ = _shifted_power(sub.matvec, len(idx), tol, max_iter)
+        r, it, res, conv, _ = _shifted_power(sub.matvec, len(idx), tol)
         iterations += it
         residual = max(residual, res)
         converged = converged and conv
@@ -310,10 +325,7 @@ def _lifted_bracket(m: int, codes: np.ndarray, masks: np.ndarray,
     if len(codes) == 0:
         return None
     overlaps = 4 ** (m - 1)
-    keys = None  # the overlap words, when the bins are their ranks
-    if len(codes) < overlaps:
-        keys = sorted_unique(np.concatenate([codes >> 2, codes & (overlaps - 1)]),
-                             overwrite=True)
+    keys = _overlap_keys(m, 4, codes)
     step = sequences._MASK_BLOCK
     x = np.empty(min(len(codes), step))  # a block's x, reused
     ratio = np.empty(len(x))
@@ -352,15 +364,14 @@ def _lifted_bracket(m: int, codes: np.ndarray, masks: np.ndarray,
 
 
 def _lifted_rate(s: GeneratingSet, quotient: TransitionDigraph,
-                 masks: np.ndarray, tol: float,
-                 max_iter: int) -> Optional[CapacityReport]:
+                 masks: np.ndarray, tol: float) -> Optional[CapacityReport]:
     """The root of S's digraph bracketed by the quotient's lifted Perron
     vector, or None if the bracket is not certified to ``tol``."""
     cyclic = quotient.cyclic_components()
     if len(cyclic) != 1 or len(cyclic[0]) != quotient.vertex_count:
         return None  # reducible: its Perron vector need not be positive
     _, iterations, _, _, y = _shifted_power(
-        quotient.matvec, quotient.vertex_count, tol * _QUOTIENT_TOL_FACTOR, max_iter)
+        quotient.matvec, quotient.vertex_count, tol * _QUOTIENT_TOL_FACTOR)
     by_mask = np.zeros(2 ** s.m)
     by_mask[quotient.codes] = y
     bracket = _lifted_bracket(s.m, s.codes, masks, by_mask)
@@ -383,8 +394,7 @@ def _lifted_rate(s: GeneratingSet, quotient: TransitionDigraph,
     )
 
 
-def rate_of_set(s: GeneratingSet, tol: float = 1e-10,
-                max_iter: int = 100000) -> CapacityReport:
+def rate_of_set(s: GeneratingSet, tol: float = DEFAULT_TOL) -> CapacityReport:
     """Asymptotic rate of C_n(S) in bits/nt: log2 of the digraph Perron root.
 
     If S is a union of whole TC-mask classes whose quotient (see
@@ -404,11 +414,11 @@ def rate_of_set(s: GeneratingSet, tol: float = 1e-10,
     """
     quotient = mask_quotient(s)
     if quotient is not None:
-        report = _lifted_rate(s, *quotient, tol, max_iter)
+        report = _lifted_rate(s, *quotient, tol)
         if report is not None:
             s.require_valid()
             return report
-    return spectral_radius(build_digraph(s), tol=tol, max_iter=max_iter)
+    return spectral_radius(build_digraph(s), tol=tol)
 
 
 class SiblingTrie:
@@ -428,6 +438,8 @@ class SiblingTrie:
       a run), the sibling class the codec ranks v by.
     - ``succ_node[v]``: the node of the whole run of v's successors (0 if v
       has none), so a walk count of v is that node's sum one length down.
+    - ``succ_start[v]``: the first vertex of that run, where the codec's
+      steps from v begin.
     """
 
     def __init__(self, g: TransitionDigraph):
@@ -450,6 +462,7 @@ class SiblingTrie:
         self._heads = levels[0][1] if levels else []  # one-vertex tuples
         self._levels = levels[1:]
         self.earlier = earlier.tolist()
+        self.succ_start = np.searchsorted(g._pre, g._suf).tolist()
         last = np.searchsorted(g._pre, g._suf, side="right") - 1  # of the successor run
         has = g._pre[np.maximum(last, 0)] == g._suf
         self.succ_node = np.where(has, through[last], 0).tolist()
@@ -497,15 +510,13 @@ def walk_counts(g: TransitionDigraph, r_max: int) -> Iterator[List[int]]:
 
 def count_constrained(s: GeneratingSet, n: int) -> int:
     """Exact |C_n(S)|: the number of walks of length n - m in the digraph."""
-    g = build_digraph(s)
     if n < s.m:
         raise ValueError(f"n={n} is smaller than the word length m={s.m}")
-    last, = deque(walk_counts(g, n - s.m), maxlen=1)
+    last, = deque(walk_counts(build_digraph(s), n - s.m), maxlen=1)
     return sum(last)
 
 
-def binary_reduction_rate(m: int, tol: float = 1e-10,
-                          max_iter: int = 100000) -> CapacityReport:
+def binary_reduction_rate(m: int, tol: float = DEFAULT_TOL) -> CapacityReport:
     """Rate of the TC-dominant construction via the binary window digraph.
 
     T,C -> 1 and A,G -> 0 is a 2^n-to-one map onto binary sequences whose
@@ -517,8 +528,8 @@ def binary_reduction_rate(m: int, tol: float = 1e-10,
     """
     if m < 2:
         raise ValueError(f"m must be >= 2, got {m}")
-    report = spectral_radius(_mask_digraph(m, np.flatnonzero(tc_dominant_masks(m))),
-                             tol=tol, max_iter=max_iter)
+    report = spectral_radius(
+        _mask_digraph(m, np.flatnonzero(tc_dominant_masks(m))), tol=tol)
     rho_bin = report.spectral_radius
     report.method = "binary-reduction"
     report.spectral_radius = 2.0 * rho_bin
@@ -571,8 +582,7 @@ def recurrence_counts(spec: RecurrenceSpec, n: int) -> int:
     return window[-1]
 
 
-def largest_real_root(coeffs: Sequence[float], tol: float = 1e-9,
-                      grid: int = 4096) -> float:
+def largest_real_root(coeffs: Sequence[float]) -> float:
     """Largest real root of a polynomial (descending coefficients).
 
     Scans [0, 1 + max|coefficient|] from the top for a sign change, then
@@ -589,10 +599,10 @@ def largest_real_root(coeffs: Sequence[float], tol: float = 1e-9,
         return acc
 
     hi = 1.0 + max(abs(c) for c in coeffs)
-    xs = np.linspace(0.0, hi, grid + 1)
+    xs = np.linspace(0.0, hi, _ROOT_GRID + 1)
     vals = [p(float(x)) for x in xs]
     bracket = None
-    for k in range(grid, 0, -1):  # rightmost sign change wins
+    for k in range(_ROOT_GRID, 0, -1):  # rightmost sign change wins
         if vals[k] == 0.0:
             return float(xs[k])
         if vals[k - 1] == 0.0:
@@ -604,7 +614,7 @@ def largest_real_root(coeffs: Sequence[float], tol: float = 1e-9,
         raise ValueError("no real root found in [0, 1 + max|coefficient|]")
     lo, up = bracket
     flo = p(lo)
-    while up - lo > tol:
+    while up - lo > _ROOT_TOL:
         mid = (lo + up) / 2
         fmid = p(mid)
         if fmid == 0.0:

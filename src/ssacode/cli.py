@@ -25,8 +25,6 @@ from . import sequences as seq
 REFERENCE_TABLE = {2: 1.1679, 3: 1.5515, 4: 1.5940, 5: 1.6980,
                7: 1.7698, 9: 1.8131, 11: 1.8423}
 TABLE_GATE_TOL = 2e-3
-TABLE_RATE_TOL = 1e-10  # power-iteration tolerance of every table row
-_SEARCH_TOL = {"exhaustive": 1e-10, "local": 1e-8}  # the searches' own defaults
 
 BUILTIN_SETS = ("tc-dominant", "m4-heuristic", "m6-stage", "block-concat-baseline")
 
@@ -55,7 +53,7 @@ def _usage_error(args) -> Optional[str]:
         return f"--n {n} is smaller than the word length --m {m}"
     if getattr(args, "mode", None) == "local" and args.tol is not None:
         return (f"--tol applies to --mode exhaustive only; local search "
-                f"iterates at {_SEARCH_TOL['local']:g}")
+                f"iterates at {srch.LOCAL_TOL:g}")
     return None
 
 
@@ -213,8 +211,8 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_search(args) -> int:
-    if args.tol is None:
-        args.tol = _SEARCH_TOL[args.mode]
+    if args.tol is None:  # always so in local mode (see _usage_error)
+        args.tol = cap.DEFAULT_TOL if args.mode == "exhaustive" else srch.LOCAL_TOL
     if args.mode == "exhaustive":
         result = srch.exhaustive_search(args.m, tol=args.tol)
     else:
@@ -223,7 +221,7 @@ def cmd_search(args) -> int:
                   file=sys.stderr)
         result = srch.local_search(args.m, restarts=args.restarts,
                                    iterations=args.iters, seed=args.seed,
-                                   tol=args.tol, on_restart=progress)
+                                   on_restart=progress)
     report = {
         "command": "search",
         "config": _config(args, ("m", "mode", "restarts", "iters", "seed", "tol")),
@@ -244,11 +242,10 @@ def cmd_search(args) -> int:
 
 def _table_rate(m: int) -> cap.CapacityReport:
     if m == 2:
-        best = srch.exhaustive_search(2, tol=TABLE_RATE_TOL).best_set
-        return cap.rate_of_set(best, tol=TABLE_RATE_TOL)
+        return srch.exhaustive_search(2).report
     if m == 4:
-        return cap.rate_of_set(gs.heuristic_set_m4(), tol=TABLE_RATE_TOL)
-    return cap.binary_reduction_rate(m, tol=TABLE_RATE_TOL)
+        return cap.rate_of_set(gs.heuristic_set_m4())
+    return cap.binary_reduction_rate(m)
 
 
 def cmd_table(args) -> int:
@@ -272,7 +269,7 @@ def cmd_table(args) -> int:
         "within_tolerance": worst <= TABLE_GATE_TOL,
     }, args)
     for report in unconverged:
-        _not_converged(report, TABLE_RATE_TOL)
+        _not_converged(report, cap.DEFAULT_TOL)
     return 0 if worst <= TABLE_GATE_TOL and not unconverged else 1
 
 
@@ -314,7 +311,7 @@ def _add_common(p, *, m=False, n=False, set_source=False, tol=False):
         p.add_argument("--set", choices=BUILTIN_SETS, help="builtin generating set")
         p.add_argument("--set-file", dest="set_file", help="generating-set file")
     if tol:
-        p.add_argument("--tol", type=float, default=1e-10,
+        p.add_argument("--tol", type=float, default=cap.DEFAULT_TOL,
                        help="power-iteration tolerance")
     p.add_argument("--format", choices=("json", "csv", "text"), default="text")
     p.add_argument("--out", help="write the report to this path instead of stdout")
@@ -358,8 +355,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--tol", type=float,
                    help="power-iteration tolerance of --mode exhaustive "
-                        f"(default {_SEARCH_TOL['exhaustive']:g}); local search "
-                        f"always iterates at {_SEARCH_TOL['local']:g}")
+                        f"(default {cap.DEFAULT_TOL:g}); local search "
+                        f"always iterates at {srch.LOCAL_TOL:g}")
     _add_common(p)
     p.set_defaults(func=cmd_search)
 

@@ -25,8 +25,6 @@ from dataclasses import dataclass
 from itertools import accumulate
 from typing import Callable, Dict, List, Tuple
 
-import numpy as np
-
 from .capacity import SiblingTrie, TransitionDigraph, build_digraph
 from .gensets import GeneratingSet
 from .sequences import DIGIT, codes_to_words
@@ -98,13 +96,11 @@ def build_codec(s: GeneratingSet, n: int) -> CodecTable:
     path_counts = [row for row, _ in steps]
     first_prefix = list(accumulate(path_counts[-1], initial=0))
     words = codes_to_words(g.codes, s.m)
-    # successors of v: the run of vertices whose prefix key is v's suffix key
-    succ_start = np.searchsorted(g._pre, g._suf).tolist()
     return CodecTable(gen_set=s, n=n, digraph=g, path_counts=path_counts,
                       total=first_prefix[-1], words=words,
                       vertex_of={w: vi for vi, w in enumerate(words)},
                       last_symbol=[w[-1] for w in words],
-                      succ_start=succ_start, first_prefix=first_prefix,
+                      succ_start=trie.succ_start, first_prefix=first_prefix,
                       sibling_class=dict(zip(words, trie.earlier)),
                       sibling_rows=[sums for _, sums in steps[-2::-1]],
                       windows=_window_reader(s.m, n))

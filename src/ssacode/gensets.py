@@ -236,10 +236,10 @@ class RcClasses:
     self_rc: List[str]
 
 
-def rc_classes(m: int, budget: Optional[int] = None) -> RcClasses:
+def rc_classes(m: int) -> RcClasses:
     """The string view of ``rc_pairs``; a self-RC word (even m only) is a
     half-word followed by its reverse complement."""
-    lower, upper = rc_pairs(m, budget)
+    lower, upper = rc_pairs(m)
     pairs = [(code_to_word(c, m), code_to_word(r, m))
              for c, r in zip(lower.tolist(), upper.tolist())]
     self_rc = []

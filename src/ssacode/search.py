@@ -13,13 +13,13 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .capacity import CapacityReport, rate_of_set
+from .capacity import DEFAULT_TOL, CapacityReport, rate_of_set
 from .gensets import GeneratingSet
-from .sequences import BudgetExceededError, rc_pairs, tc_weights
+from .sequences import check_budget, rc_pairs, tc_weights
 
-DEFAULT_CANDIDATE_BUDGET = 1 << 16
+LOCAL_TOL = 1e-8  # local search rates its candidates at this tolerance
+_PLATEAU_LIMIT = 25  # sideways moves in a row that local search allows
 _RATE_EPS = 1e-9
-_FINAL_TOL = 1e-10  # local search re-evaluates its winner at full precision
 
 
 @dataclass(frozen=True)
@@ -36,8 +36,8 @@ class SearchResult:
     seed: Optional[int] = None
 
 
-def _rate(s: GeneratingSet, tol: float) -> float:
-    return rate_of_set(s, tol=tol).rate_bits_per_nt
+def _rate(s: GeneratingSet) -> float:
+    return rate_of_set(s, tol=LOCAL_TOL).rate_bits_per_nt
 
 
 def _word_key(s: GeneratingSet) -> Tuple[int, ...]:
@@ -45,18 +45,15 @@ def _word_key(s: GeneratingSet) -> Tuple[int, ...]:
     return tuple(s.codes.tolist())
 
 
-def exhaustive_search(m: int, budget: Optional[int] = None,
-                      tol: float = 1e-10) -> SearchResult:
+def exhaustive_search(m: int, tol: float = DEFAULT_TOL) -> SearchResult:
     """Evaluate every maximal RC-free set; practical only for m=2 (64 sets).
 
-    Ties on rate are broken by the lexicographically smallest word set.
+    The 2^(pairs) candidate sets pass the ``SSA_BUDGET`` guard first.  Ties
+    on rate are broken by the lexicographically smallest word set.
     """
     a, b = rc_pairs(m)
     n_pairs = len(a)
-    cap = DEFAULT_CANDIDATE_BUDGET if budget is None else budget
-    if n_pairs >= 64 or 2 ** n_pairs > cap:
-        raise BudgetExceededError(
-            f"2^{n_pairs} candidate sets exceed the search budget {cap}")
+    check_budget(2 ** n_pairs, f"2^{n_pairs} candidate sets")
     best_rate = -1.0
     best_set = best_report = None
     for mask in range(2 ** n_pairs):
@@ -96,15 +93,16 @@ def _greedy_bits(m: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def local_search(m: int, restarts: int = 20, iterations: int = 200,
-                 seed: int = 0, tol: float = 1e-8,
-                 plateau_limit: int = 25, on_restart=None) -> SearchResult:
+                 seed: int = 0, on_restart=None) -> SearchResult:
     """Seeded hill climbing over maximal sets; moves flip one RC pair's choice.
 
     The first restart starts from the greedy TC choice, the rest from random
-    states.  Moves that do not decrease the rate are accepted; sideways moves
-    are allowed for up to plateau_limit consecutive steps.  Deterministic for
-    fixed (m, restarts, iterations, seed).  A KeyboardInterrupt stops the
-    search early and reports the best result found so far.
+    states.  Candidates are rated at ``LOCAL_TOL``.  Moves that do not
+    decrease the rate are accepted; sideways moves are allowed for up to
+    ``_PLATEAU_LIMIT`` consecutive steps.  The winner is rated again at
+    ``DEFAULT_TOL``.  Deterministic for fixed (m, restarts, iterations,
+    seed).  A KeyboardInterrupt stops the search early and reports the best
+    result found so far.
     """
     if m < 2:
         raise ValueError(f"m must be >= 2, got {m}")
@@ -122,19 +120,19 @@ def local_search(m: int, restarts: int = 20, iterations: int = 200,
                 pick_a = np.array([rng.random() < 0.5 for _ in range(n_pairs)],
                                   dtype=bool)
             state = GeneratingSet.from_codes(m, np.where(pick_a, a, b))
-            cur = _rate(state, tol)
+            cur = _rate(state)
             examined += 1
             plateau = 0
             for _ in range(iterations):
                 idx = rng.randrange(n_pairs)
                 pick_a[idx] = not pick_a[idx]
                 cand = GeneratingSet.from_codes(m, np.where(pick_a, a, b))
-                rate = _rate(cand, tol)
+                rate = _rate(cand)
                 examined += 1
                 if rate >= cur - 1e-12:
                     plateau = 0 if rate > cur + _RATE_EPS else plateau + 1
                     state, cur = cand, rate
-                    if plateau > plateau_limit:
+                    if plateau > _PLATEAU_LIMIT:
                         break
                 else:
                     pick_a[idx] = not pick_a[idx]  # revert
@@ -147,7 +145,7 @@ def local_search(m: int, restarts: int = 20, iterations: int = 200,
     except KeyboardInterrupt:
         if best_set is None:
             raise
-    report = rate_of_set(best_set, tol=_FINAL_TOL)
+    report = rate_of_set(best_set, tol=DEFAULT_TOL)
     return SearchResult(best_set=best_set, best_rate=report.rate_bits_per_nt,
                         candidates_examined=examined, method="local",
-                        report=report, tol=_FINAL_TOL, seed=seed)
+                        report=report, tol=DEFAULT_TOL, seed=seed)

@@ -30,19 +30,11 @@ class BudgetExceededError(ValueError):
     """An exhaustive enumeration would exceed the configured budget."""
 
 
-def enumeration_budget(budget: Optional[int] = None) -> int:
-    """Resolve the enumeration budget: explicit arg, SSA_BUDGET env, default."""
-    if budget is not None:
-        return budget
+def check_budget(size: int, what: str) -> None:
+    """Raise BudgetExceededError if ``size`` items (``what``) exceed the
+    budget: ``SSA_BUDGET`` if set, else ``DEFAULT_ENUMERATION_BUDGET``."""
     env = os.environ.get("SSA_BUDGET")
-    if env:
-        return int(env)
-    return DEFAULT_ENUMERATION_BUDGET
-
-
-def check_budget(size: int, what: str, budget: Optional[int] = None) -> None:
-    """Raise BudgetExceededError if ``size`` items (``what``) exceed the budget."""
-    cap = enumeration_budget(budget)
+    cap = int(env) if env else DEFAULT_ENUMERATION_BUDGET
     if size > cap:
         raise BudgetExceededError(f"{what} exceed the enumeration budget {cap}")
 
@@ -100,9 +92,9 @@ def rc_code(code: int, m: int) -> int:
     return out
 
 
-def all_codes(m: int, budget: Optional[int] = None) -> np.ndarray:
+def all_codes(m: int) -> np.ndarray:
     """Every length-m word code, 0 .. 4^m - 1, within the enumeration budget."""
-    check_budget(4 ** m, f"4^{m} words", budget)
+    check_budget(4 ** m, f"4^{m} words")
     return np.arange(4 ** m, dtype=np.int64)
 
 
@@ -280,12 +272,12 @@ def codes_with_tc_mask(m: int, mask: str) -> np.ndarray:
     return np.flatnonzero(tc_mask_members(m, keep))
 
 
-def rc_pairs(m: int, budget: Optional[int] = None) -> Tuple[np.ndarray, np.ndarray]:
+def rc_pairs(m: int) -> Tuple[np.ndarray, np.ndarray]:
     """The RC pairs {w, RC(w)}, w != RC(w), of length-m words as two code
     arrays: ascending lower members and their reverse complements."""
     if m < 2:
         raise ValueError(f"m must be >= 2, got {m}")
-    codes = all_codes(m, budget)
+    codes = all_codes(m)
     rcs = rc_codes(codes, m)
     lo = codes < rcs
     return codes[lo], rcs[lo]
@@ -352,7 +344,7 @@ def is_tc_dominant(x: str, m: int) -> bool:
     return True
 
 
-def count_all_ssa(n: int, m: int, budget: Optional[int] = None) -> int:
+def count_all_ssa(n: int, m: int) -> int:
     """Exact number of m-SSA sequences of length n (the quantity A(n;m)).
 
     Exhaustive: walks the prefix tree of D^n and prunes a subtree as soon as
@@ -363,12 +355,12 @@ def count_all_ssa(n: int, m: int, budget: Optional[int] = None) -> int:
         raise ValueError(f"m must be >= 2, got {m}")
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    check_budget(4 ** n, f"4^{n} sequences", budget)
+    check_budget(4 ** n, f"4^{n} sequences")
     if n < 2 * m:
         return 4 ** n
     mod = 4 ** m
     # 4^m <= 2^n entries, while the search visits at least 4^(2m) - 4^m prefixes
-    rc_table = rc_codes(all_codes(m, budget), m).tolist()
+    rc_table = rc_codes(all_codes(m), m).tolist()
 
     earliest: dict = {}  # window code -> first (smallest) start position
 

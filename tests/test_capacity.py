@@ -212,8 +212,7 @@ class TestIndexModes:
                 == {tuple(idx.tolist()) for idx in other.cyclic_components()})
         assert list(walk_counts(g, 5)) == list(walk_counts(other, 5))
         # the codec's successor table
-        assert np.array_equal(np.searchsorted(g._pre, g._suf),
-                              np.searchsorted(other._pre, other._suf))
+        assert SiblingTrie(g).succ_start == SiblingTrie(other).succ_start
 
     @settings(max_examples=60, deadline=None)
     @given(indexed_digraphs(), st.integers(0, 2 ** 32 - 1))
@@ -234,6 +233,8 @@ class TestIndexModes:
             successors = [u for u, c in enumerate(codes) if c // q == code % q ** (m - 1)]
             assert sums[trie.earlier[v]] == sum(row[u] for u in earlier)
             assert sums[trie.succ_node[v]] == sum(row[u] for u in successors)
+            if successors:
+                assert trie.succ_start[v] == successors[0]
 
     @pytest.mark.parametrize("m", [5, 7, 11])
     def test_tc_dominant_is_dense(self, m):
@@ -650,6 +651,19 @@ class TestCountConstrained:
     def test_rejects_small_n(self):
         with pytest.raises(ValueError):
             count_constrained(WORKED_SET, 1)
+
+    def test_small_n_rejected_before_the_digraph(self, monkeypatch):
+        from ssacode import capacity
+        calls = []
+        real = capacity.build_digraph
+        monkeypatch.setattr(capacity, "build_digraph",
+                            lambda s: calls.append(s) or real(s))
+        # AT is its own reverse complement: validating this set would fail
+        with pytest.raises(ValueError, match="^n=1 is smaller than the word length m=2$"):
+            count_constrained(GeneratingSet.from_words(["AT"]), 1)
+        assert calls == []
+        assert count_constrained(WORKED_SET, 2) == 6
+        assert calls == [WORKED_SET]
 
 
 class TestBinaryReduction:

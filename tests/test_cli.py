@@ -208,7 +208,7 @@ class TestCapacity:
     def test_not_converged_exits_1(self, monkeypatch, capsys):
         from ssacode import capacity, cli
 
-        def unconverged(s, tol=1e-10, max_iter=100000):
+        def unconverged(s, tol=1e-10):
             return capacity.CapacityReport(
                 m=s.m, vertex_count=len(s), arc_count=0, spectral_radius=2.0,
                 rate_bits_per_nt=1.0, method="power-iteration", residual=3e-4,
@@ -267,6 +267,17 @@ class TestSearch:
         # also when the mode is local by default
         usage_error(capsys, "search", "--m", "2", "--tol", "1e-10")
 
+    def test_exhaustive_budget_env(self):
+        proc = run_cli("search", "--m", "2", "--mode", "exhaustive",
+                       env={"SSA_BUDGET": "63"})
+        assert proc.returncode == 1
+        assert "budget" in proc.stderr
+        assert proc.stdout == ""
+        proc = run_cli("search", "--m", "2", "--mode", "exhaustive",
+                       "--format", "json", env={"SSA_BUDGET": "64"})
+        assert proc.returncode == 0
+        assert json.loads(proc.stdout)["candidates_examined"] == 64
+
     def test_exhaustive_tol(self):
         default = json.loads(run_cli("search", "--m", "2", "--mode", "exhaustive",
                                      "--format", "json").stdout)
@@ -287,7 +298,7 @@ class TestSearch:
     def test_not_converged_exits_1(self, monkeypatch, capsys, options, tol):
         from ssacode import capacity, cli, search
 
-        def unconverged(s, tol=1e-10, max_iter=100000):
+        def unconverged(s, tol=1e-10):
             return capacity.CapacityReport(
                 m=s.m, vertex_count=len(s), arc_count=0, spectral_radius=2.0,
                 rate_bits_per_nt=1.0, method="power-iteration", residual=3e-4,
@@ -329,8 +340,8 @@ class TestTable:
 
         real = capacity.binary_reduction_rate
 
-        def unconverged(m, tol=1e-10, max_iter=100000):
-            report = real(m, tol=tol, max_iter=max_iter)
+        def unconverged(m, tol=1e-10):
+            report = real(m, tol=tol)
             report.residual, report.converged = 3e-4, False
             return report
 

@@ -191,10 +191,11 @@ class TestRcClasses:
         for w in rc_classes(4).self_rc:
             assert reverse_complement(w) == w
 
-    def test_budget(self):
+    def test_budget(self, monkeypatch):
         from ssacode import BudgetExceededError
+        monkeypatch.setenv("SSA_BUDGET", str(4 ** 8))
         with pytest.raises(BudgetExceededError):
-            rc_classes(9, budget=4 ** 8)
+            rc_classes(9)
 
 
 class TestValidate:

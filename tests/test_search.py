@@ -37,6 +37,31 @@ class TestExhaustive:
             exhaustive_search(4)
 
 
+class TestExhaustiveBudget:
+    """The 2^(pairs) candidate sets pass the SSA_BUDGET guard, inclusive."""
+
+    def test_refused_before_any_rate(self, monkeypatch):
+        from ssacode import search
+        calls = []
+        real = search.rate_of_set
+        monkeypatch.setattr(search, "rate_of_set",
+                            lambda s, tol: calls.append(s) or real(s, tol=tol))
+        monkeypatch.setenv("SSA_BUDGET", "63")
+        with pytest.raises(BudgetExceededError,
+                           match="^2\\^6 candidate sets exceed the enumeration budget 63$"):
+            exhaustive_search(2)
+        assert calls == []
+        monkeypatch.setenv("SSA_BUDGET", "64")
+        assert exhaustive_search(2).candidates_examined == 64
+        assert len(calls) == 64
+
+    def test_default_budget_refuses_m3(self, monkeypatch):
+        monkeypatch.delenv("SSA_BUDGET", raising=False)
+        with pytest.raises(BudgetExceededError, match="^2\\^32 candidate sets exceed "
+                                                      "the enumeration budget 67108864$"):
+            exhaustive_search(3)
+
+
 class TestGreedyChoice:
     def test_odd_m_recovers_tc_dominant(self):
         assert greedy_tc_choice(3) == tc_dominant_set(3)

@@ -257,9 +257,10 @@ class TestCountAllSsa:
             for n in range(1, 8):
                 assert count_all_ssa(n, m) == ref_count_all_ssa_python(n, m)
 
-    def test_budget(self):
+    def test_budget(self, monkeypatch):
+        monkeypatch.setenv("SSA_BUDGET", str(4 ** 8))
         with pytest.raises(BudgetExceededError):
-            count_all_ssa(9, 2, budget=4 ** 8)
+            count_all_ssa(9, 2)
 
     def test_m4_matches_flat_enumeration(self):
         assert count_all_ssa(8, 4) == ref_count_all_ssa_python(8, 4)
@@ -298,16 +299,18 @@ class TestBudgetGuard:
     """Arrays over all 4^m words (2^m for the binary reduction) are
     refused before anything is allocated once they exceed the budget."""
 
-    def test_all_codes_explicit_budget(self, no_arange):
+    def test_all_codes_explicit_budget(self, monkeypatch, no_arange):
+        monkeypatch.setenv("SSA_BUDGET", "1024")
         with pytest.raises(BudgetExceededError, match="4\\^6 words"):
-            all_codes(6, budget=1024)
+            all_codes(6)
         with pytest.raises(BudgetExceededError):
-            rc_pairs(6, budget=1024)
+            rc_pairs(6)
         with pytest.raises(BudgetExceededError):
-            rc_classes(6, budget=1024)
+            rc_classes(6)
 
-    def test_budget_is_inclusive(self):
-        assert all_codes(5, budget=1024).tolist() == list(range(1024))
+    def test_budget_is_inclusive(self, monkeypatch):
+        monkeypatch.setenv("SSA_BUDGET", "1024")
+        assert all_codes(5).tolist() == list(range(1024))
 
     def test_env_budget(self, monkeypatch, no_arange):
         monkeypatch.setenv("SSA_BUDGET", "1024")
