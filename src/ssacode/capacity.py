@@ -22,8 +22,13 @@ from .sequences import tc_dominant_masks
 
 DEFAULT_TOL = 1e-10  # the relative tolerance of a rate, unless one is given
 _MAX_ITER = 100000  # the iteration cap of every power iteration
-_ROOT_GRID = 4096  # largest_real_root's scan steps
-_ROOT_TOL = 1e-9  # and the width it bisects down to
+
+
+def check_tol(tol: float) -> None:
+    """Raise ValueError unless ``tol`` is a usable relative tolerance of a
+    rate: finite, and 0 < tol < 1."""
+    if not 0 < tol < 1:  # nan fails every comparison
+        raise ValueError(f"tol must be finite with 0 < tol < 1, got {tol!r}")
 
 
 def _overlap_keys(m: int, q: int, codes: np.ndarray) -> Optional[np.ndarray]:
@@ -227,8 +232,7 @@ def spectral_radius(g: TransitionDigraph, tol: float = DEFAULT_TOL) -> CapacityR
     codes, so equal components in two sets give bit-identical roots.
     Convergence is judged by the eigenpair residual.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    check_tol(tol)
     rho, iterations, residual, converged = 0.0, 0, 0.0, True
     for idx in g.cyclic_components():
         sub = (g if len(idx) == g.vertex_count
@@ -251,11 +255,6 @@ def spectral_radius(g: TransitionDigraph, tol: float = DEFAULT_TOL) -> CapacityR
     )
 
 
-def _mask_digraph(m: int, masks: np.ndarray) -> TransitionDigraph:
-    """The binary window digraph on the given m-bit TC masks."""
-    return TransitionDigraph(m=m, codes=masks, q=2)
-
-
 def mask_quotient(s: GeneratingSet) -> Optional[Tuple[TransitionDigraph, np.ndarray]]:
     """The quotient of S's overlap digraph by TC mask, if it is equitable.
 
@@ -273,7 +272,7 @@ def mask_quotient(s: GeneratingSet) -> Optional[Tuple[TransitionDigraph, np.ndar
     if union is None:
         return None
     kept, masks = union
-    return _mask_digraph(s.m, kept), masks
+    return TransitionDigraph(m=s.m, codes=kept, q=2), masks
 
 
 # A ratio (Ax)_i / x_i is a sum of at most q <= 4 positive terms (one per
@@ -288,28 +287,17 @@ _BRACKET_MARGIN = 8 * np.finfo(float).eps
 _QUOTIENT_TOL_FACTOR = 1e-3
 
 
-def perron_bracket(g: TransitionDigraph, x: np.ndarray) -> Optional[Tuple[float, float]]:
-    """Certified bounds lo <= rho(A) <= hi from one product with x > 0.
-
-    Collatz-Wielandt: for a nonnegative A and a positive x,
-    min_i (Ax)_i / x_i <= rho(A) <= max_i (Ax)_i / x_i.  Both ends are
-    widened by a float rounding margin.  None if an entry of x is not a
-    positive normal float, where that margin does not hold.
-    """
-    x = np.asarray(x, dtype=float)
-    if len(x) == 0 or len(x) != g.vertex_count or not x.min() >= np.finfo(float).tiny:
-        return None
-    ratio = g.matvec(x)
-    ratio /= x
-    return (float(ratio.min()) * (1.0 - _BRACKET_MARGIN),
-            float(ratio.max()) * (1.0 + _BRACKET_MARGIN))
-
-
 def _lifted_bracket(m: int, codes: np.ndarray, masks: np.ndarray,
                     by_mask: np.ndarray) -> Optional[Tuple[float, float]]:
-    """``perron_bracket(TransitionDigraph(m, codes), by_mask[masks])``, to
-    the bit, taken a block of words at a time: no digraph is built, and the
-    one array over the words' overlaps is the 4^(m-1) prefix sums.
+    """Certified bounds lo <= rho(A) <= hi on the overlap digraph A of
+    ``codes``, from one product with x = ``by_mask[masks]`` > 0.
+
+    Collatz-Wielandt: for a nonnegative A and a positive x,
+    min_i (Ax)_i / x_i <= rho(A) <= max_i (Ax)_i / x_i, and both ends are
+    widened by ``_BRACKET_MARGIN``.  The product is taken a block of words
+    at a time: no digraph is built, and the one array over the words'
+    overlaps is the 4^(m-1) prefix sums.  It is that of
+    ``TransitionDigraph(m, codes).matvec(x)``, to the bit.
 
     The bins are those of ``TransitionDigraph``: the overlap words' codes
     for a set of at least 4^(m-1) words, their ranks otherwise.  The first
@@ -401,7 +389,7 @@ def rate_of_set(s: GeneratingSet, tol: float = DEFAULT_TOL) -> CapacityReport:
     ``mask_quotient``) is strongly connected, the quotient, at most 2^m
     vertices, is iterated, its Perron vector is lifted to every word by
     mask, and one product with the full 4^m-word operator brackets the root
-    (Collatz-Wielandt, as in ``perron_bracket``).  That product is taken a
+    (Collatz-Wielandt, see ``_lifted_bracket``).  That product is taken a
     block of words at a time, straight from the codes, and no digraph is
     built.  The bracket is taken on the full operator, so it does not rest
     on the quotient being right.  If it is at most ``tol`` wide relative to
@@ -410,8 +398,10 @@ def rate_of_set(s: GeneratingSet, tol: float = DEFAULT_TOL) -> CapacityReport:
     ``CapacityReport``).  In every other case the rate is
     ``spectral_radius`` of the full digraph, as for any set.  S is
     validated once either way: after the certificate, or by
-    ``build_digraph``.
+    ``build_digraph``.  A ``tol`` that ``check_tol`` turns away is refused
+    before any work.
     """
+    check_tol(tol)
     quotient = mask_quotient(s)
     if quotient is not None:
         report = _lifted_rate(s, *quotient, tol)
@@ -516,7 +506,7 @@ def count_constrained(s: GeneratingSet, n: int) -> int:
     return sum(last)
 
 
-def binary_reduction_rate(m: int, tol: float = DEFAULT_TOL) -> CapacityReport:
+def binary_reduction_rate(m: int) -> CapacityReport:
     """Rate of the TC-dominant construction via the binary window digraph.
 
     T,C -> 1 and A,G -> 0 is a 2^n-to-one map onto binary sequences whose
@@ -524,12 +514,12 @@ def binary_reduction_rate(m: int, tol: float = DEFAULT_TOL) -> CapacityReport:
     The binary window digraph on the weight > m/2 masks is the
     ``mask_quotient`` of ``tc_dominant_set(m)``, built here without the 4^m
     words.  The reported spectral radius is the quaternary-equivalent
-    2 * rho_bin.
+    2 * rho_bin, iterated to ``DEFAULT_TOL``.
     """
     if m < 2:
         raise ValueError(f"m must be >= 2, got {m}")
     report = spectral_radius(
-        _mask_digraph(m, np.flatnonzero(tc_dominant_masks(m))), tol=tol)
+        TransitionDigraph(m=m, codes=np.flatnonzero(tc_dominant_masks(m)), q=2))
     rho_bin = report.spectral_radius
     report.method = "binary-reduction"
     report.spectral_radius = 2.0 * rho_bin
@@ -546,28 +536,23 @@ class RecurrenceSpec:
     the short-tail boundary cases do not satisfy the generic recurrence.
     """
 
-    kind: str
     base: Tuple[int, ...]
     taps: Tuple[Tuple[int, int], ...]  # (lag, coefficient)
 
 
 # Binary sequences whose every 3-window has weight >= 2.  Recurrence
 # f(n) = f(n-1) + f(n-3) holds for n >= 6; n=4,5 are brute-forced.
-F3 = RecurrenceSpec(kind="f3", base=(2, 4, 4, 6, 9), taps=((1, 1), (3, 1)))
+F3 = RecurrenceSpec(base=(2, 4, 4, 6, 9), taps=((1, 1), (3, 1)))
 
 # Binary sequences whose every 5-window has weight >= 3.  Recurrence holds
 # for n >= 15; n <= 14 brute-forced.
 F5 = RecurrenceSpec(
-    kind="f5",
     base=(2, 4, 8, 16, 16, 26, 43, 71, 116, 186, 300, 487, 792, 1287),
     taps=((1, 1), (3, 1), (5, 2), (8, -1), (10, -1)),
 )
 
 # Quaternary 3-windows containing at least one A and no T (prior-work baseline).
-COMPOSITION_BASELINE = RecurrenceSpec(
-    kind="composition-baseline", base=(3, 9, 19), taps=((1, 1), (2, 2), (3, 4)))
-
-RECURRENCES = {spec.kind: spec for spec in (F3, F5, COMPOSITION_BASELINE)}
+COMPOSITION_BASELINE = RecurrenceSpec(base=(3, 9, 19), taps=((1, 1), (2, 2), (3, 4)))
 
 
 def recurrence_counts(spec: RecurrenceSpec, n: int) -> int:
@@ -583,47 +568,25 @@ def recurrence_counts(spec: RecurrenceSpec, n: int) -> int:
 
 
 def largest_real_root(coeffs: Sequence[float]) -> float:
-    """Largest real root of a polynomial (descending coefficients).
+    """Largest nonnegative real root of a polynomial (descending coefficients).
 
-    Scans [0, 1 + max|coefficient|] from the top for a sign change, then
-    bisects.  Raises if no bracket is found (e.g. no nonnegative real root).
+    The roots are the eigenvalues of the companion matrix (``np.roots``).
+    LAPACK returns a real eigenvalue of a real matrix with an imaginary part
+    of exactly 0, so those are the real roots.  A simple root comes out
+    exact to rounding; a root of multiplicity k only to about eps^(1/k),
+    and it may come out as a complex pair.  Raises ValueError if there is
+    no real root >= 0.
     """
-    coeffs = [float(c) for c in coeffs]
-    if not coeffs or coeffs[0] == 0:
+    coeffs = np.asarray(coeffs, dtype=float)
+    if len(coeffs) == 0 or coeffs[0] == 0:
         raise ValueError("leading coefficient must be nonzero")
-
-    def p(x: float) -> float:
-        acc = 0.0
-        for c in coeffs:
-            acc = acc * x + c
-        return acc
-
-    hi = 1.0 + max(abs(c) for c in coeffs)
-    xs = np.linspace(0.0, hi, _ROOT_GRID + 1)
-    vals = [p(float(x)) for x in xs]
-    bracket = None
-    for k in range(_ROOT_GRID, 0, -1):  # rightmost sign change wins
-        if vals[k] == 0.0:
-            return float(xs[k])
-        if vals[k - 1] == 0.0:
-            return float(xs[k - 1])
-        if vals[k - 1] * vals[k] < 0:
-            bracket = (float(xs[k - 1]), float(xs[k]))
-            break
-    if bracket is None:
-        raise ValueError("no real root found in [0, 1 + max|coefficient|]")
-    lo, up = bracket
-    flo = p(lo)
-    while up - lo > _ROOT_TOL:
-        mid = (lo + up) / 2
-        fmid = p(mid)
-        if fmid == 0.0:
-            return mid
-        if (flo < 0) == (fmid < 0):
-            lo, flo = mid, fmid
-        else:
-            up = mid
-    return (lo + up) / 2
+    if not np.isfinite(coeffs).all():
+        raise ValueError("coefficients must be finite")
+    roots = np.roots(coeffs)
+    real = roots.real[(roots.imag == 0) & (roots.real >= 0)]
+    if len(real) == 0:
+        raise ValueError("no nonnegative real root")
+    return float(real.max())
 
 
 def trivial_upper_bound(m: int) -> float:

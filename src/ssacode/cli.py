@@ -36,14 +36,27 @@ def _sequence(text: str) -> str:
         raise argparse.ArgumentTypeError(str(exc))
 
 
-def _word_length(text: str) -> int:
+def _at_least(low: int):
+    """An argparse type: an int no smaller than ``low``."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+    return parse
+
+
+def _tolerance(text: str) -> float:
+    """An argparse type: a rate tolerance that ``capacity.check_tol`` takes."""
     try:
-        m = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if m < 2:
-        raise argparse.ArgumentTypeError(f"must be at least 2, got {m}")
-    return m
+        tol = float(text)
+        cap.check_tol(tol)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    return tol
 
 
 def _usage_error(args) -> Optional[str]:
@@ -304,14 +317,14 @@ def cmd_decode(args) -> int:
 
 def _add_common(p, *, m=False, n=False, set_source=False, tol=False):
     if m:
-        p.add_argument("--m", type=_word_length, help="stem / word length")
+        p.add_argument("--m", type=_at_least(2), help="stem / word length")
     if n:
         p.add_argument("--n", type=int, required=True, help="sequence length")
     if set_source:
         p.add_argument("--set", choices=BUILTIN_SETS, help="builtin generating set")
         p.add_argument("--set-file", dest="set_file", help="generating-set file")
     if tol:
-        p.add_argument("--tol", type=float, default=cap.DEFAULT_TOL,
+        p.add_argument("--tol", type=_tolerance, default=cap.DEFAULT_TOL,
                        help="power-iteration tolerance")
     p.add_argument("--format", choices=("json", "csv", "text"), default="text")
     p.add_argument("--out", help="write the report to this path instead of stdout")
@@ -326,7 +339,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("check", help="test a sequence for m-SSA membership")
-    p.add_argument("--m", type=_word_length, required=True)
+    p.add_argument("--m", type=_at_least(2), required=True)
     reads = p.add_mutually_exclusive_group(required=True)
     reads.add_argument("--seq", type=_sequence, help="one read")
     reads.add_argument("--seq-file", dest="seq_file",
@@ -343,17 +356,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_count)
 
     p = sub.add_parser("oracle", help="exact number of m-SSA sequences of length n")
-    p.add_argument("--m", type=_word_length, required=True)
+    p.add_argument("--m", type=_at_least(2), required=True)
     _add_common(p, n=True)
     p.set_defaults(func=cmd_oracle)
 
     p = sub.add_parser("search", help="search for a high-rate generating set")
-    p.add_argument("--m", type=_word_length, required=True)
+    p.add_argument("--m", type=_at_least(2), required=True)
     p.add_argument("--mode", choices=("exhaustive", "local"), default="local")
-    p.add_argument("--restarts", type=int, default=20)
-    p.add_argument("--iters", type=int, default=200)
+    p.add_argument("--restarts", type=_at_least(1), default=20)
+    p.add_argument("--iters", type=_at_least(0), default=200)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--tol", type=float,
+    p.add_argument("--tol", type=_tolerance,
                    help="power-iteration tolerance of --mode exhaustive "
                         f"(default {cap.DEFAULT_TOL:g}); local search "
                         f"always iterates at {srch.LOCAL_TOL:g}")

@@ -13,7 +13,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .capacity import DEFAULT_TOL, CapacityReport, rate_of_set
+from .capacity import DEFAULT_TOL, CapacityReport, check_tol, rate_of_set
 from .gensets import GeneratingSet
 from .sequences import check_budget, rc_pairs, tc_weights
 
@@ -48,9 +48,11 @@ def _word_key(s: GeneratingSet) -> Tuple[int, ...]:
 def exhaustive_search(m: int, tol: float = DEFAULT_TOL) -> SearchResult:
     """Evaluate every maximal RC-free set; practical only for m=2 (64 sets).
 
-    The 2^(pairs) candidate sets pass the ``SSA_BUDGET`` guard first.  Ties
-    on rate are broken by the lexicographically smallest word set.
+    ``tol`` passes ``check_tol``, and the 2^(pairs) candidate sets the
+    ``SSA_BUDGET`` guard, before any set is rated.  Ties on rate are broken
+    by the lexicographically smallest word set.
     """
+    check_tol(tol)
     a, b = rc_pairs(m)
     n_pairs = len(a)
     check_budget(2 ** n_pairs, f"2^{n_pairs} candidate sets")
@@ -102,10 +104,14 @@ def local_search(m: int, restarts: int = 20, iterations: int = 200,
     ``_PLATEAU_LIMIT`` consecutive steps.  The winner is rated again at
     ``DEFAULT_TOL``.  Deterministic for fixed (m, restarts, iterations,
     seed).  A KeyboardInterrupt stops the search early and reports the best
-    result found so far.
+    result found so far.  Needs ``restarts >= 1`` and ``iterations >= 0``.
     """
     if m < 2:
         raise ValueError(f"m must be >= 2, got {m}")
+    if restarts < 1:
+        raise ValueError(f"restarts must be >= 1, got {restarts}")
+    if iterations < 0:
+        raise ValueError(f"iterations must be >= 0, got {iterations}")
     rng = random.Random(seed)
     a, b = rc_pairs(m)
     n_pairs = len(a)

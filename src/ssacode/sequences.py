@@ -32,9 +32,15 @@ class BudgetExceededError(ValueError):
 
 def check_budget(size: int, what: str) -> None:
     """Raise BudgetExceededError if ``size`` items (``what``) exceed the
-    budget: ``SSA_BUDGET`` if set, else ``DEFAULT_ENUMERATION_BUDGET``."""
+    budget: ``SSA_BUDGET`` if set, else ``DEFAULT_ENUMERATION_BUDGET``.
+    Raise ValueError if ``SSA_BUDGET`` is not a non-negative integer."""
     env = os.environ.get("SSA_BUDGET")
-    cap = int(env) if env else DEFAULT_ENUMERATION_BUDGET
+    if not env:
+        cap = DEFAULT_ENUMERATION_BUDGET
+    elif env.isascii() and env.isdecimal():
+        cap = int(env)
+    else:
+        raise ValueError(f"SSA_BUDGET must be a non-negative integer, got {env!r}")
     if size > cap:
         raise BudgetExceededError(f"{what} exceed the enumeration budget {cap}")
 

@@ -178,6 +178,32 @@ def dense_spectral_radius(adj):
                 for idx in dense_strong_components(adj)), default=0.0)
 
 
+# A ratio (Ax)_i / x_i is a sum of at most q <= 4 positive terms (one per
+# symbol that extends the overlap) and one division, so in floating point
+# it is within a relative gamma_4 = 4u / (1 - 4u) of its exact value
+# (u = eps / 2).  Widening each end by 8 eps = 16u covers that and the
+# rounding of the widening product itself.  The library's certificate
+# keeps a margin of its own; a drift there shows against this one.
+BRACKET_MARGIN = 8 * np.finfo(float).eps
+
+
+def perron_bracket(g, x):
+    """Certified bounds lo <= rho(A) <= hi from one product with x > 0.
+
+    Collatz-Wielandt: for a nonnegative A and a positive x,
+    min_i (Ax)_i / x_i <= rho(A) <= max_i (Ax)_i / x_i.  Both ends are
+    widened by ``BRACKET_MARGIN``.  None if an entry of x is not a positive
+    normal float, where that margin does not hold.
+    """
+    x = np.asarray(x, dtype=float)
+    if len(x) == 0 or len(x) != g.vertex_count or not x.min() >= np.finfo(float).tiny:
+        return None
+    ratio = g.matvec(x)
+    ratio /= x
+    return (float(ratio.min()) * (1.0 - BRACKET_MARGIN),
+            float(ratio.max()) * (1.0 + BRACKET_MARGIN))
+
+
 def ref_block_fault(x, words, offset=0):
     """The ``CodecError`` text for the leftmost fault of one block x on the
     word set ``words``, or None.  Naive: it finds the first symbol outside

@@ -32,13 +32,14 @@ from ssacode import (
     trivial_upper_bound,
     validate,
 )
-from ssacode.capacity import BLOCK_CONCAT_WORDS, SiblingTrie, perron_bracket, walk_counts
+from ssacode.capacity import BLOCK_CONCAT_WORDS, SiblingTrie, walk_counts
 from ssacode.sequences import rc_code, word_to_code
 from conftest import (
     adjacency_matrix,
     dense_spectral_radius,
     dense_strong_components,
     mask_unions,
+    perron_bracket,
     random_valid_set,
     rc_free_words,
     ref_count_constrained,
@@ -735,6 +736,82 @@ class TestLargestRealRoot:
         root_rate = 1.0 + math.log2(largest_real_root([1, -1, 0, -1]))
         digraph_rate = rate_of_set(tc_dominant_set(3)).rate_bits_per_nt
         assert root_rate == pytest.approx(digraph_rate, abs=1e-6)
+
+    def test_exact_to_rounding(self):
+        assert largest_real_root([1, -4, 3]) == 3.0
+        assert largest_real_root([1, -2, 1]) == 1.0  # a double root
+        assert largest_real_root([2, -4, 2, 0]) == 1.0
+        assert type(largest_real_root([1, 0, -2])) is float
+
+    @pytest.mark.parametrize("coeffs", [[], [0, 1, -1], [1, math.nan], [1, -math.inf, 2]])
+    def test_bad_coefficients(self, coeffs):
+        with pytest.raises(ValueError):
+            largest_real_root(coeffs)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.integers(-6, 6), min_size=1, max_size=8, unique=True))
+    def test_roots_of_a_product(self, roots):
+        # the monic polynomial with these distinct integer roots
+        coeffs = [1]
+        for r in roots:
+            coeffs = [a - r * b for a, b in zip(coeffs + [0], [0] + coeffs)]
+        if max(roots) >= 0:
+            assert largest_real_root(coeffs) == pytest.approx(max(roots), abs=1e-9)
+        else:
+            with pytest.raises(ValueError, match="no nonnegative real root"):
+                largest_real_root(coeffs)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.tuples(st.integers(-6, 6), st.integers(1, 6)),
+                    min_size=1, max_size=4, unique=True))
+    def test_complex_roots_only(self, pairs):
+        # a product of (x - a)^2 + b^2 with b >= 1: roots a +- bi only
+        coeffs = [1]
+        for a, b in pairs:
+            quad = [1, -2 * a, a * a + b * b]
+            coeffs = [sum(coeffs[i] * quad[k - i] for i in range(len(coeffs))
+                          if 0 <= k - i < 3) for k in range(len(coeffs) + 2)]
+        with pytest.raises(ValueError, match="no nonnegative real root"):
+            largest_real_root(coeffs)
+
+    @pytest.mark.parametrize("spec", [F3, F5, COMPOSITION_BASELINE],
+                             ids=["F3", "F5", "composition"])
+    def test_characteristic_root_is_growth(self, spec):
+        # f(n) = sum of coef * f(n - lag) grows as the largest root of
+        # x^L - sum of coef * x^(L - lag), L the largest lag
+        degree = max(lag for lag, _ in spec.taps)
+        coeffs = [1] + [0] * degree
+        for lag, coef in spec.taps:
+            coeffs[lag] -= coef
+        growth = recurrence_counts(spec, 201) / recurrence_counts(spec, 200)
+        assert largest_real_root(coeffs) == pytest.approx(growth, abs=1e-9)
+
+
+class TestBadTolerance:
+    """A tol that is not finite with 0 < tol < 1 is refused before any
+    power step."""
+
+    @pytest.fixture
+    def steps(self, monkeypatch):
+        from ssacode import capacity
+        calls = []
+        real = capacity._shifted_power
+        monkeypatch.setattr(capacity, "_shifted_power",
+                            lambda *args: calls.append(args) or real(*args))
+        return calls
+
+    @pytest.mark.parametrize("tol", [0.0, -1e-10, math.nan, math.inf, -math.inf, 1.0, 2.0])
+    def test_refused(self, steps, tol):
+        for rate in (lambda: rate_of_set(tc_dominant_set(3), tol=tol),
+                     lambda: rate_of_set(heuristic_set_m4(), tol=tol),
+                     lambda: spectral_radius(build_digraph(WORKED_SET), tol=tol)):
+            with pytest.raises(ValueError, match="^tol must be finite with 0 < tol < 1"):
+                rate()
+        assert steps == []
+
+    def test_wide_tol_runs(self, steps):
+        rep = rate_of_set(tc_dominant_set(3), tol=0.5)
+        assert rep.converged and steps
 
 
 class TestBounds:

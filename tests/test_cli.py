@@ -152,6 +152,28 @@ class TestUsageErrors:
         err = usage_error(capsys, *argv, "--m", "3", "--n", "2")
         assert err.endswith("--n 2 is smaller than the word length --m 3")
 
+    # --tol=VALUE: argparse would read "--tol -1e-10" as two options
+    @pytest.mark.parametrize("argv", [
+        ("capacity", "--set", "tc-dominant", "--m", "3"),
+        ("search", "--m", "2", "--mode", "exhaustive"),
+    ], ids=["capacity", "search"])
+    @pytest.mark.parametrize("tol", ["0", "-1e-10", "nan", "inf", "-inf", "1", "2"])
+    def test_bad_tol(self, capsys, argv, tol):
+        err = usage_error(capsys, *argv, f"--tol={tol}")
+        assert "argument --tol: tol must be finite with 0 < tol < 1, got" in err
+
+    @pytest.mark.parametrize("option, value, low", [
+        ("--restarts", "0", 1), ("--restarts", "-2", 1), ("--iters", "-1", 0)])
+    def test_bad_search_counts(self, capsys, option, value, low):
+        err = usage_error(capsys, "search", "--m", "2", option, value)
+        assert err.endswith(f"argument {option}: must be at least {low}, got {value}")
+
+    def test_no_iterations_is_fine(self):
+        proc = run_cli("search", "--m", "2", "--restarts", "1", "--iters", "0",
+                       "--format", "json")
+        assert proc.returncode == 0
+        assert json.loads(proc.stdout)["candidates_examined"] == 1
+
     def test_n_equal_to_m_is_fine(self):
         proc = run_cli("count", "--m", "3", "--n", "3", "--set", "tc-dominant",
                        "--format", "json")
@@ -235,6 +257,14 @@ class TestCountAndOracle:
     def test_oracle(self):
         proc = run_cli("oracle", "--m", "2", "--n", "4", "--format", "json")
         assert json.loads(proc.stdout)["count"] == "240"
+
+    @pytest.mark.parametrize("budget", ["abc", "-5"])
+    def test_bad_budget_env(self, budget):
+        proc = run_cli("oracle", "--m", "2", "--n", "3", env={"SSA_BUDGET": budget})
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert proc.stderr == (f"error: SSA_BUDGET must be a non-negative integer, "
+                               f"got {budget!r}\n")
 
     def test_oracle_budget_env(self):
         proc = run_cli("oracle", "--m", "2", "--n", "8",
@@ -340,8 +370,8 @@ class TestTable:
 
         real = capacity.binary_reduction_rate
 
-        def unconverged(m, tol=1e-10):
-            report = real(m, tol=tol)
+        def unconverged(m):
+            report = real(m)
             report.residual, report.converged = 3e-4, False
             return report
 

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from ssacode import (
@@ -60,6 +62,29 @@ class TestExhaustiveBudget:
         with pytest.raises(BudgetExceededError, match="^2\\^32 candidate sets exceed "
                                                       "the enumeration budget 67108864$"):
             exhaustive_search(3)
+
+
+class TestSearchArguments:
+    @pytest.mark.parametrize("tol", [0.0, -1e-10, math.nan, math.inf, 1.0])
+    def test_bad_tol_refused_before_any_step(self, monkeypatch, tol):
+        from ssacode import capacity
+        steps = []
+        real = capacity._shifted_power
+        monkeypatch.setattr(capacity, "_shifted_power",
+                            lambda *args: steps.append(args) or real(*args))
+        with pytest.raises(ValueError, match="^tol must be finite with 0 < tol < 1"):
+            exhaustive_search(2, tol=tol)
+        assert steps == []
+
+    @pytest.mark.parametrize("restarts, iterations", [(0, 10), (-1, 10), (1, -1)])
+    def test_bad_counts(self, restarts, iterations):
+        with pytest.raises(ValueError, match="must be >= "):
+            local_search(2, restarts=restarts, iterations=iterations)
+
+    def test_one_start_no_moves(self):
+        result = local_search(2, restarts=1, iterations=0)
+        assert result.candidates_examined == 1
+        assert result.best_set == greedy_tc_choice(2)
 
 
 class TestGreedyChoice:

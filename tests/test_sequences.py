@@ -329,6 +329,19 @@ class TestBudgetGuard:
         with pytest.raises(BudgetExceededError):
             binary_reduction_rate(9)
 
+    @pytest.mark.parametrize("budget", ["abc", "-5", "1.5"])
+    def test_bad_env_budget(self, monkeypatch, budget):
+        monkeypatch.setenv("SSA_BUDGET", budget)
+        with pytest.raises(ValueError, match="^SSA_BUDGET must be a non-negative "
+                                             f"integer, got '{budget}'$") as err:
+            all_codes(2)
+        assert not isinstance(err.value, BudgetExceededError)
+
+    def test_zero_budget_refuses_any_work(self, monkeypatch):
+        monkeypatch.setenv("SSA_BUDGET", "0")
+        with pytest.raises(BudgetExceededError, match="budget 0$"):
+            all_codes(2)
+
     def test_nothing_allocated(self, monkeypatch):
         monkeypatch.setenv("SSA_BUDGET", "1024")
         tracemalloc.start()
