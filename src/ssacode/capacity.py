@@ -12,6 +12,7 @@ import math
 import operator
 from collections import deque
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -567,21 +568,44 @@ def recurrence_counts(spec: RecurrenceSpec, n: int) -> int:
     return window[-1]
 
 
+def _poly_divmod(a: list, b: list) -> Tuple[list, list]:
+    """Quotient and remainder of polynomial a by b, as lists of exact
+    coefficients, descending; b[0] != 0, and the remainder has no leading
+    zeros."""
+    a, quotient = list(a), []
+    while len(a) >= len(b):
+        factor = a[0] / b[0]
+        quotient.append(factor)
+        a = [x - factor * y for x, y in zip(a[1:], b[1:] + [0] * (len(a) - len(b)))]
+    while a and a[0] == 0:
+        a.pop(0)
+    return quotient, a
+
+
 def largest_real_root(coeffs: Sequence[float]) -> float:
     """Largest nonnegative real root of a polynomial (descending coefficients).
 
-    The roots are the eigenvalues of the companion matrix (``np.roots``).
-    LAPACK returns a real eigenvalue of a real matrix with an imaginary part
-    of exactly 0, so those are the real roots.  A simple root comes out
-    exact to rounding; a root of multiplicity k only to about eps^(1/k),
-    and it may come out as a complex pair.  Raises ValueError if there is
-    no real root >= 0.
+    Repeated factors are divided out first, exactly: g = gcd(p, p') by
+    Euclid over fractions (each float converts exactly), then p / g, whose
+    roots are those of p, each simple.  A polynomial with simple roots only
+    is passed on as it is.  The roots are the eigenvalues of the companion
+    matrix (``np.roots``).  LAPACK returns a real eigenvalue of a real
+    matrix with an imaginary part of exactly 0, so those are the real
+    roots, each exact to rounding.  Raises ValueError if there is no real
+    root >= 0.
     """
     coeffs = np.asarray(coeffs, dtype=float)
     if len(coeffs) == 0 or coeffs[0] == 0:
         raise ValueError("leading coefficient must be nonzero")
     if not np.isfinite(coeffs).all():
         raise ValueError("coefficients must be finite")
+    p = [Fraction(c) for c in coeffs.tolist()]
+    a, b = p, [c * k for c, k in zip(p, range(len(p) - 1, 0, -1))]  # p, p'
+    while b:
+        rem = _poly_divmod(a, b)[1]
+        a, b = b, [c / rem[0] for c in rem]  # monic: keeps the fractions short
+    if len(a) > 1:  # gcd(p, p') is not a constant
+        coeffs = np.array([float(c) for c in _poly_divmod(p, a)[0]])
     roots = np.roots(coeffs)
     real = roots.real[(roots.imag == 0) & (roots.real >= 0)]
     if len(real) == 0:

@@ -72,7 +72,11 @@ def _usage_error(args) -> Optional[str]:
 
 def _resolve_set(args) -> gs.GeneratingSet:
     if getattr(args, "set_file", None):
-        return gs.read_set_file(args.set_file)
+        s = gs.read_set_file(args.set_file)
+        if args.m is not None and args.m != s.m:
+            args.usage_error(f"--m {args.m} does not match the word length "
+                             f"{s.m} of --set-file {args.set_file}")  # exits 2
+        return s
     name = getattr(args, "set", None)
     if name is None:
         raise ValueError("a generating set is required (--set or --set-file)")
@@ -97,9 +101,6 @@ def _flatten(prefix: str, value, out: list) -> None:
     if isinstance(value, dict):
         for k, v in value.items():
             _flatten(f"{prefix}.{k}" if prefix else str(k), v, out)
-    elif isinstance(value, list) and value and isinstance(value[0], dict):
-        for i, v in enumerate(value):
-            _flatten(f"{prefix}[{i}]", v, out)
     else:
         out.append((prefix, value))
 

@@ -104,10 +104,11 @@ def all_codes(m: int) -> np.ndarray:
     return np.arange(4 ** m, dtype=np.int64)
 
 
-# Masks over the 2-bit digits of a 64-bit word.
-_LOW_BITS = 0x5555555555555555  # low bit of every digit: set for C and T
-_EVEN_BIT_PAIRS = 0x3333333333333333  # digits 0, 2, 4, ...
-_EVEN_NIBBLES = 0x0F0F0F0F0F0F0F0F  # digit pairs 0, 2, 4, ... (low nibble of each byte)
+# _RUNS[k] sets the low 2^k of every 2^(k+1) bits: 0x5555..., 0x3333..., 0x0F0F...
+_RUNS = tuple((2 ** 64 - 1) // (2 ** 2 ** k + 1) for k in range(6))
+_LOW_BITS = _RUNS[0]  # low bit of every digit: set for C and T
+_EVEN_BIT_PAIRS = _RUNS[1]  # digits 0, 2, 4, ...
+_EVEN_NIBBLES = _RUNS[2]  # digit pairs 0, 2, 4, ... (low nibble of each byte)
 
 
 def _as_words(codes) -> np.ndarray:
@@ -157,95 +158,72 @@ def tc_weights(codes: np.ndarray, m: int) -> np.ndarray:
     return x.view(np.int64)
 
 
-_MASK_CHUNK = 8  # digits per mask table: at most 4^8 int32 entries
 # Words per step of every blockwise pass over a set's words (``tc_masks``,
 # ``GeneratingSet.mask_classes``, the lifted bracket of ``capacity``), so the
 # scratch arrays stay in cache.
 _MASK_BLOCK = 1 << 16
-_DIGIT_LOW_BIT = np.array([0, 1, 0, 1], dtype=np.int32)  # A C G T -> TC bit
-
-
-def _mask_table(k: int, shift: int) -> np.ndarray:
-    """TC masks of all k-digit words, shifted left by ``shift`` bits, as
-    int32 indexed by code."""
-    table = np.zeros(1, dtype=np.int32)
-    for _ in range(k):
-        table = (2 * table[:, None] + _DIGIT_LOW_BIT).ravel()
-    table <<= shift
-    return table
 
 
 def tc_masks(codes: np.ndarray, m: int) -> np.ndarray:
     """TC mask per word (T,C -> 1; A,G -> 0) as an m-bit big-endian int32
     integer (m <= 31).
 
-    The m digits are cut into near-equal chunks of at most 8 digits (two
-    half-words up to m = 16).  Each chunk's bits of the mask are gathered
-    from a table over its at most 4^8 digit strings and ORed in, one
-    block of words at a time.
+    The mask is the m digits' low bits packed together: step k ORs in the
+    bits 2^k places higher and keeps the runs of 2^(k+1) bits, ceil(log2 m)
+    steps, one block of words at a time in two reused uint64 buffers.
     """
     codes = np.asarray(codes, dtype=np.int64)
-    chunks = max(1, -(-m // _MASK_CHUNK))
-    tables = []  # (table, bit shift of the chunk's digits, digit mask)
-    low = 0  # digits below the current chunk
-    for left in range(chunks, 0, -1):
-        k = (m - low) // left
-        tables.append((_mask_table(k, low), 2 * low, 4 ** k - 1))
-        low += k
     flat = codes.ravel()
-    masks = np.zeros(len(flat), dtype=np.int32)
-    index = np.empty(min(len(flat), _MASK_BLOCK), dtype=np.int64)
-    part = np.empty(len(index), dtype=np.int32)
+    masks = np.empty(len(flat), dtype=np.int32)
+    x = np.empty(min(len(flat), _MASK_BLOCK), dtype=np.uint64)
+    y = np.empty_like(x)
     for start in range(0, len(flat), _MASK_BLOCK):
         block = flat[start:start + _MASK_BLOCK]
-        n = len(block)
-        for table, shift, digits in tables:
-            np.right_shift(block, shift, out=index[:n])
-            index[:n] &= digits
-            # in range after the digit mask; "clip" spares take a copy of out
-            np.take(table, index[:n], out=part[:n], mode="clip")
-            masks[start:start + n] |= part[:n]
+        xb, yb = x[:len(block)], y[:len(block)]
+        np.bitwise_and(block.view(np.uint64), _LOW_BITS, out=xb)
+        for k in range((m - 1).bit_length()):
+            np.right_shift(xb, 1 << k, out=yb)
+            xb |= yb
+            xb &= _RUNS[k + 1]
+        masks[start:start + len(block)] = xb
     return masks.reshape(codes.shape)
+
+
+def _spread(masks) -> np.ndarray:
+    """The inverse of ``tc_masks``: bit i of each mask becomes the low bit
+    of digit i, so a mask becomes the code of its word over {A, C}, int64.
+
+    Step k ORs every bit in 2^k places higher and keeps the runs of 2^k
+    bits, for k = 4, ..., 0.  Spreading keeps order.
+    """
+    x = _as_words(masks)
+    for k in range(4, -1, -1):
+        x |= x << (1 << k)
+        x &= _RUNS[k]
+    return x.view(np.int64)
 
 
 def tc_class_codes(code: int, m: int) -> np.ndarray:
     """The 2^m codes that share the TC mask of ``code``, ascending.
 
     A digit's low bit is its TC bit, so the class keeps those bits of
-    ``code`` and takes both values of every digit's high bit; each new
-    high bit lies above all lower ones, so doubling the list digit by
-    digit from the last keeps it sorted.  2^m work, no 4^m array.
+    ``code`` and takes the spread masks 0 .. 2^m - 1, ascending, as the
+    digits' high bits.  2^m work, no 4^m array.
     """
-    words = np.array([code & _LOW_BITS], dtype=np.int64)
-    for pos in range(m):
-        words = np.concatenate((words, words | 2 << 2 * pos))
-    return words
+    return (code & _LOW_BITS) | _spread(np.arange(2 ** m)) << 1
 
 
 def rc_masks(masks: np.ndarray, m: int) -> np.ndarray:
-    """TC mask of the reverse complements of each m-bit mask class.
-
-    The complement swaps T, C with A, G, so every bit flips; then the word,
-    and with it the mask, is reversed.
-    """
-    x = np.asarray(masks, dtype=np.int64) ^ (2 ** m - 1)
-    out = np.zeros_like(x)
-    for _ in range(m):
-        out <<= 1
-        out |= x & 1
-        x >>= 1
-    return out
+    """TC mask of the reverse complements of each m-bit mask class: the mask
+    of the reverse complement of any one word of the class."""
+    return tc_masks(rc_codes(_spread(masks), m), m)
 
 
 def tc_dominant_masks(m: int) -> np.ndarray:
     """Keep table over the 2^m TC masks: True where more than m/2 bits are 1,
     the masks of the TC-dominant words."""
     check_budget(2 ** m, f"2^{m} binary words")
-    masks = np.arange(2 ** m, dtype=np.int64)
-    # read as a word code, a mask's bits at even positions are the low bits
-    # of its digits, which tc_weights counts (np.bitwise_count needs numpy 2)
-    weights = tc_weights(masks, m) + tc_weights(masks >> 1, m)
-    return weights > m // 2
+    return tc_weights(_spread(np.arange(2 ** m)), m) > m // 2
 
 
 def tc_mask_members(m: int, keep: np.ndarray) -> np.ndarray:

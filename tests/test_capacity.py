@@ -743,6 +743,11 @@ class TestLargestRealRoot:
         assert largest_real_root([2, -4, 2, 0]) == 1.0
         assert type(largest_real_root([1, 0, -2])) is float
 
+    def test_repeated_largest_root_exact(self):
+        assert largest_real_root([1, -9, 27, -27]) == 3.0  # (x - 3)^3
+        assert largest_real_root([1, -3, 3, -1]) == 1.0  # (x - 1)^3
+        assert largest_real_root([1, -6, 12, -8, 0]) == 2.0  # x (x - 2)^3
+
     @pytest.mark.parametrize("coeffs", [[], [0, 1, -1], [1, math.nan], [1, -math.inf, 2]])
     def test_bad_coefficients(self, coeffs):
         with pytest.raises(ValueError):
@@ -752,6 +757,24 @@ class TestLargestRealRoot:
     @given(st.lists(st.integers(-6, 6), min_size=1, max_size=8, unique=True))
     def test_roots_of_a_product(self, roots):
         # the monic polynomial with these distinct integer roots
+        coeffs = [1]
+        for r in roots:
+            coeffs = [a - r * b for a, b in zip(coeffs + [0], [0] + coeffs)]
+        if max(roots) >= 0:
+            assert largest_real_root(coeffs) == pytest.approx(max(roots), abs=1e-9)
+        else:
+            with pytest.raises(ValueError, match="no nonnegative real root"):
+                largest_real_root(coeffs)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(st.integers(-6, 6), st.integers(1, 3)), min_size=1,
+                    max_size=10, unique_by=lambda pair: pair[0]))
+    @example([(3, 3)])
+    @example([(-2, 3), (-1, 1)])
+    def test_roots_with_multiplicities(self, pairs):
+        # the monic polynomial with these integer roots, each with its
+        # multiplicity, cut to degree 10
+        roots = [r for r, k in pairs for _ in range(k)][:10]
         coeffs = [1]
         for r in roots:
             coeffs = [a - r * b for a, b in zip(coeffs + [0], [0] + coeffs)]

@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from ssacode import GeneratingSet, write_set_file
+from ssacode import GeneratingSet, cli, tc_dominant_set, write_set_file
 
 # ``ssacode table --format csv``, byte for byte (the csv module ends rows
 # with CRLF).  Rates that move in their last bits must not move these.
@@ -167,6 +167,19 @@ class TestUsageErrors:
     def test_bad_search_counts(self, capsys, option, value, low):
         err = usage_error(capsys, "search", "--m", "2", option, value)
         assert err.endswith(f"argument {option}: must be at least {low}, got {value}")
+
+    @pytest.mark.parametrize("argv", [
+        ("capacity",),
+        ("count", "--n", "6"),
+        ("encode", "--n", "8", "--payload", "ff"),
+        ("decode", "--n", "8", "--seq", "GCTTCACC"),  # "ff" encoded
+    ], ids=["capacity", "count", "encode", "decode"])
+    def test_m_against_set_file(self, tmp_path, capsys, argv):
+        path = tmp_path / "w3.txt"
+        write_set_file(tc_dominant_set(3), path)
+        err = usage_error(capsys, *argv, "--m", "5", "--set-file", str(path))
+        assert err.endswith(f"--m 5 does not match the word length 3 of --set-file {path}")
+        assert cli.main([*argv, "--m", "3", "--set-file", str(path)]) == 0
 
     def test_no_iterations_is_fine(self):
         proc = run_cli("search", "--m", "2", "--restarts", "1", "--iters", "0",

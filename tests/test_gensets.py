@@ -23,8 +23,8 @@ from ssacode import (
 )
 from ssacode.gensets import _validate_words, num_rc_pairs, num_self_rc
 from ssacode.sequences import (
-    all_codes, code_to_word, codes_to_words, codes_with_tc_mask, parse_sequence, rc_code, rc_codes, rc_masks,
-    rc_pairs, tc_class_codes, tc_dominant_masks, tc_mask_members, tc_masks, tc_weights)
+    _LOW_BITS, _spread, all_codes, code_to_word, codes_to_words, codes_with_tc_mask, parse_sequence, rc_code,
+    rc_codes, rc_masks, rc_pairs, tc_class_codes, tc_dominant_masks, tc_mask_members, tc_masks, tc_weights)
 from conftest import mask_rc, mask_unions, rc_free_words, ref_rc, tc_pattern
 
 
@@ -97,7 +97,7 @@ class TestVectorWordHelpers:
     @example((1, [0, 1, 2, 3]))
     @example((31, [0, 4 ** 31 - 1, 0x5555555555555555 >> 2]))
     def test_long_words(self, case):
-        # tc_masks: one table up to m = 8, two half-words up to 16, then more
+        # tc_masks: no shift-and-mask step at m = 1, five at m = 17 ... 31
         m, codes = case
         arr = np.array(codes, dtype=np.int64)
         words = [code_to_word(c, m) for c in codes]
@@ -144,6 +144,18 @@ class TestVectorWordHelpers:
         codes = np.arange(4 ** min(m, 5))
         k = min(m, 5)
         assert np.array_equal(rc_masks(tc_masks(codes, k), k), tc_masks(rc_codes(codes, k), k))
+
+    @given(st.integers(1, 31).flatmap(lambda m: st.tuples(
+        st.just(m), st.lists(st.integers(0, 2 ** m - 1), min_size=1, max_size=20))))
+    @example((1, [0, 1]))
+    @example((31, [0, 2 ** 31 - 1, 0x2AAAAAAA]))
+    def test_spread_inverts_tc_masks(self, case):
+        m, masks = case
+        a = np.array(masks, dtype=np.int64)
+        spread = _spread(a)
+        assert np.array_equal(tc_masks(spread, m), a)
+        assert not ((spread >> 1) & _LOW_BITS).any()  # no high digit bit: A or C
+        assert rc_masks(a, m).tolist() == [int(mask_rc(format(x, f"0{m}b")), 2) for x in masks]
 
     @pytest.mark.parametrize("m", range(1, 13))
     def test_tc_dominant_masks(self, m):
