@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from itertools import accumulate
 from typing import Callable, Dict, List, Tuple
 
-from .capacity import SiblingTrie, TransitionDigraph, build_digraph
+from .capacity import SiblingTrie, TransitionDigraph, build_digraph, check_walk_budget
 from .gensets import GeneratingSet
 from .sequences import DIGIT, codes_to_words
 
@@ -88,8 +88,11 @@ class CodecTable:
 
 
 def build_codec(s: GeneratingSet, n: int) -> CodecTable:
+    """The table for C_n(S); the n - m + 1 rows of walk counts it holds
+    pass ``capacity.check_walk_budget`` before any work."""
     if n < s.m:
         raise ValueError(f"block length n={n} is smaller than m={s.m}")
+    check_walk_budget(s, n)
     g = build_digraph(s)
     trie = SiblingTrie(g)
     steps = list(trie.walk(n - s.m))
@@ -183,7 +186,8 @@ def payload_to_indices(payload_hex: str, k: int) -> List[int]:
 
     Only the digits 0-9, A-F and a-f are accepted: no prefix, sign,
     separator or whitespace.  The bit string is zero-padded on the right to
-    a whole number of blocks.
+    a whole number of blocks.  The payload is cut as a string of binary
+    digits, so the work is linear in its length.
     """
     if payload_hex == "":
         raise ValueError("empty payload")
@@ -191,25 +195,21 @@ def payload_to_indices(payload_hex: str, k: int) -> List[int]:
     if bad:
         raise ValueError(f"payload character {bad.group()!r} at position "
                          f"{bad.start() + 1} is not a hex digit")
-    value = int(payload_hex, 16)
     nbits = 4 * len(payload_hex)
     nblocks = max(1, math.ceil(nbits / k))
-    value <<= nblocks * k - nbits
-    return [(value >> (k * (nblocks - 1 - b))) & ((1 << k) - 1)
-            for b in range(nblocks)]
+    bits = format(int(payload_hex, 16), f"0{nbits}b").ljust(nblocks * k, "0")
+    return [int(bits[i:i + k], 2) for i in range(0, nblocks * k, k)]
 
 
 def indices_to_payload(indices: List[int], k: int) -> str:
-    """Reassemble block indices into a hex payload (right-padded bits kept)."""
-    value = 0
+    """Reassemble block indices into a hex payload (right-padded bits kept),
+    through one string of binary digits."""
     for idx in indices:
         if not 0 <= idx < (1 << k):
             raise ValueError(f"block index {idx} does not fit in {k} bits")
-        value = (value << k) | idx
-    nbits = len(indices) * k
-    ndigits = math.ceil(nbits / 4)
-    value <<= 4 * ndigits - nbits
-    return format(value, f"0{ndigits}X")
+    bits = "".join([format(idx, f"0{k}b") for idx in indices])
+    bits += "0" * (-len(bits) % 4)
+    return format(int(bits or "0", 2), f"0{len(bits) // 4}X")
 
 
 def encode_payload(t: CodecTable, payload_hex: str) -> List[str]:

@@ -9,13 +9,14 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Iterator, Optional, Tuple
 
 import numpy as np
 
+from . import sequences
 from .capacity import DEFAULT_TOL, CapacityReport, check_tol, rate_of_set
 from .gensets import GeneratingSet
-from .sequences import check_budget, rc_pairs, tc_weights
+from .sequences import check_budget, rc_pairs, symmetry_images, tc_weights
 
 LOCAL_TOL = 1e-8  # local search rates its candidates at this tolerance
 _PLATEAU_LIMIT = 25  # sideways moves in a row that local search allows
@@ -25,7 +26,12 @@ _RATE_EPS = 1e-9
 @dataclass(frozen=True)
 class SearchResult:
     """The best set found; ``best_rate`` is read from ``report``, which was
-    computed at tolerance ``tol``."""
+    computed at tolerance ``tol``.
+
+    ``candidates_examined`` counts the sets whose rate the search knows:
+    all 2^(pairs) maximal sets for the exhaustive search, though it rates
+    only one per symmetry orbit, and every rated state for local search.
+    """
 
     best_set: GeneratingSet
     best_rate: float
@@ -46,11 +52,21 @@ def _word_key(s: GeneratingSet) -> Tuple[int, ...]:
 
 
 def exhaustive_search(m: int, tol: float = DEFAULT_TOL) -> SearchResult:
-    """Evaluate every maximal RC-free set; practical only for m=2 (64 sets).
+    """Find the maximal RC-free set of best rate; practical only for m=2
+    (64 sets).
 
     ``tol`` passes ``check_tol``, and the 2^(pairs) candidate sets the
     ``SSA_BUDGET`` guard, before any set is rated.  Ties on rate are broken
     by the lexicographically smallest word set.
+
+    The 16 maps of ``sequences.symmetry_images`` permute the candidates and
+    keep every rate, so each candidate's rate is that of its orbit's
+    canonical member, the one whose sorted codes are lexicographically
+    smallest, and only canonical members are rated (7 sets at m=2), in
+    candidate order.  ``candidates_examined`` still counts all 2^(pairs)
+    sets.  Rated in full, an orbit's members would tie and the tie break
+    would keep its canonical member, so the winner and its report are
+    those of rating every candidate.
     """
     check_tol(tol)
     a, b = rc_pairs(m)
@@ -58,9 +74,7 @@ def exhaustive_search(m: int, tol: float = DEFAULT_TOL) -> SearchResult:
     check_budget(2 ** n_pairs, f"2^{n_pairs} candidate sets")
     best_rate = -1.0
     best_set = best_report = None
-    for mask in range(2 ** n_pairs):
-        pick_a = np.array([(mask >> i) & 1 for i in range(n_pairs)], dtype=bool)
-        cand = GeneratingSet.from_codes(m, np.where(pick_a, a, b))
+    for cand in _canonical_candidates(m, a, b):
         report = rate_of_set(cand, tol=tol)
         rate = report.rate_bits_per_nt
         if rate > best_rate + _RATE_EPS or (
@@ -70,6 +84,35 @@ def exhaustive_search(m: int, tol: float = DEFAULT_TOL) -> SearchResult:
     return SearchResult(best_set=best_set, best_rate=best_rate,
                         candidates_examined=2 ** n_pairs, method="exhaustive",
                         report=best_report, tol=tol)
+
+
+def _canonical_candidates(m: int, a: np.ndarray,
+                          b: np.ndarray) -> Iterator[GeneratingSet]:
+    """The maximal sets that are the canonical members of their orbits, in
+    candidate order: candidate ``mask`` takes a[i] where bit i of ``mask``
+    is set, else b[i].  Candidates come a block at a time, at most
+    ``sequences._MASK_BLOCK`` codes a block, so no array spans them all."""
+    n_pairs = len(a)
+    bits = np.arange(n_pairs)
+    step = max(1, sequences._MASK_BLOCK // n_pairs)
+    for start in range(0, 2 ** n_pairs, step):
+        masks = np.arange(start, min(start + step, 2 ** n_pairs), dtype=np.int64)
+        pick_a = (masks[:, None] >> bits & 1).astype(bool)
+        sets = np.sort(np.where(pick_a, a, b), axis=1)
+        canonical = np.ones(len(sets), dtype=bool)
+        for image in symmetry_images(sets, m)[1:]:
+            image.sort(axis=1)
+            canonical &= ~_rows_less(image, sets)
+        for codes in sets[canonical]:
+            yield GeneratingSet.from_codes(m, codes)
+
+
+def _rows_less(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Row by row, whether x's row is lexicographically smaller than y's."""
+    differ = x != y
+    first = differ.argmax(axis=1)  # the first column that differs, or 0
+    rows = np.arange(len(x))
+    return differ[rows, first] & (x[rows, first] < y[rows, first])
 
 
 def greedy_tc_choice(m: int) -> GeneratingSet:

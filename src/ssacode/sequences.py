@@ -138,6 +138,35 @@ def rc_codes(codes: np.ndarray, m: int) -> np.ndarray:
     return x.view(np.int64)
 
 
+def symmetry_images(codes: np.ndarray, m: int) -> np.ndarray:
+    """The 16 images of integer-coded words under the symmetries of the
+    overlap digraph that commute with reverse complement (m <= 31), as an
+    int64 array of shape (16,) + codes.shape.
+
+    Image 4 * s + c maps each digit d to s(d) ^ c, where s = 0 is the
+    identity and s = 1 swaps the digit's two bits, and c = 0 .. 3: the 8
+    symbol maps that commute with complement (d -> d ^ 3).  Images 8 .. 15
+    are images 0 .. 7 of the reversed words, and a word reversed is
+    ``rc_codes`` of its complement.  Image 0 is the identity.  A symbol map
+    relabels the overlap digraph and reversal transposes it, so every image
+    of a set has the same Perron root, and an RC-free set's images are
+    RC-free.
+    """
+    x = _as_words(codes)
+    digits = np.uint64(_LOW_BITS & (4 ** m - 1))  # the low bit of each digit
+    out = np.empty((16,) + x.shape, dtype=np.uint64)
+    out[0] = x
+    out[8] = rc_codes(x.view(np.int64) ^ (4 ** m - 1), m)
+    for base in (0, 8):
+        words, swapped = out[base], out[base + 4]
+        np.left_shift(words & digits, np.uint64(1), out=swapped)
+        swapped |= words >> np.uint64(1) & digits  # the two bits of every digit
+        for c in range(1, 4):
+            np.bitwise_xor(words, np.uint64(c) * digits, out=out[base + c])
+            np.bitwise_xor(swapped, np.uint64(c) * digits, out=out[base + 4 + c])
+    return out.view(np.int64)
+
+
 def tc_weights(codes: np.ndarray, m: int) -> np.ndarray:
     """Number of T/C symbols per word.  T and C have odd codes.
 

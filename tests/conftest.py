@@ -2,13 +2,17 @@
 counting and spectral paths."""
 
 import itertools
+import math
 import random
+import re
 
 import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from ssacode import GeneratingSet, rc_classes
+from ssacode import GeneratingSet, rate_of_set, rc_classes
+from ssacode.search import _RATE_EPS, SearchResult, _word_key
+from ssacode.sequences import check_budget, rc_pairs
 
 COMP = {"A": "T", "T": "A", "C": "G", "G": "C"}
 
@@ -228,3 +232,86 @@ def ref_decode_fault(x, words, n):
     if len(x) != n:
         return f"expected length {n}, got {len(x)}"
     return ref_block_fault(x, words)
+
+
+def ref_exhaustive_search(m, tol):
+    """``exhaustive_search`` by rating every one of the 2^(pairs) maximal
+    sets, with the same selection rule: a rate more than ``_RATE_EPS``
+    above the best wins, and within it the smaller word set."""
+    a, b = rc_pairs(m)
+    n_pairs = len(a)
+    check_budget(2 ** n_pairs, f"2^{n_pairs} candidate sets")
+    best_rate = -1.0
+    best_set = best_report = None
+    for mask in range(2 ** n_pairs):
+        pick_a = np.array([(mask >> i) & 1 for i in range(n_pairs)], dtype=bool)
+        cand = GeneratingSet.from_codes(m, np.where(pick_a, a, b))
+        report = rate_of_set(cand, tol=tol)
+        rate = report.rate_bits_per_nt
+        if rate > best_rate + _RATE_EPS or (
+                abs(rate - best_rate) <= _RATE_EPS
+                and _word_key(cand) < _word_key(best_set)):
+            best_rate, best_set, best_report = rate, cand, report
+    return SearchResult(best_set=best_set, best_rate=best_rate,
+                        candidates_examined=2 ** n_pairs, method="exhaustive",
+                        report=best_report, tol=tol)
+
+
+def ref_symbol_maps():
+    """The 8 symbol maps, as dicts, that commute with complement: all 24
+    permutations of ACGT filtered by COMP[f[x]] == f[COMP[x]]."""
+    maps = [dict(zip("ACGT", perm)) for perm in itertools.permutations("ACGT")]
+    return [f for f in maps if all(COMP[f[x]] == f[COMP[x]] for x in "ACGT")]
+
+
+def ref_symmetry_images(word):
+    """The 16 images of a word: each symbol map of ``ref_symbol_maps``,
+    without and then with reversal."""
+    mapped = ["".join(f[ch] for ch in word) for f in ref_symbol_maps()]
+    return mapped + [w[::-1] for w in mapped]
+
+
+def ref_orbit_count(m):
+    """The number of orbits of the maximal RC-free sets at word length m
+    under the 16 maps of ``ref_symmetry_images``, on word strings."""
+    pairs = rc_classes(m).pairs
+    seen, orbits = set(), 0
+    for pick in itertools.product((0, 1), repeat=len(pairs)):
+        words = frozenset(pair[i] for pair, i in zip(pairs, pick))
+        if words in seen:
+            continue
+        orbits += 1
+        images = [ref_symmetry_images(w) for w in words]
+        seen.update(frozenset(img[g] for img in images) for g in range(16))
+    return orbits
+
+
+def ref_payload_to_indices(payload_hex, k):
+    """k-bit block indices of a hex payload, zero-padded on the right, by
+    one big-integer shift per block."""
+    if payload_hex == "":
+        raise ValueError("empty payload")
+    bad = re.search(r"[^0-9A-Fa-f]", payload_hex)
+    if bad:
+        raise ValueError(f"payload character {bad.group()!r} at position "
+                         f"{bad.start() + 1} is not a hex digit")
+    value = int(payload_hex, 16)
+    nbits = 4 * len(payload_hex)
+    nblocks = max(1, math.ceil(nbits / k))
+    value <<= nblocks * k - nbits
+    return [(value >> (k * (nblocks - 1 - b))) & ((1 << k) - 1)
+            for b in range(nblocks)]
+
+
+def ref_indices_to_payload(indices, k):
+    """Hex payload of k-bit block indices, by one ``(value << k) | idx``
+    per block; the bits are zero-padded on the right to whole digits."""
+    value = 0
+    for idx in indices:
+        if not 0 <= idx < (1 << k):
+            raise ValueError(f"block index {idx} does not fit in {k} bits")
+        value = (value << k) | idx
+    nbits = len(indices) * k
+    ndigits = math.ceil(nbits / 4)
+    value <<= 4 * ndigits - nbits
+    return format(value, f"0{ndigits}X")

@@ -5,9 +5,10 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from ssacode import (
+    BudgetExceededError,
     CodecError,
     GeneratingSet,
     build_codec,
@@ -21,13 +22,15 @@ from ssacode import (
     rate_of_set,
     tc_dominant_set,
 )
-from ssacode import codec
+from ssacode import capacity, codec
 from ssacode.codec import bits_per_block, indices_to_payload, payload_to_indices
 from conftest import (
     rc_free_words,
     ref_block_fault,
     ref_constrained_members,
     ref_decode_fault,
+    ref_indices_to_payload,
+    ref_payload_to_indices,
 )
 
 M2_SET = GeneratingSet.from_words(["TT", "TC", "TG", "GT", "CT", "CC"])
@@ -70,6 +73,26 @@ class TestBuildCodec:
             build_codec(GeneratingSet.from_words(["AT"]), 1)
         assert calls == []
         build_codec(M2_SET, 2)
+        assert calls == [M2_SET]
+
+
+class TestWalkBudget:
+    """The n - m + 1 rows of |S| walk counts pass the SSA_BUDGET guard,
+    inclusive, before the digraph is built."""
+
+    @pytest.mark.parametrize("build, module",
+                             [(build_codec, codec), (count_constrained, capacity)])
+    def test_refused_before_the_digraph(self, monkeypatch, build, module):
+        calls = []
+        real = module.build_digraph
+        monkeypatch.setattr(module, "build_digraph", lambda s: calls.append(s) or real(s))
+        monkeypatch.setenv("SSA_BUDGET", str(11 * 6 - 1))  # n=12, m=2: 11 rows of 6
+        with pytest.raises(BudgetExceededError,
+                           match="^11 rows of 6 walk counts exceed the enumeration budget 65$"):
+            build(M2_SET, 12)
+        assert calls == []
+        monkeypatch.setenv("SSA_BUDGET", str(11 * 6))
+        build(M2_SET, 12)
         assert calls == [M2_SET]
 
 
@@ -182,6 +205,48 @@ class TestPayloadSegmentation:
             with pytest.raises(ValueError):
                 payload_to_indices(bad, 8)
         assert payload_to_indices("be", 8) == payload_to_indices("BE", 8) == [0xBE]
+
+
+def _outcome(f, *args):
+    """f's result, or the type and text of the ValueError it raises."""
+    try:
+        return f(*args)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+# block sizes: 1 bit, multiples of 4 and not, and more bits than short payloads
+BLOCK_BITS = st.one_of(st.just(1), st.integers(2, 12), st.integers(13, 300))
+
+
+class TestFramingAgainstReference:
+    """The bit-string framing against the one big-integer shift per block
+    of ``conftest``: same indices, payloads and error messages."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.text(alphabet="0123456789abcdefABCDEF", min_size=1, max_size=200), BLOCK_BITS)
+    @example("F", 1)
+    @example("0", 5)
+    @example("C0FFEE", 25)
+    @example("00FF" * 30, 7)
+    def test_payload_to_indices(self, payload, k):
+        indices = payload_to_indices(payload, k)
+        assert indices == ref_payload_to_indices(payload, k)
+        assert indices_to_payload(indices, k) == ref_indices_to_payload(indices, k)
+
+    @given(st.lists(st.integers(-3, 2 ** 40), max_size=30), BLOCK_BITS)
+    @example([], 5)
+    @example([2], 1)
+    def test_indices_to_payload(self, indices, k):
+        assert _outcome(indices_to_payload, indices, k) == _outcome(
+            ref_indices_to_payload, indices, k)
+
+    @given(st.text(min_size=0, max_size=12), BLOCK_BITS)
+    @example("1_F", 8)
+    @example("", 3)
+    def test_bad_payloads(self, payload, k):
+        assert _outcome(payload_to_indices, payload, k) == _outcome(
+            ref_payload_to_indices, payload, k)
 
 
 class TestPayloadFraming:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import pytest
 
@@ -11,6 +12,9 @@ from ssacode import (
     tc_dominant_set,
     validate,
 )
+from ssacode import search, sequences
+from ssacode.sequences import rc_pairs
+from conftest import ref_exhaustive_search, ref_orbit_count, ref_symmetry_images
 
 M2_OPT_RATE = 1.1679
 
@@ -39,6 +43,68 @@ class TestExhaustive:
             exhaustive_search(4)
 
 
+def _rated_sets():
+    """The sets that ``exhaustive_search(2)`` rates, in order."""
+    calls = []
+    real = search.rate_of_set
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(search, "rate_of_set", lambda s, tol: calls.append(s) or real(s, tol=tol))
+        exhaustive_search(2)
+    return calls
+
+
+class TestExhaustiveOrbits:
+    """Only the canonical member of each symmetry orbit is rated; the result
+    is that of rating all 2^(pairs) candidates."""
+
+    @pytest.mark.parametrize("tol", [1e-6, 1e-8, 1e-10, 1e-12])
+    def test_matches_full_enumeration(self, tol):
+        want = ref_exhaustive_search(2, tol)
+        got = exhaustive_search(2, tol=tol)
+        assert got.best_set == want.best_set
+        assert got.best_rate.hex() == want.best_rate.hex()
+        assert got.report == want.report
+        assert got.report.to_dict() == want.report.to_dict()
+        assert got.report.bracket == want.report.bracket
+        assert (got.method, got.candidates_examined, got.tol) == (
+            want.method, want.candidates_examined, want.tol)
+
+    def test_one_canonical_set_per_orbit(self):
+        orbits = []
+        for s in _rated_sets():
+            images = [ref_symmetry_images(w) for w in s.words()]
+            orbit = {tuple(sorted(img[g] for img in images)) for g in range(16)}
+            assert tuple(s.words()) == min(orbit)  # the canonical member
+            assert not any(orbit & seen for seen in orbits)
+            orbits.append(orbit)
+        # every candidate lies in one of the rated orbits
+        assert len(set().union(*orbits)) == 64
+
+    @pytest.mark.parametrize("block", [1, 7, 13, 64])
+    def test_blocks_keep_candidate_order(self, monkeypatch, block):
+        # 1 and 7 give one candidate a block, 13 two, 64 ten
+        want = [s.words() for s in _rated_sets()]
+        monkeypatch.setattr(sequences, "_MASK_BLOCK", block)
+        assert [s.words() for s in _rated_sets()] == want
+
+    def test_m3_candidates_in_bounded_memory(self):
+        # 2^32 candidates at m=3: the first canonical sets come from one
+        # block of 2,048 candidates, not an array over all of them
+        a, b = rc_pairs(3)
+        tracemalloc.start()
+        try:
+            first = [s for s, _ in zip(search._canonical_candidates(3, a, b), range(5))]
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2 ** 20
+        for s in first:
+            assert len(s) == 32 and validate(s).maximal
+            images = [ref_symmetry_images(w) for w in s.words()]
+            assert tuple(s.words()) == min(
+                tuple(sorted(img[g] for img in images)) for g in range(16))
+
+
 class TestExhaustiveBudget:
     """The 2^(pairs) candidate sets pass the SSA_BUDGET guard, inclusive."""
 
@@ -55,7 +121,7 @@ class TestExhaustiveBudget:
         assert calls == []
         monkeypatch.setenv("SSA_BUDGET", "64")
         assert exhaustive_search(2).candidates_examined == 64
-        assert len(calls) == 64
+        assert len(calls) == ref_orbit_count(2) == 7  # one rated set per orbit
 
     def test_default_budget_refuses_m3(self, monkeypatch):
         monkeypatch.delenv("SSA_BUDGET", raising=False)

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 import time
 import tracemalloc
@@ -9,8 +10,10 @@ from hypothesis import example, given, settings, strategies as st
 
 from ssacode import (
     BudgetExceededError,
+    GeneratingSet,
     Witness,
     binary_reduction_rate,
+    build_digraph,
     complement,
     count_all_ssa,
     find_secondary_structure,
@@ -19,21 +22,30 @@ from ssacode import (
     rc_classes,
     reverse_complement,
     tc_dominant_set,
+    validate,
     window_multiset,
 )
 from ssacode import sequences
 from ssacode.sequences import (
     all_codes,
+    code_to_word,
+    codes_to_words,
     codes_with_tc_mask,
     rc_code,
+    rc_codes,
     rc_pairs,
+    symmetry_images,
     word_to_code,
 )
 from conftest import (
+    adjacency_matrix,
+    dense_spectral_radius,
+    rc_free_words,
     ref_count_all_ssa_python,
     ref_first_witness,
     ref_has_structure,
     ref_rc,
+    ref_symmetry_images,
 )
 
 
@@ -285,6 +297,61 @@ class TestRcPairs:
     def test_rejects_short_words(self):
         with pytest.raises(ValueError):
             rc_pairs(1)
+
+
+class TestSymmetryImages:
+    """``symmetry_images``: the 8 symbol maps that commute with complement,
+    without and with reversal."""
+
+    @given(st.integers(2, 31).flatmap(lambda m: st.tuples(
+        st.just(m), st.lists(st.integers(0, 4 ** m - 1), min_size=1, max_size=20))))
+    @example((2, list(range(16))))
+    @example((31, [0, 4 ** 31 - 1, 0x5555555555555555 >> 2]))
+    def test_match_string_images(self, case):
+        m, codes = case
+        words = [code_to_word(c, m) for c in codes]
+        images = symmetry_images(np.array(codes, dtype=np.int64), m)
+        assert images.dtype == np.int64 and images.shape == (16, len(codes))
+        rows = [tuple(codes_to_words(row, m)) for row in images]
+        want = [tuple(ref_symmetry_images(w)[g] for w in words) for g in range(16)]
+        assert sorted(rows) == sorted(want)
+        assert rows[0] == tuple(words)  # image 0 is the identity
+        # images 8 .. 15 are images 0 .. 7 reversed
+        assert rows[8:] == [tuple(w[::-1] for w in row) for row in rows[:8]]
+
+    @pytest.mark.parametrize("m", [2, 3, 4])
+    def test_a_group_that_commutes_with_rc(self, m):
+        codes = all_codes(m)
+        images = symmetry_images(codes, m)
+        rows = {tuple(row) for row in images.tolist()}
+        assert len(rows) == 16  # 16 distinct maps
+        assert all(sorted(row) == codes.tolist() for row in rows)  # permutations
+        for row in images:  # closed under composition
+            assert {tuple(r) for r in symmetry_images(row, m).tolist()} == rows
+        assert np.array_equal(symmetry_images(rc_codes(codes, m), m),
+                              rc_codes(images, m))
+
+    def test_two_dimensional_codes(self):
+        codes = np.arange(4 ** 3, dtype=np.int64).reshape(8, 8)
+        images = symmetry_images(codes, 3)
+        assert images.shape == (16, 8, 8)
+        assert np.array_equal(images.reshape(16, -1), symmetry_images(codes.ravel(), 3))
+        assert np.array_equal(codes, np.arange(4 ** 3).reshape(8, 8))  # input untouched
+
+    @settings(max_examples=40, deadline=None)
+    @given(rc_free_words())
+    def test_images_are_rc_free_with_the_same_rate(self, words):
+        s = GeneratingSet.from_words(words)
+        m = s.m
+        rho = dense_spectral_radius(adjacency_matrix(build_digraph(s)))
+        rate = math.log2(rho) if rho > 0 else 0.0
+        for row in symmetry_images(s.codes, m):
+            image = GeneratingSet.from_codes(m, row)
+            assert len(image) == len(s)
+            assert validate(image).valid
+            r = dense_spectral_radius(adjacency_matrix(build_digraph(image)))
+            assert (math.log2(r) if r > 0 else 0.0) == pytest.approx(
+                rate, rel=1e-12, abs=1e-14)
 
 
 @pytest.fixture
