@@ -591,67 +591,30 @@ def _poly_divmod(a: list, b: list) -> Tuple[list, list]:
     return quotient, a
 
 
-_SQUARE_FREE_PRIME = 2 ** 61 - 1
-
-
-def _square_free_mod_prime(coeffs: List[float]) -> bool:
-    """True if the reduction of p (descending float coefficients, the first
-    nonzero) modulo the prime P = 2^61 - 1 keeps p's degree and is prime to
-    its derivative; then gcd(p, p') over Q is a constant.
-
-    Each float is a binary fraction, so one power of 2 scales p to integer
-    coefficients.  Were gcd(p, p') = g not constant, g could be taken
-    primitive over Z dividing p and p' there (Gauss), with a leading
-    coefficient that divides p's; that is then not 0 mod P, so g mod P
-    would be a common factor of positive degree.  False says nothing: p
-    may still be square-free over Q.
-    """
-    ratios = [c.as_integer_ratio() for c in coeffs]
-    scale = max(den for _, den in ratios)  # each den is a power of 2
-    a = [num * (scale // den) % _SQUARE_FREE_PRIME for num, den in ratios]
-    if a[0] == 0:
-        return False
-    b = [c * k % _SQUARE_FREE_PRIME for c, k in zip(a, range(len(a) - 1, 0, -1))]
-    while b:  # b[0] != 0: Euclid over GF(P), b monic
-        inv = pow(b[0], -1, _SQUARE_FREE_PRIME)
-        b = [c * inv % _SQUARE_FREE_PRIME for c in b]
-        while len(a) >= len(b):
-            f = a[0]
-            a = [(x - f * y) % _SQUARE_FREE_PRIME
-                 for x, y in zip(a[1:], b[1:] + [0] * (len(a) - len(b)))]
-        while a and a[0] == 0:
-            a.pop(0)
-        a, b = b, a
-    return len(a) == 1
-
-
 def largest_real_root(coeffs: Sequence[float]) -> float:
     """Largest nonnegative real root of a polynomial (descending coefficients).
 
     Repeated factors are divided out first, exactly: g = gcd(p, p') by
     Euclid over fractions (each float converts exactly), then p / g, whose
     roots are those of p, each simple.  A polynomial with simple roots only
-    is passed on as it is; ``_square_free_mod_prime`` proves most such
-    polynomials square-free first, and those skip the Euclid, whose
-    fractions grow steeply with the degree.  The roots are the eigenvalues
-    of the companion matrix (``np.roots``).  LAPACK returns a real
-    eigenvalue of a real matrix with an imaginary part of exactly 0, so
-    those are the real roots, each exact to rounding.  Raises ValueError if
-    there is no real root >= 0.
+    is passed on as it is.  The roots are the eigenvalues of the companion
+    matrix (``np.roots``).  LAPACK returns a real eigenvalue of a real
+    matrix with an imaginary part of exactly 0, so those are the real
+    roots, each exact to rounding.  Raises ValueError if there is no real
+    root >= 0.
     """
     coeffs = np.asarray(coeffs, dtype=float)
     if len(coeffs) == 0 or coeffs[0] == 0:
         raise ValueError("leading coefficient must be nonzero")
     if not np.isfinite(coeffs).all():
         raise ValueError("coefficients must be finite")
-    if not _square_free_mod_prime(coeffs.tolist()):
-        p = [Fraction(c) for c in coeffs.tolist()]
-        a, b = p, [c * k for c, k in zip(p, range(len(p) - 1, 0, -1))]  # p, p'
-        while b:
-            rem = _poly_divmod(a, b)[1]
-            a, b = b, [c / rem[0] for c in rem]  # monic: keeps the fractions short
-        if len(a) > 1:  # gcd(p, p') is not a constant
-            coeffs = np.array([float(c) for c in _poly_divmod(p, a)[0]])
+    p = [Fraction(c) for c in coeffs.tolist()]
+    a, b = p, [c * k for c, k in zip(p, range(len(p) - 1, 0, -1))]  # p, p'
+    while b:
+        rem = _poly_divmod(a, b)[1]
+        a, b = b, [c / rem[0] for c in rem]  # monic: keeps the fractions short
+    if len(a) > 1:  # gcd(p, p') is not a constant
+        coeffs = np.array([float(c) for c in _poly_divmod(p, a)[0]])
     roots = np.roots(coeffs)
     real = roots.real[(roots.imag == 0) & (roots.real >= 0)]
     if len(real) == 0:

@@ -13,7 +13,6 @@ from typing import Iterator, Optional, Tuple
 
 import numpy as np
 
-from . import sequences
 from .capacity import DEFAULT_TOL, CapacityReport, check_tol, rate_of_set
 from .gensets import GeneratingSet
 from .sequences import check_budget, rc_pairs, symmetry_images, tc_weights
@@ -64,9 +63,15 @@ def exhaustive_search(m: int, tol: float = DEFAULT_TOL) -> SearchResult:
     canonical member, the one whose sorted codes are lexicographically
     smallest, and only canonical members are rated (7 sets at m=2), in
     candidate order.  ``candidates_examined`` still counts all 2^(pairs)
-    sets.  Rated in full, an orbit's members would tie and the tie break
-    would keep its canonical member, so the winner and its report are
-    those of rating every candidate.
+    sets.  An orbit's members have one rate, so where ``rate_of_set``
+    rates them all by the same method they tie, the tie break keeps the
+    canonical member, and the winner and its report are those of rating
+    every candidate; that is checked against the full enumeration at m=2.
+    It can fail beyond: ``rate_of_set`` rates a union of TC-mask classes by
+    the mask quotient and other sets by power iteration, the C<->G swap
+    does not keep TC masks, and two members of one orbit rated by different
+    methods agree only to about ``tol``, which can exceed ``_RATE_EPS``; the
+    best set or ``report.method`` may then differ from rating every set.
     """
     check_tol(tol)
     a, b = rc_pairs(m)
@@ -90,29 +95,15 @@ def _canonical_candidates(m: int, a: np.ndarray,
                           b: np.ndarray) -> Iterator[GeneratingSet]:
     """The maximal sets that are the canonical members of their orbits, in
     candidate order: candidate ``mask`` takes a[i] where bit i of ``mask``
-    is set, else b[i].  Candidates come a block at a time, at most
-    ``sequences._MASK_BLOCK`` codes a block, so no array spans them all."""
+    is set, else b[i].  The maps act word by word, so a candidate's images
+    are picked from those of a and b.  One candidate is held at a time."""
     n_pairs = len(a)
-    bits = np.arange(n_pairs)
-    step = max(1, sequences._MASK_BLOCK // n_pairs)
-    for start in range(0, 2 ** n_pairs, step):
-        masks = np.arange(start, min(start + step, 2 ** n_pairs), dtype=np.int64)
-        pick_a = (masks[:, None] >> bits & 1).astype(bool)
-        sets = np.sort(np.where(pick_a, a, b), axis=1)
-        canonical = np.ones(len(sets), dtype=bool)
-        for image in symmetry_images(sets, m)[1:]:
-            image.sort(axis=1)
-            canonical &= ~_rows_less(image, sets)
-        for codes in sets[canonical]:
-            yield GeneratingSet.from_codes(m, codes)
-
-
-def _rows_less(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Row by row, whether x's row is lexicographically smaller than y's."""
-    differ = x != y
-    first = differ.argmax(axis=1)  # the first column that differs, or 0
-    rows = np.arange(len(x))
-    return differ[rows, first] & (x[rows, first] < y[rows, first])
+    images_a, images_b = symmetry_images(a, m), symmetry_images(b, m)
+    for mask in range(2 ** n_pairs):
+        pick_a = np.array([(mask >> i) & 1 for i in range(n_pairs)], dtype=bool)
+        images = np.sort(np.where(pick_a, images_a, images_b), axis=1)
+        if min(map(tuple, images.tolist())) == tuple(images[0].tolist()):
+            yield GeneratingSet.from_codes(m, images[0])  # image 0: the identity
 
 
 def greedy_tc_choice(m: int) -> GeneratingSet:

@@ -713,36 +713,6 @@ class TestRecurrences:
             recurrence_counts(F3, 0)
 
 
-@st.composite
-def _poly_with_square(draw):
-    """Integer coefficients, descending, of q(x)^2 r(x) with q of degree 1
-    to 3 and r of degree 0 to 3, small enough to be exact as floats."""
-    q = [draw(st.integers(1, 3))] + draw(st.lists(st.integers(-3, 3), min_size=1, max_size=3))
-    r = [draw(st.integers(1, 3))] + draw(st.lists(st.integers(-3, 3), max_size=3))
-    p = [1]
-    for factor in (q, q, r):
-        p = [sum(p[i] * factor[k - i] for i in range(len(p)) if 0 <= k - i < len(factor))
-             for k in range(len(p) + len(factor) - 1)]
-    return [float(c) for c in p]
-
-
-def _root_or_error(coeffs):
-    """``largest_real_root`` as ``float.hex``, or the text of its ValueError."""
-    try:
-        return largest_real_root(coeffs).hex()
-    except ValueError as exc:
-        return str(exc)
-
-
-def _root_by_euclid(coeffs):
-    """``_root_or_error`` with the square-free pre-check off, so that the
-    exact Euclid always runs."""
-    from ssacode import capacity
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(capacity, "_square_free_mod_prime", lambda coeffs: False)
-        return _root_or_error(coeffs)
-
-
 class TestLargestRealRoot:
     def test_reference_roots(self):
         assert largest_real_root([1, -1, 0, -1]) == pytest.approx(1.4656, abs=1e-3)
@@ -826,37 +796,6 @@ class TestLargestRealRoot:
                           if 0 <= k - i < 3) for k in range(len(coeffs) + 2)]
         with pytest.raises(ValueError, match="no nonnegative real root"):
             largest_real_root(coeffs)
-
-    @settings(max_examples=200, deadline=None)
-    @given(st.one_of(
-        st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=14),
-        st.lists(st.integers(-4, 4), min_size=1, max_size=14),
-        st.tuples(_poly_with_square(), st.sampled_from([1.0, 0.375, 2.0 ** -40, 3.0]))
-        .map(lambda case: [c * case[1] for c in case[0]])))
-    @example([1.0, -9.0, 27.0, -27.0])
-    @example([5.0])
-    def test_precheck_keeps_every_root(self, coeffs):
-        assume(abs(coeffs[0]) >= 1e-300)  # np.roots divides by it
-        assert _root_or_error(coeffs) == _root_by_euclid(coeffs)
-
-    @settings(max_examples=200, deadline=None)
-    @given(_poly_with_square(), st.integers(-60, 60))
-    def test_precheck_never_passes_a_repeated_factor(self, coeffs, exponent):
-        from ssacode import capacity
-        assert not capacity._square_free_mod_prime([c * 2.0 ** exponent for c in coeffs])
-
-    def test_square_free_skips_the_euclid(self, monkeypatch):
-        from ssacode import capacity
-        calls = []
-        real = capacity._poly_divmod
-        monkeypatch.setattr(capacity, "_poly_divmod", lambda a, b: calls.append(a) or real(a, b))
-        coeffs = np.random.default_rng(40).standard_normal(41)  # degree 40
-        coeffs[0], coeffs[-1] = abs(coeffs[0]), -abs(coeffs[-1])  # p(0) < 0: a root > 0
-        root = largest_real_root(coeffs)
-        assert calls == []
-        assert root.hex() == _root_by_euclid(coeffs)
-        assert largest_real_root([1, -9, 27, -27]) == 3.0  # (x - 3)^3: the Euclid runs
-        assert calls
 
     @pytest.mark.parametrize("spec", [F3, F5, COMPOSITION_BASELINE],
                              ids=["F3", "F5", "composition"])

@@ -12,7 +12,7 @@ from ssacode import (
     tc_dominant_set,
     validate,
 )
-from ssacode import search, sequences
+from ssacode import search
 from ssacode.sequences import rc_pairs
 from conftest import ref_exhaustive_search, ref_orbit_count, ref_symmetry_images
 
@@ -54,8 +54,8 @@ def _rated_sets():
 
 
 class TestExhaustiveOrbits:
-    """Only the canonical member of each symmetry orbit is rated; the result
-    is that of rating all 2^(pairs) candidates."""
+    """Only the canonical member of each symmetry orbit is rated; at m=2 the
+    result is that of rating all 2^(pairs) candidates."""
 
     @pytest.mark.parametrize("tol", [1e-6, 1e-8, 1e-10, 1e-12])
     def test_matches_full_enumeration(self, tol):
@@ -80,16 +80,9 @@ class TestExhaustiveOrbits:
         # every candidate lies in one of the rated orbits
         assert len(set().union(*orbits)) == 64
 
-    @pytest.mark.parametrize("block", [1, 7, 13, 64])
-    def test_blocks_keep_candidate_order(self, monkeypatch, block):
-        # 1 and 7 give one candidate a block, 13 two, 64 ten
-        want = [s.words() for s in _rated_sets()]
-        monkeypatch.setattr(sequences, "_MASK_BLOCK", block)
-        assert [s.words() for s in _rated_sets()] == want
-
     def test_m3_candidates_in_bounded_memory(self):
-        # 2^32 candidates at m=3: the first canonical sets come from one
-        # block of 2,048 candidates, not an array over all of them
+        # 2^32 candidates at m=3: the first canonical sets come one
+        # candidate at a time, not from an array over all of them
         a, b = rc_pairs(3)
         tracemalloc.start()
         try:
