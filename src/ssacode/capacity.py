@@ -13,7 +13,7 @@ import operator
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -22,30 +22,35 @@ from .gensets import GeneratingSet, sorted_unique
 from .sequences import tc_dominant_masks
 
 DEFAULT_TOL = 1e-10  # the relative tolerance of a rate, unless one is given
+# The least tol a rate can be asked for: below it the quotient's target
+# tol * _QUOTIENT_TOL_FACTOR is under the rounding of its power step, which
+# then runs all _MAX_ITER steps and does not converge.
+MIN_TOL = 1e-13
 _MAX_ITER = 100000  # the iteration cap of every power iteration
 
 
 def check_tol(tol: float) -> None:
     """Raise ValueError unless ``tol`` is a usable relative tolerance of a
-    rate: finite, and 0 < tol < 1."""
-    if not 0 < tol < 1:  # nan fails every comparison
-        raise ValueError(f"tol must be finite with 0 < tol < 1, got {tol!r}")
+    rate: finite, and MIN_TOL <= tol < 1."""
+    if not MIN_TOL <= tol < 1:  # nan fails every comparison
+        raise ValueError(f"tol must be finite with {MIN_TOL:g} <= tol < 1, got {tol!r}")
 
 
-def _overlap_keys(m: int, q: int, codes: np.ndarray) -> Optional[np.ndarray]:
-    """The bins of an overlap digraph on ``codes``: None if there are at
-    least q^(m-1) codes, so the bins are the overlap words' own codes; else
-    the sorted distinct overlap words, whose ranks are the bins."""
-    overlaps = q ** (m - 1)
+def _overlap_bins(m: int, codes: np.ndarray) -> Tuple[int, Callable]:
+    """The bins of an overlap digraph on sorted ``codes``: (bin count, the
+    map from overlap words to bins).  With at least 4^(m-1) codes the bins
+    are the overlap words' own codes; otherwise they are the ranks of the
+    distinct overlap words."""
+    overlaps = 4 ** (m - 1)
     if overlaps <= len(codes):
-        return None
-    return sorted_unique(np.concatenate([codes >> (q.bit_length() - 1),
-                                         codes & (overlaps - 1)]), overwrite=True)
+        return overlaps, lambda words: words
+    keys = sorted_unique(np.concatenate([codes >> 2, codes & (overlaps - 1)]))
+    return len(keys), lambda words: np.searchsorted(keys, words)
 
 
 @dataclass
 class TransitionDigraph:
-    """Overlap digraph on a vertex set of length-m words over a q-ary alphabet.
+    """Overlap digraph on a vertex set of length-m words.
 
     Adjacency is never materialized as a matrix: since u -> v iff suffix(u)
     == prefix(v), a matrix-vector product reduces to a group-sum over shared
@@ -53,38 +58,27 @@ class TransitionDigraph:
 
     Each vertex carries two bin indices, ``_pre`` for its (m-1)-prefix and
     ``_suf`` for its (m-1)-suffix, and u -> v iff ``_suf[u] == _pre[v]``.
-    When q^(m-1) <= |V| the bins are the overlap words' own codes, so no
-    index is built.  A sparser set would leave most of those q^(m-1) bins
+    When 4^(m-1) <= |V| the bins are the overlap words' own codes, so no
+    index is built.  A sparser set would leave most of those 4^(m-1) bins
     empty (a few words at m = 16 would need 4^15), so its bins are the
-    ranks of its distinct overlap words instead.  Both maps keep the order
-    of the overlap words, so ``_pre`` is non-decreasing, and a bin sums
-    the same vertices in the same order either way: every product, count
-    and walk is the same to the bit.
+    ranks of its distinct overlap words instead (``_overlap_bins``).  Both
+    maps keep the order of the overlap words, so ``_pre`` is non-decreasing,
+    and a bin sums the same vertices in the same order either way: every
+    product, count and walk is the same to the bit.
 
     ``codes`` may come in any order and with repeats; the stored vertex codes
     are sorted and duplicate-free.  A strictly increasing int64 array, such
-    as ``GeneratingSet.codes``, is kept as it is, without a copy.  ``q`` is
-    2 or 4, so a symbol is one or two bits of a code.
+    as ``GeneratingSet.codes``, is kept as it is, without a copy.
     """
 
     m: int
     codes: np.ndarray  # sorted, duplicate-free vertex codes
-    q: int = 4
 
     def __post_init__(self):
-        if self.q not in (2, 4):
-            raise ValueError(f"alphabet size q must be 2 or 4, got {self.q}")
         self.codes = codes = sorted_unique(self.codes)
-        overlaps = self.q ** (self.m - 1)
-        self._pre = codes >> (self.q.bit_length() - 1)  # codes // q
-        self._suf = codes & (overlaps - 1)  # codes % q^(m-1)
-        keys = _overlap_keys(self.m, self.q, codes)
-        if keys is None:
-            self._nbins = overlaps
-        else:
-            self._pre = np.searchsorted(keys, self._pre)
-            self._suf = np.searchsorted(keys, self._suf)
-            self._nbins = len(keys)
+        self._nbins, binned = _overlap_bins(self.m, codes)
+        self._pre = binned(codes >> 2)  # of the (m-1)-prefixes, codes // 4
+        self._suf = binned(codes & (4 ** (self.m - 1) - 1))  # codes % 4^(m-1)
 
     @property
     def vertex_count(self) -> int:
@@ -136,7 +130,7 @@ class TransitionDigraph:
 
 def build_digraph(s: GeneratingSet) -> TransitionDigraph:
     s.require_valid()
-    return TransitionDigraph(m=s.m, codes=s.codes, q=4)
+    return TransitionDigraph(m=s.m, codes=s.codes)
 
 
 @dataclass
@@ -237,7 +231,7 @@ def spectral_radius(g: TransitionDigraph, tol: float = DEFAULT_TOL) -> CapacityR
     rho, iterations, residual, converged = 0.0, 0, 0.0, True
     for idx in g.cyclic_components():
         sub = (g if len(idx) == g.vertex_count
-               else TransitionDigraph(m=g.m, codes=g.codes[idx], q=g.q))
+               else TransitionDigraph(m=g.m, codes=g.codes[idx]))
         r, it, res, conv, _ = _shifted_power(sub.matvec, len(idx), tol)
         iterations += it
         residual = max(residual, res)
@@ -265,18 +259,21 @@ def mask_quotient(s: GeneratingSet) -> Optional[Tuple[TransitionDigraph, np.ndar
     kept masks: the two symbols with the TC bit b ends in.  That digraph,
     times 2, is then the quotient matrix of the partition by mask, and a
     Perron vector of it read at each word's mask is one of the quaternary
-    digraph.  Returns (quotient digraph, each word's mask), or None when S
-    is not such a union.  The masks are ``s.mask_classes``, computed once
-    per set and shared with ``validate``.
+    digraph.  The binary window digraph is the overlap digraph of the kept
+    masks' words over {A, C} (``sequences.spread``): A and C are the digits
+    0 and 1, and spreading keeps order, so its i-th vertex is the i-th kept
+    mask.  Returns (quotient digraph, each word's mask), or None when S is
+    not such a union.  The masks are ``s.mask_classes``, computed once per
+    set and shared with ``validate``.
     """
     union = s.mask_classes
     if union is None:
         return None
     kept, masks = union
-    return TransitionDigraph(m=s.m, codes=kept, q=2), masks
+    return TransitionDigraph(m=s.m, codes=sequences.spread(kept)), masks
 
 
-# A ratio (Ax)_i / x_i is a sum of at most q <= 4 positive terms (one per
+# A ratio (Ax)_i / x_i is a sum of at most 4 positive terms (one per
 # symbol that extends the overlap) and one division, so in floating point
 # it is within a relative gamma_4 = 4u / (1 - 4u) of its exact value
 # (u = eps / 2).  Widening each end by 8 eps = 16u covers that and the
@@ -300,26 +297,24 @@ def _lifted_bracket(m: int, codes: np.ndarray, masks: np.ndarray,
     overlaps is the 4^(m-1) prefix sums.  It is that of
     ``TransitionDigraph(m, codes).matvec(x)``, to the bit.
 
-    The bins are those of ``TransitionDigraph``: the overlap words' codes
-    for a set of at least 4^(m-1) words, their ranks otherwise.  The first
-    pass sums x = ``by_mask[masks]`` per prefix bin, with one ``bincount``
-    per block offset by the block's first bin.  The codes are sorted, so
-    the prefix bins are non-decreasing: of a block's bins only the first
-    can hold a sum begun in earlier blocks, and that sum is added to the
-    block's first weight.  Every bin is thus summed from 0 in word order,
-    as one ``bincount`` sums it.  The second pass reads the sums at the
-    suffix bins and keeps the least and greatest ratio.  None if an entry
-    of x is not a positive normal float.
+    The bins are those of ``TransitionDigraph`` (``_overlap_bins``).  The
+    first pass sums x = ``by_mask[masks]`` per prefix bin, with one
+    ``bincount`` per block offset by the block's first bin.  The codes are
+    sorted, so the prefix bins are non-decreasing: of a block's bins only
+    the first can hold a sum begun in earlier blocks, and that sum is
+    added to the block's first weight.  Every bin is thus summed from 0 in
+    word order, as one ``bincount`` sums it.  The second pass reads the
+    sums at the suffix bins and keeps the least and greatest ratio.  None
+    if an entry of x is not a positive normal float.
     """
     if len(codes) == 0:
         return None
-    overlaps = 4 ** (m - 1)
-    keys = _overlap_keys(m, 4, codes)
+    nbins, binned = _overlap_bins(m, codes)
     step = sequences._MASK_BLOCK
     x = np.empty(min(len(codes), step))  # a block's x, reused
     ratio = np.empty(len(x))
     words = np.empty(len(x), dtype=np.int64)  # a block's prefixes or suffixes
-    t = np.zeros(overlaps if keys is None else len(keys))
+    t = np.zeros(nbins)
 
     def blocks():
         """(codes, x, overlap-word buffer) of each block of words."""
@@ -329,9 +324,6 @@ def _lifted_bracket(m: int, codes: np.ndarray, masks: np.ndarray,
             # masks index by_mask in range; "clip" spares take a copy of out
             np.take(by_mask, masks[start:start + n], out=x[:n], mode="clip")
             yield block, x[:n], words[:n]
-
-    def binned(overlap_words):
-        return overlap_words if keys is None else np.searchsorted(keys, overlap_words)
 
     for block, xb, buf in blocks():
         if not xb.min() >= np.finfo(float).tiny:
@@ -344,7 +336,7 @@ def _lifted_bracket(m: int, codes: np.ndarray, masks: np.ndarray,
         t[first:first + len(sums)] = sums
     lo, hi = math.inf, -math.inf
     for block, xb, buf in blocks():
-        suf = binned(np.bitwise_and(block, overlaps - 1, out=buf))
+        suf = binned(np.bitwise_and(block, 4 ** (m - 1) - 1, out=buf))
         rb = np.take(t, suf, out=ratio[:len(xb)], mode="clip")
         rb /= xb
         lo = min(lo, float(rb.min()))
@@ -362,7 +354,7 @@ def _lifted_rate(s: GeneratingSet, quotient: TransitionDigraph,
     _, iterations, _, _, y = _shifted_power(
         quotient.matvec, quotient.vertex_count, tol * _QUOTIENT_TOL_FACTOR)
     by_mask = np.zeros(2 ** s.m)
-    by_mask[quotient.codes] = y
+    by_mask[sequences.tc_masks(quotient.codes, s.m)] = y  # at the kept masks
     bracket = _lifted_bracket(s.m, s.codes, masks, by_mask)
     if bracket is None:
         return None
@@ -521,15 +513,16 @@ def binary_reduction_rate(m: int) -> CapacityReport:
 
     T,C -> 1 and A,G -> 0 is a 2^n-to-one map onto binary sequences whose
     m-windows have weight > m/2, so the quaternary rate is 1 + log2(rho_bin).
-    The binary window digraph on the weight > m/2 masks is the
-    ``mask_quotient`` of ``tc_dominant_set(m)``, built here without the 4^m
-    words.  The reported spectral radius is the quaternary-equivalent
-    2 * rho_bin, iterated to ``DEFAULT_TOL``.
+    The binary window digraph on the weight > m/2 masks, the overlap
+    digraph of their words over {A, C}, is the ``mask_quotient`` of
+    ``tc_dominant_set(m)``, built here without the 4^m words.  The
+    reported spectral radius is the quaternary-equivalent 2 * rho_bin,
+    iterated to ``DEFAULT_TOL``.
     """
     if m < 2:
         raise ValueError(f"m must be >= 2, got {m}")
-    report = spectral_radius(
-        TransitionDigraph(m=m, codes=np.flatnonzero(tc_dominant_masks(m)), q=2))
+    report = spectral_radius(TransitionDigraph(
+        m=m, codes=sequences.spread(np.flatnonzero(tc_dominant_masks(m)))))
     rho_bin = report.spectral_radius
     report.method = "binary-reduction"
     report.spectral_radius = 2.0 * rho_bin
@@ -601,7 +594,8 @@ def largest_real_root(coeffs: Sequence[float]) -> float:
     matrix (``np.roots``).  LAPACK returns a real eigenvalue of a real
     matrix with an imaginary part of exactly 0, so those are the real
     roots, each exact to rounding.  Raises ValueError if there is no real
-    root >= 0.
+    root >= 0, or if a coefficient over the leading one overflows, as it
+    can for a subnormal leading one.
     """
     coeffs = np.asarray(coeffs, dtype=float)
     if len(coeffs) == 0 or coeffs[0] == 0:
@@ -615,6 +609,9 @@ def largest_real_root(coeffs: Sequence[float]) -> float:
         a, b = b, [c / rem[0] for c in rem]  # monic: keeps the fractions short
     if len(a) > 1:  # gcd(p, p') is not a constant
         coeffs = np.array([float(c) for c in _poly_divmod(p, a)[0]])
+    with np.errstate(over="ignore"):  # np.roots divides by the leading one
+        if not np.isfinite(coeffs[1:] / coeffs[0]).all():
+            raise ValueError("coefficients overflow when divided by the leading one")
     roots = np.roots(coeffs)
     real = roots.real[(roots.imag == 0) & (roots.real >= 0)]
     if len(real) == 0:

@@ -38,25 +38,20 @@ class InvalidGeneratingSetError(ValueError):
     """The generating set violates RC-freeness (or is otherwise malformed)."""
 
 
-def sorted_unique(codes, overwrite: bool = False) -> np.ndarray:
+def sorted_unique(codes) -> np.ndarray:
     """A sorted, duplicate-free int64 array of the given codes.
 
     Sort-and-diff, not ``np.unique``: numpy 2.3+ takes a hash path in
     ``np.unique`` that is about 50x slower on millions of int64 codes.
     A 1-d int64 array that is already strictly increasing is returned as
-    it is, not copied.  Otherwise the input is left as it is, unless
-    ``overwrite`` is set: then a 1-d int64 array is sorted in place, which
-    saves a copy.
+    it is, not copied; otherwise the input is left as it is.
     """
     if not isinstance(codes, np.ndarray):
         codes = list(codes)
     arr = np.asarray(codes, dtype=np.int64)
     if arr.ndim == 1 and (arr[1:] > arr[:-1]).all():
         return arr
-    if overwrite and arr.ndim == 1:
-        arr.sort()
-    else:
-        arr = np.sort(arr, axis=None)
+    arr = np.sort(arr, axis=None)
     if len(arr) > 1:
         fresh = arr[1:] != arr[:-1]
         if not fresh.all():

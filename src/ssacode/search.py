@@ -15,7 +15,7 @@ import numpy as np
 
 from .capacity import DEFAULT_TOL, CapacityReport, check_tol, rate_of_set
 from .gensets import GeneratingSet
-from .sequences import check_budget, rc_pairs, symmetry_images, tc_weights
+from .sequences import check_budget, rc_pairs, symmetry_images, tc_masks, tc_weights
 
 LOCAL_TOL = 1e-8  # local search rates its candidates at this tolerance
 _PLATEAU_LIMIT = 25  # sideways moves in a row that local search allows
@@ -115,9 +115,10 @@ def greedy_tc_choice(m: int) -> GeneratingSet:
 
 
 def _centrality(codes: np.ndarray, m: int) -> np.ndarray:
+    masks = tc_masks(codes, m)
     score = np.zeros_like(codes)
-    for pos in range(m):  # T/C at position pos: the low bit of its digit
-        score += (codes >> 2 * (m - 1 - pos) & 1) * min(pos + 1, m - pos)
+    for pos in range(m):  # T/C at position pos: bit m - 1 - pos of the mask
+        score += (masks >> (m - 1 - pos) & 1) * min(pos + 1, m - pos)
     return score
 
 

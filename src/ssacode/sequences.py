@@ -218,7 +218,7 @@ def tc_masks(codes: np.ndarray, m: int) -> np.ndarray:
     return masks.reshape(codes.shape)
 
 
-def _spread(masks) -> np.ndarray:
+def spread(masks) -> np.ndarray:
     """The inverse of ``tc_masks``: bit i of each mask becomes the low bit
     of digit i, so a mask becomes the code of its word over {A, C}, int64.
 
@@ -239,20 +239,20 @@ def tc_class_codes(code: int, m: int) -> np.ndarray:
     ``code`` and takes the spread masks 0 .. 2^m - 1, ascending, as the
     digits' high bits.  2^m work, no 4^m array.
     """
-    return (code & _LOW_BITS) | _spread(np.arange(2 ** m)) << 1
+    return (code & _LOW_BITS) | spread(np.arange(2 ** m)) << 1
 
 
 def rc_masks(masks: np.ndarray, m: int) -> np.ndarray:
     """TC mask of the reverse complements of each m-bit mask class: the mask
     of the reverse complement of any one word of the class."""
-    return tc_masks(rc_codes(_spread(masks), m), m)
+    return tc_masks(rc_codes(spread(masks), m), m)
 
 
 def tc_dominant_masks(m: int) -> np.ndarray:
     """Keep table over the 2^m TC masks: True where more than m/2 bits are 1,
     the masks of the TC-dominant words."""
     check_budget(2 ** m, f"2^{m} binary words")
-    return tc_weights(_spread(np.arange(2 ** m)), m) > m // 2
+    return tc_weights(spread(np.arange(2 ** m)), m) > m // 2
 
 
 def tc_mask_members(m: int, keep: np.ndarray) -> np.ndarray:

@@ -152,7 +152,48 @@ def adjacency_matrix(g, max_vertices=4096):
     if g.vertex_count > max_vertices:
         raise ValueError(f"{g.vertex_count} vertices: adjacency matrix too large")
     codes = g.codes
-    return (codes[:, None] % g.q ** (g.m - 1) == codes[None, :] // g.q).astype(np.int64)
+    return (codes[:, None] % 4 ** (g.m - 1) == codes[None, :] // 4).astype(np.int64)
+
+
+def ac_word(mask, m):
+    """The word over {A, C} of an m-bit mask: bit 0 -> A, bit 1 -> C."""
+    return format(mask, f"0{m}b").translate(str.maketrans("01", "AC"))
+
+
+def ref_binary_window_digraph(keep):
+    """Dense 0/1 adjacency of the binary window digraph on the kept masks
+    of a keep table over the 2^m masks, in ascending order: a -> b iff a's
+    last m - 1 bits are b's first m - 1 bits.  On bit strings."""
+    m = len(keep).bit_length() - 1
+    kept = [format(a, f"0{m}b") for a in range(2 ** m) if keep[a]]
+    return np.array([[a[1:] == b[:-1] for b in kept] for a in kept], dtype=np.int64)
+
+
+def ref_binary_walk_counts(keep, r):
+    """For each kept mask, ascending: the number of binary strings of
+    length m + r that begin with it and whose every m-window is kept, by
+    enumeration."""
+    m = len(keep).bit_length() - 1
+    kept = {format(a, f"0{m}b") for a in range(2 ** m) if keep[a]}
+    tails = ["".join(t) for t in itertools.product("01", repeat=r)]
+    return [sum(all(x[i:i + m] in kept for i in range(r + 1))
+                for x in (a + t for t in tails)) for a in sorted(kept)]
+
+
+def ref_greedy_tc_choice(m):
+    """``greedy_tc_choice`` on word strings: from each RC pair the word
+    with more T/C, then with the larger sum of min(pos + 1, m - pos) over
+    its T/C positions, then the smaller word."""
+    def score(w):
+        tc = [pos for pos, ch in enumerate(w) if ch in "TC"]
+        return len(tc), sum(min(pos + 1, m - pos) for pos in tc)
+
+    words = []
+    for w in map("".join, itertools.product("ACGT", repeat=m)):
+        r = ref_rc(w)
+        if w < r:
+            words.append(w if score(w) >= score(r) else r)
+    return sorted(words)
 
 
 def dense_strong_components(adj):

@@ -3,6 +3,7 @@ import itertools
 import math
 import random
 import tracemalloc
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -32,9 +33,10 @@ from ssacode import (
     trivial_upper_bound,
     validate,
 )
-from ssacode.capacity import BLOCK_CONCAT_WORDS, SiblingTrie, walk_counts
-from ssacode.sequences import rc_code, word_to_code
+from ssacode.capacity import BLOCK_CONCAT_WORDS, MIN_TOL, SiblingTrie, walk_counts
+from ssacode.sequences import codes_to_words, rc_code, spread, tc_mask_members, word_to_code
 from conftest import (
+    ac_word,
     adjacency_matrix,
     dense_spectral_radius,
     dense_strong_components,
@@ -42,6 +44,8 @@ from conftest import (
     perron_bracket,
     random_valid_set,
     rc_free_words,
+    ref_binary_walk_counts,
+    ref_binary_window_digraph,
     ref_count_constrained,
     ref_good_binary_count,
     tc_pattern,
@@ -112,78 +116,75 @@ class TestDigraph:
         s = tc_dominant_set(5)
         assert build_digraph(s).codes is s.codes
 
-    @pytest.mark.parametrize("q", [3, 8])
-    def test_alphabet_of_two_or_four(self, q):
-        # a symbol is one or two bits of a code; other q have no such digit
-        with pytest.raises(ValueError, match="q must be 2 or 4"):
-            TransitionDigraph(m=2, codes=[0, 1], q=q)
 
-
-def naive_arc_count(vertices, m, q):
-    return sum(u % q ** (m - 1) == v // q for u in vertices for v in vertices)
+def naive_arc_count(vertices, m):
+    return sum(u % 4 ** (m - 1) == v // 4 for u in vertices for v in vertices)
 
 
 class TestDigraphVertexDedup:
-    @given(st.sampled_from([2, 4]).flatmap(lambda q: st.integers(2, 6).flatmap(
-        lambda m: st.tuples(st.just(q), st.just(m),
-                            st.lists(st.integers(0, q ** m - 1), max_size=60)))))
-    @example((4, 3, []))
-    @example((2, 3, [7, 3, 7, 0, 3]))
+    @given(st.integers(2, 6).flatmap(lambda m: st.tuples(
+        st.just(m), st.lists(st.integers(0, 4 ** m - 1), max_size=60))))
+    @example((3, []))
+    @example((3, [7, 3, 7, 0, 3]))
     def test_unsorted_input_gives_sorted_unique_vertices(self, case):
-        q, m, codes = case
+        m, codes = case
         want = sorted(set(codes))
         for given_codes in (codes, np.array(codes, dtype=np.int64)):
-            g = TransitionDigraph(m=m, codes=given_codes, q=q)
+            g = TransitionDigraph(m=m, codes=given_codes)
             assert g.codes.dtype == np.int64
             assert g.codes.tolist() == want
             assert g.vertex_count == len(want)
-            assert g.arc_count == naive_arc_count(want, m, q)
+            assert g.arc_count == naive_arc_count(want, m)
 
 
 @st.composite
 def indexed_digraphs(draw):
-    """(q, m, digraph, dense) with dense = q^(m-1) <= |V|, on both sides of
-    that rule: a random code set of fewer or of at least q^(m-1) codes.
-    Dense sets stay within a few hundred codes of q^(m-1), so that the
+    """(m, digraph, dense) with dense = 4^(m-1) <= |V|, on both sides of
+    that rule: a random code set of fewer or of at least 4^(m-1) codes.
+    Dense sets stay within a few hundred codes of 4^(m-1), so that the
     adjacency matrix stays small."""
-    q = draw(st.sampled_from([2, 4]))
     m = draw(st.integers(2, 6))
-    overlaps = q ** (m - 1)
+    overlaps = 4 ** (m - 1)
     dense = draw(st.booleans())
     if dense:
-        size = draw(st.integers(overlaps, min(q ** m, overlaps + 300)))
+        size = draw(st.integers(overlaps, min(4 ** m, overlaps + 300)))
     else:
         size = draw(st.integers(0, overlaps - 1))
     rng = random.Random(draw(st.integers(0, 2 ** 32 - 1)))
-    codes = rng.sample(range(q ** m), size)
-    return q, m, TransitionDigraph(m=m, codes=codes, q=q), dense
+    codes = rng.sample(range(4 ** m), size)
+    return m, TransitionDigraph(m=m, codes=codes), dense
 
 
 def reindexed(g, dense):
     """A copy of g with the other index: the ranks of its distinct overlap
     words if g is indexed by the overlap codes (``dense``), else those codes."""
     h = copy.copy(g)
-    pre, suf = g.codes // g.q, g.codes % g.q ** (g.m - 1)
+    pre, suf = g.codes // 4, g.codes % 4 ** (g.m - 1)
     if dense:
         keys = np.unique(np.concatenate([pre, suf]))
         h._pre, h._suf = np.searchsorted(keys, pre), np.searchsorted(keys, suf)
         h._nbins = len(keys)
     else:
-        h._pre, h._suf, h._nbins = pre, suf, g.q ** (g.m - 1)
+        h._pre, h._suf, h._nbins = pre, suf, 4 ** (g.m - 1)
     return h
+
+
+# {A, C}^2, the binary full shift as words over {A, C}: 4 codes, dense
+AC_PAIRS = [word_to_code(w) for w in ("AA", "AC", "CA", "CC")]
 
 
 class TestIndexModes:
     @settings(max_examples=60, deadline=None)
     @given(indexed_digraphs(), st.integers(0, 2 ** 32 - 1))
-    @example((2, 2, TransitionDigraph(m=2, codes=[0, 1], q=2), True), 0)
-    @example((4, 2, TransitionDigraph(m=2, codes=[0, 5, 15], q=4), False), 0)
+    @example((2, TransitionDigraph(m=2, codes=AC_PAIRS), True), 0)
+    @example((2, TransitionDigraph(m=2, codes=[0, 1]), False), 0)  # AA, AC
+    @example((2, TransitionDigraph(m=2, codes=[0, 5, 15]), False), 0)
     def test_against_adjacency_matrix(self, case, seed):
-        q, m, g, dense = case
-        overlaps = q ** (m - 1)
+        m, g, dense = case
+        overlaps = 4 ** (m - 1)
         if dense:
             assert g._nbins == overlaps
-            assert np.array_equal(g._pre, g.codes // q)
+            assert np.array_equal(g._pre, g.codes // 4)
             assert np.array_equal(g._suf, g.codes % overlaps)
         else:
             assert g._nbins <= 2 * g.vertex_count
@@ -192,7 +193,7 @@ class TestIndexModes:
         rng = np.random.default_rng(seed)
         x = rng.integers(0, 1000, g.vertex_count)
         assert g.matvec(x).tolist() == (adj @ x).tolist()
-        assert g.arc_count == naive_arc_count(g.codes.tolist(), m, q) == adj.sum()
+        assert g.arc_count == naive_arc_count(g.codes.tolist(), m) == adj.sum()
         want = {tuple(idx.tolist()) for idx in dense_strong_components(adj)
                 if len(idx) > 1 or adj[idx[0], idx[0]]}
         assert {tuple(idx.tolist()) for idx in g.cyclic_components()} == want
@@ -204,7 +205,7 @@ class TestIndexModes:
     @settings(max_examples=60, deadline=None)
     @given(indexed_digraphs(), st.integers(0, 2 ** 32 - 1))
     def test_both_indexes_agree_to_the_bit(self, case, seed):
-        q, m, g, dense = case
+        m, g, dense = case
         other = reindexed(g, dense)
         x = np.random.default_rng(seed).uniform(0.1, 10.0, g.vertex_count)
         assert g.matvec(x).tobytes() == other.matvec(x).tobytes()
@@ -217,21 +218,21 @@ class TestIndexModes:
 
     @settings(max_examples=60, deadline=None)
     @given(indexed_digraphs(), st.integers(0, 2 ** 32 - 1))
-    @example((2, 2, TransitionDigraph(m=2, codes=[0, 1], q=2), True), 0)
-    @example((4, 2, TransitionDigraph(m=2, codes=[], q=4), False), 0)
+    @example((2, TransitionDigraph(m=2, codes=AC_PAIRS), True), 0)
+    @example((2, TransitionDigraph(m=2, codes=[]), False), 0)
     def test_sibling_trie_sums(self, case, seed):
         # naive sums over the siblings before v and over v's successors, of
         # a row that depends on a vertex only through its suffix, as walk
         # counts do
-        q, m, g, dense = case
+        m, g, dense = case
         trie = SiblingTrie(g)
         codes = g.codes.tolist()
-        by_suffix = np.random.default_rng(seed).integers(0, 1000, q ** (m - 1)).tolist()
-        row = [by_suffix[c % q ** (m - 1)] for c in codes]
+        by_suffix = np.random.default_rng(seed).integers(0, 1000, 4 ** (m - 1)).tolist()
+        row = [by_suffix[c % 4 ** (m - 1)] for c in codes]
         sums = trie.sums(row)
         for v, code in enumerate(codes):
-            earlier = [u for u in range(v) if codes[u] // q == code // q]
-            successors = [u for u, c in enumerate(codes) if c // q == code % q ** (m - 1)]
+            earlier = [u for u in range(v) if codes[u] // 4 == code // 4]
+            successors = [u for u, c in enumerate(codes) if c // 4 == code % 4 ** (m - 1)]
             assert sums[trie.earlier[v]] == sum(row[u] for u in earlier)
             assert sums[trie.succ_node[v]] == sum(row[u] for u in successors)
             if successors:
@@ -254,7 +255,7 @@ class TestIndexModes:
         g = build_digraph(s)
         assert g.vertex_count == 17
         assert g._nbins <= 2 * g.vertex_count
-        assert g.arc_count == naive_arc_count(s.codes.tolist(), m, 4) == 19
+        assert g.arc_count == naive_arc_count(s.codes.tolist(), m) == 19
         # f(n) = f(n-1) + f(n-16): the root of x^16 = x^15 + 1
         root = largest_real_root([1, -1] + [0] * 14 + [-1])
         rep = rate_of_set(s)
@@ -318,7 +319,7 @@ class TestSpectralRadius:
         words = ["".join(x + y) for k in range(10)
                  for x in itertools.product("AC", repeat=k)
                  for y in itertools.product("GT", repeat=9 - k)]
-        g = TransitionDigraph(m=9, q=4, codes=[word_to_code(w) for w in words])
+        g = TransitionDigraph(m=9, codes=[word_to_code(w) for w in words])
         assert g.vertex_count == 5120
         assert sorted(map(len, g.cyclic_components())) == [512, 512]
         rep = spectral_radius(g)
@@ -350,6 +351,16 @@ class TestRateOfSet:
                 assert rate_of_set(s).rate_bits_per_nt <= trivial_upper_bound(m) + 1e-9
 
 
+@st.composite
+def keep_tables(draw, ms=range(2, 9)):
+    """A random keep table over the 2^m TC masks, m in ``ms``, as a
+    boolean array, from sparse to full."""
+    m = draw(st.sampled_from(ms))
+    density = draw(st.sampled_from([0.1, 0.5, 0.9, 1.0]))
+    rng = random.Random(draw(st.integers(0, 2 ** 32 - 1)))
+    return np.array([rng.random() < density for _ in range(2 ** m)])
+
+
 def exact_ratios(g, x):
     """(Ax)_i / x_i for every vertex, in exact rational arithmetic."""
     adj = adjacency_matrix(g)
@@ -363,14 +374,35 @@ class TestMaskQuotient:
     def test_tc_dominant_quotient(self, m):
         s = tc_dominant_set(m)
         quotient, masks = mask_quotient(s)
-        assert quotient.q == 2
-        assert quotient.codes.tolist() == [a for a in range(2 ** m)
-                                           if 2 * bin(a).count("1") > m]
+        # the {A, C} words of the kept masks, in mask order
+        assert codes_to_words(quotient.codes, m) == [
+            ac_word(a, m) for a in range(2 ** m) if 2 * bin(a).count("1") > m]
         assert masks.tolist() == [int(tc_pattern(w), 2) for w in s.words()]
         # binary_reduction_rate iterates the same digraph
         binary = binary_reduction_rate(m)
         assert binary.vertex_count == quotient.vertex_count
         assert binary.arc_count == quotient.arc_count
+
+    @settings(max_examples=40, deadline=None)
+    @given(keep_tables(), st.integers(0, 2 ** 32 - 1))
+    @example(np.ones(4, dtype=bool), 0)  # {A, C}^2: dense bins
+    @example(np.array([2 * bin(a).count("1") > 5 for a in range(32)]), 0)
+    def test_quotient_is_binary_window_digraph(self, keep, seed):
+        # any union of whole classes, RC-free or not: mask_quotient does not
+        # validate
+        assume(keep.any())
+        m = len(keep).bit_length() - 1
+        s = GeneratingSet.from_codes(m, np.flatnonzero(tc_mask_members(m, keep)))
+        quotient, _ = mask_quotient(s)
+        kept = np.flatnonzero(keep)
+        assert codes_to_words(quotient.codes, m) == [ac_word(a, m) for a in kept]
+        want = ref_binary_window_digraph(keep)  # in kept order
+        assert adjacency_matrix(quotient).tolist() == want.tolist()
+        x = np.random.default_rng(seed).integers(0, 1000, len(kept))
+        assert quotient.matvec(x).tolist() == (want @ x).tolist()
+        assert quotient.arc_count == want.sum()
+        for r, counts in enumerate(walk_counts(quotient, 4)):
+            assert counts == ref_binary_walk_counts(keep, r)
 
     def test_not_a_union(self):
         s = tc_dominant_set(5)
@@ -469,7 +501,7 @@ class TestMaskQuotient:
         assert rep.method == "mask-quotient"
         assert rep.arc_count == build_digraph(s).arc_count
         if m <= 5:
-            assert rep.arc_count == naive_arc_count(s.codes.tolist(), m, 4)
+            assert rep.arc_count == naive_arc_count(s.codes.tolist(), m)
 
     @settings(max_examples=40, deadline=None)
     @given(mask_unions())
@@ -483,14 +515,14 @@ class TestMaskQuotient:
         quotient, masks = mask_quotient(s)
         cyclic = quotient.cyclic_components()
         assume(cyclic)
-        core = quotient.codes[max(cyclic, key=len)]
+        core = s.mask_classes[0][max(cyclic, key=len)]  # vertex i: kept mask i
         s = GeneratingSet.from_codes(s.m, s.codes[np.isin(masks, core)])
         quotient, _ = mask_quotient(s)
         assert [len(c) for c in quotient.cyclic_components()] == [quotient.vertex_count]
         rep = rate_of_set(s)
         assert rep.method == "mask-quotient"
         assert rep.arc_count == build_digraph(s).arc_count
-        assert rep.arc_count == naive_arc_count(s.codes.tolist(), s.m, 4)
+        assert rep.arc_count == naive_arc_count(s.codes.tolist(), s.m)
 
     @pytest.mark.parametrize("build", [lambda: tc_dominant_set(7),
                                        heuristic_set_m6_stage])
@@ -518,7 +550,7 @@ class TestMaskQuotient:
         from ssacode import capacity
         s = tc_dominant_set(5)
         _, masks = mask_quotient(s)
-        wrong = TransitionDigraph(m=5, codes=np.arange(32), q=2)
+        wrong = TransitionDigraph(m=5, codes=spread(np.arange(32)))
         monkeypatch.setattr(capacity, "mask_quotient", lambda t: (wrong, masks))
         rep = rate_of_set(s)
         assert rep.method == "power-iteration"
@@ -532,7 +564,7 @@ class TestMaskQuotient:
     def test_validated_once_digraph_only_on_fallback(self, monkeypatch, build, method):
         from ssacode import capacity, gensets
         s = build()
-        validated, built, alphabets = [], [], []
+        validated, built, sizes = [], [], []
         validate_ = gensets.validate
         build_digraph_ = capacity.build_digraph
         post_init = capacity.TransitionDigraph.__post_init__
@@ -546,8 +578,8 @@ class TestMaskQuotient:
             return build_digraph_(t)
 
         def counted_post_init(g):
-            alphabets.append(g.q)
             post_init(g)
+            sizes.append(g.vertex_count)
 
         monkeypatch.setattr(gensets, "validate", counted_validate)
         monkeypatch.setattr(capacity, "build_digraph", counted_build)
@@ -555,7 +587,8 @@ class TestMaskQuotient:
         assert rate_of_set(s).method == method
         assert len(validated) == 1 and validated[0] is s
         if method == "mask-quotient":
-            assert built == [] and 4 not in alphabets  # only the q=2 quotient
+            # only the quotient, on at most the 2^m {A, C} words
+            assert built == [] and sizes and max(sizes) <= 2 ** s.m
         else:
             assert len(built) == 1 and built[0] is s
 
@@ -599,7 +632,7 @@ class TestMaskQuotient:
         quotient, masks = mask_quotient(s)
         y = np.random.default_rng(m).uniform(0.1, 10.0, quotient.vertex_count)
         by_mask = np.zeros(2 ** m)
-        by_mask[quotient.codes] = y
+        by_mask[s.mask_classes[0]] = y
         expected = perron_bracket(build_digraph(s), by_mask[masks])
         assert capacity._lifted_bracket(m, s.codes, masks, by_mask) == expected
         # tiny blocks cost a few numpy calls per word: all four up to m=6
@@ -679,6 +712,22 @@ class TestBinaryReduction:
             binary = binary_reduction_rate(m).rate_bits_per_nt
             assert binary == pytest.approx(quaternary, abs=1e-6)
 
+    @pytest.mark.parametrize("m", range(2, 9))
+    def test_digraph_is_binary_window_digraph(self, monkeypatch, m):
+        from ssacode import capacity
+        digraphs = []
+        real = capacity.spectral_radius
+        monkeypatch.setattr(capacity, "spectral_radius",
+                            lambda g: digraphs.append(g) or real(g))
+        rep = binary_reduction_rate(m)
+        g, = digraphs
+        keep = [2 * bin(a).count("1") > m for a in range(2 ** m)]
+        assert codes_to_words(g.codes, m) == [ac_word(a, m) for a in range(2 ** m) if keep[a]]
+        want = ref_binary_window_digraph(keep)
+        assert adjacency_matrix(g).tolist() == want.tolist()
+        assert (rep.vertex_count, rep.arc_count) == (len(want), want.sum())
+        assert rep.spectral_radius == pytest.approx(2 * dense_spectral_radius(want), rel=1e-9)
+
     def test_report_method(self):
         rep = binary_reduction_rate(3)
         assert rep.method == "binary-reduction"
@@ -748,10 +797,15 @@ class TestLargestRealRoot:
         assert largest_real_root([1, -3, 3, -1]) == 1.0  # (x - 1)^3
         assert largest_real_root([1, -6, 12, -8, 0]) == 2.0  # x (x - 2)^3
 
-    @pytest.mark.parametrize("coeffs", [[], [0, 1, -1], [1, math.nan], [1, -math.inf, 2]])
+    # a subnormal leading coefficient overflows np.roots' division by it
+    @pytest.mark.parametrize("coeffs", [[], [0, 1, -1], [1, math.nan], [1, -math.inf, 2],
+                                        [5e-324, 1.0, -1.0], [1e-310, 1e6, -1.0, 2.0]])
     def test_bad_coefficients(self, coeffs):
-        with pytest.raises(ValueError):
-            largest_real_root(coeffs)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # and no RuntimeWarning on the way
+            with pytest.raises(ValueError) as refused:
+                largest_real_root(coeffs)
+        assert refused.type is ValueError  # not numpy's LinAlgError, a subclass
 
     @settings(max_examples=200, deadline=None)
     @given(st.lists(st.integers(-6, 6), min_size=1, max_size=8, unique=True))
@@ -811,8 +865,8 @@ class TestLargestRealRoot:
 
 
 class TestBadTolerance:
-    """A tol that is not finite with 0 < tol < 1 is refused before any
-    power step."""
+    """A tol that is not finite with 1e-13 <= tol < 1 is refused before
+    any power step."""
 
     @pytest.fixture
     def steps(self, monkeypatch):
@@ -823,18 +877,27 @@ class TestBadTolerance:
                             lambda *args: calls.append(args) or real(*args))
         return calls
 
-    @pytest.mark.parametrize("tol", [0.0, -1e-10, math.nan, math.inf, -math.inf, 1.0, 2.0])
+    @pytest.mark.parametrize("tol", [0.0, -1e-10, math.nan, math.inf, -math.inf, 1.0, 2.0,
+                                     1e-14, 1e-300])
     def test_refused(self, steps, tol):
         for rate in (lambda: rate_of_set(tc_dominant_set(3), tol=tol),
                      lambda: rate_of_set(heuristic_set_m4(), tol=tol),
                      lambda: spectral_radius(build_digraph(WORKED_SET), tol=tol)):
-            with pytest.raises(ValueError, match="^tol must be finite with 0 < tol < 1"):
+            with pytest.raises(ValueError, match="^tol must be finite with 1e-13 <= tol < 1"):
                 rate()
         assert steps == []
 
     def test_wide_tol_runs(self, steps):
         rep = rate_of_set(tc_dominant_set(3), tol=0.5)
         assert rep.converged and steps
+
+    def test_floor_accepted(self):
+        assert MIN_TOL == 1e-13
+        for s, method in ((tc_dominant_set(5), "mask-quotient"),
+                          (heuristic_set_m4(), "power-iteration")):
+            rep = rate_of_set(s, tol=MIN_TOL)
+            assert rep.converged and rep.method == method
+        assert spectral_radius(build_digraph(WORKED_SET), tol=MIN_TOL).converged
 
 
 class TestBounds:

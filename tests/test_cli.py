@@ -157,10 +157,11 @@ class TestUsageErrors:
         ("capacity", "--set", "tc-dominant", "--m", "3"),
         ("search", "--m", "2", "--mode", "exhaustive"),
     ], ids=["capacity", "search"])
-    @pytest.mark.parametrize("tol", ["0", "-1e-10", "nan", "inf", "-inf", "1", "2"])
+    @pytest.mark.parametrize("tol", ["0", "-1e-10", "nan", "inf", "-inf", "1", "2",
+                                     "1e-14", "1e-300"])
     def test_bad_tol(self, capsys, argv, tol):
         err = usage_error(capsys, *argv, f"--tol={tol}")
-        assert "argument --tol: tol must be finite with 0 < tol < 1, got" in err
+        assert "argument --tol: tol must be finite with 1e-13 <= tol < 1, got" in err
 
     @pytest.mark.parametrize("option, value, low", [
         ("--restarts", "0", 1), ("--restarts", "-2", 1), ("--iters", "-1", 0)])

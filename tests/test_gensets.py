@@ -23,8 +23,9 @@ from ssacode import (
 )
 from ssacode.gensets import _validate_words, num_rc_pairs, num_self_rc
 from ssacode.sequences import (
-    _LOW_BITS, _spread, all_codes, code_to_word, codes_to_words, codes_with_tc_mask, parse_sequence, rc_code,
-    rc_codes, rc_masks, rc_pairs, tc_class_codes, tc_dominant_masks, tc_mask_members, tc_masks, tc_weights)
+    _LOW_BITS, all_codes, code_to_word, codes_to_words, codes_with_tc_mask, parse_sequence, rc_code,
+    rc_codes, rc_masks, rc_pairs, spread, tc_class_codes, tc_dominant_masks, tc_mask_members,
+    tc_masks, tc_weights)
 from conftest import mask_rc, mask_unions, rc_free_words, ref_rc, tc_pattern
 
 
@@ -152,9 +153,9 @@ class TestVectorWordHelpers:
     def test_spread_inverts_tc_masks(self, case):
         m, masks = case
         a = np.array(masks, dtype=np.int64)
-        spread = _spread(a)
-        assert np.array_equal(tc_masks(spread, m), a)
-        assert not ((spread >> 1) & _LOW_BITS).any()  # no high digit bit: A or C
+        words = spread(a)
+        assert np.array_equal(tc_masks(words, m), a)
+        assert not ((words >> 1) & _LOW_BITS).any()  # no high digit bit: A or C
         assert rc_masks(a, m).tolist() == [int(mask_rc(format(x, f"0{m}b")), 2) for x in masks]
 
     @pytest.mark.parametrize("m", range(1, 13))

@@ -14,7 +14,8 @@ from ssacode import (
 )
 from ssacode import search
 from ssacode.sequences import rc_pairs
-from conftest import ref_exhaustive_search, ref_orbit_count, ref_symmetry_images
+from conftest import (
+    ref_exhaustive_search, ref_greedy_tc_choice, ref_orbit_count, ref_symmetry_images)
 
 M2_OPT_RATE = 1.1679
 
@@ -124,14 +125,14 @@ class TestExhaustiveBudget:
 
 
 class TestSearchArguments:
-    @pytest.mark.parametrize("tol", [0.0, -1e-10, math.nan, math.inf, 1.0])
+    @pytest.mark.parametrize("tol", [0.0, -1e-10, math.nan, math.inf, 1.0, 1e-14])
     def test_bad_tol_refused_before_any_step(self, monkeypatch, tol):
         from ssacode import capacity
         steps = []
         real = capacity._shifted_power
         monkeypatch.setattr(capacity, "_shifted_power",
                             lambda *args: steps.append(args) or real(*args))
-        with pytest.raises(ValueError, match="^tol must be finite with 0 < tol < 1"):
+        with pytest.raises(ValueError, match="^tol must be finite with 1e-13 <= tol < 1"):
             exhaustive_search(2, tol=tol)
         assert steps == []
 
@@ -155,6 +156,10 @@ class TestGreedyChoice:
         for m in (2, 3, 4):
             v = validate(greedy_tc_choice(m))
             assert v.valid and v.maximal
+
+    @pytest.mark.parametrize("m", range(2, 9))
+    def test_matches_string_reference(self, m):
+        assert greedy_tc_choice(m).words() == ref_greedy_tc_choice(m)
 
 
 class TestLocalSearch:
