@@ -64,7 +64,9 @@ class TransitionDigraph:
     ranks of its distinct overlap words instead (``_overlap_bins``).  Both
     maps keep the order of the overlap words, so ``_pre`` is non-decreasing,
     and a bin sums the same vertices in the same order either way: every
-    product, count and walk is the same to the bit.
+    product, count and walk is the same to the bit.  ``_start`` is the row
+    pointer over the bins: the vertices with prefix bin k, the successors of
+    every vertex with suffix bin k, are the run ``_start[k]:_start[k + 1]``.
 
     ``codes`` may come in any order and with repeats; the stored vertex codes
     are sorted and duplicate-free.  A strictly increasing int64 array, such
@@ -79,6 +81,8 @@ class TransitionDigraph:
         self._nbins, binned = _overlap_bins(self.m, codes)
         self._pre = binned(codes >> 2)  # of the (m-1)-prefixes, codes // 4
         self._suf = binned(codes & (4 ** (self.m - 1) - 1))  # codes % 4^(m-1)
+        self._start = np.zeros(self._nbins + 1, dtype=np.int64)
+        np.cumsum(np.bincount(self._pre, minlength=self._nbins), out=self._start[1:])
 
     @property
     def vertex_count(self) -> int:
@@ -86,8 +90,7 @@ class TransitionDigraph:
 
     @property
     def arc_count(self) -> int:
-        pre_counts = np.bincount(self._pre, minlength=self._nbins)
-        return int(pre_counts[self._suf].sum())
+        return int((self._start[self._suf + 1] - self._start[self._suf]).sum())
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
         """y = A x with A[u, v] = 1 iff u -> v."""
@@ -111,15 +114,12 @@ class TransitionDigraph:
         from scipy.sparse import csr_matrix
         from scipy.sparse.csgraph import connected_components
 
-        # codes are sorted, so _pre is non-decreasing: rows of H by bincount
-        indptr = np.zeros(self._nbins + 1, dtype=np.int32)
-        np.cumsum(np.bincount(self._pre, minlength=self._nbins), out=indptr[1:])
         key_graph = csr_matrix(
-            (np.ones(self.vertex_count), self._suf.astype(np.int32), indptr),
-            shape=(self._nbins, self._nbins))
+            (np.ones(self.vertex_count), self._suf.astype(np.int32),
+             self._start.astype(np.int32)), shape=(self._nbins, self._nbins))
         _, key_labels = connected_components(
             key_graph, directed=True, connection="strong")
-        del key_graph, indptr  # freed before the per-vertex arrays below
+        del key_graph  # freed before the per-vertex arrays below
         label = key_labels[self._pre]
         on_cycle = np.flatnonzero(label == key_labels[self._suf])
         if len(on_cycle) == 0:
@@ -426,7 +426,7 @@ class SiblingTrie:
     """
 
     def __init__(self, g: TransitionDigraph):
-        depth = np.arange(g.vertex_count) - np.searchsorted(g._pre, g._pre) + 1
+        depth = np.arange(g.vertex_count) - g._start[g._pre] + 1
         through = np.zeros(g.vertex_count, dtype=np.int64)  # node of v's tuple
         earlier = np.zeros(g.vertex_count, dtype=np.int64)
         # per tuple length: for each new node, the node of its tuple without
@@ -445,10 +445,9 @@ class SiblingTrie:
         self._heads = levels[0][1] if levels else []  # one-vertex tuples
         self._levels = levels[1:]
         self.earlier = earlier.tolist()
-        self.succ_start = np.searchsorted(g._pre, g._suf).tolist()
-        last = np.searchsorted(g._pre, g._suf, side="right") - 1  # of the successor run
-        has = g._pre[np.maximum(last, 0)] == g._suf
-        self.succ_node = np.where(has, through[last], 0).tolist()
+        start, end = g._start[g._suf], g._start[g._suf + 1]  # the successor run
+        self.succ_start = start.tolist()
+        self.succ_node = np.where(end > start, through[end - 1], 0).tolist()
 
     def sums(self, row: List[int]) -> List[int]:
         """``sums[node]``: ``row`` summed over the vertices of the node's
@@ -465,7 +464,9 @@ class SiblingTrie:
 
     def walk(self, r_max: int) -> Iterator[Tuple[List[int], List[int]]]:
         """``(row, sums(row))`` for r = 0 .. r_max, where ``row[v]`` is the
-        number of length-r walks starting at vertex v."""
+        number of length-r walks starting at vertex v.  Python ints: the
+        counts outgrow int64 (about 2^102 at m=6, n=60).  Rows are yielded
+        one at a time, so a caller that needs only the last holds one."""
         row = [1] * len(self.succ_node)
         sums = self.sums(row)
         yield row, sums
@@ -475,25 +476,11 @@ class SiblingTrie:
             yield row, sums
 
 
-def walk_counts(g: TransitionDigraph, r_max: int) -> Iterator[List[int]]:
-    """Exact walk counts, one row per length: yields ``row[v]``, the number
-    of length-r walks starting at vertex v, for r = 0 .. r_max.
-
-    A walk from v continues through any vertex whose prefix key is v's
-    suffix key, so each row is the previous one summed over each run of
-    siblings and read back at each vertex's suffix key (``SiblingTrie``).
-    Vertices with one suffix key share one int.  Python ints throughout:
-    the counts outgrow int64 (about 2^102 at m=6, n=60).  Rows are
-    yielded, not kept, so a caller that needs only the last holds one row
-    at a time.
-    """
-    for row, _ in SiblingTrie(g).walk(r_max):
-        yield row
-
-
 def check_walk_budget(s: GeneratingSet, n: int) -> None:
-    """Pass the walk-count DP for length-n sequences on S, n - m + 1 rows
-    of |S| counts, through the ``SSA_BUDGET`` guard."""
+    """Raise ValueError if n < m, then pass the walk-count DP for length-n
+    sequences on S, n - m + 1 rows of |S| counts, through ``SSA_BUDGET``."""
+    if n < s.m:
+        raise ValueError(f"n={n} is smaller than the word length m={s.m}")
     rows = n - s.m + 1
     sequences.check_budget(rows * len(s), f"{rows} rows of {len(s)} walk counts")
 
@@ -501,10 +488,8 @@ def check_walk_budget(s: GeneratingSet, n: int) -> None:
 def count_constrained(s: GeneratingSet, n: int) -> int:
     """Exact |C_n(S)|: the number of walks of length n - m in the digraph.
     The DP passes ``check_walk_budget`` before any work."""
-    if n < s.m:
-        raise ValueError(f"n={n} is smaller than the word length m={s.m}")
     check_walk_budget(s, n)
-    last, = deque(walk_counts(build_digraph(s), n - s.m), maxlen=1)
+    (last, _), = deque(SiblingTrie(build_digraph(s)).walk(n - s.m), maxlen=1)
     return sum(last)
 
 

@@ -71,12 +71,22 @@ def _usage_error(args) -> Optional[str]:
 
 
 def _resolve_set(args) -> gs.GeneratingSet:
+    """The set of --set or --set-file.  A --m other than its word length,
+    or an --n below it, is a usage error (exit 2)."""
     if getattr(args, "set_file", None):
-        s = gs.read_set_file(args.set_file)
-        if args.m is not None and args.m != s.m:
-            args.usage_error(f"--m {args.m} does not match the word length "
-                             f"{s.m} of --set-file {args.set_file}")  # exits 2
-        return s
+        s, source = gs.read_set_file(args.set_file), f"--set-file {args.set_file}"
+    else:
+        s, source = _builtin_set(args), f"--set {args.set}"
+    if args.m is not None and args.m != s.m:
+        args.usage_error(f"--m {args.m} does not match the word length "
+                         f"{s.m} of {source}")
+    n = getattr(args, "n", None)
+    if n is not None and n < s.m:
+        args.usage_error(f"--n {n} is smaller than the word length {s.m} of {source}")
+    return s
+
+
+def _builtin_set(args) -> gs.GeneratingSet:
     name = getattr(args, "set", None)
     if name is None:
         raise ValueError("a generating set is required (--set or --set-file)")

@@ -88,10 +88,8 @@ class CodecTable:
 
 
 def build_codec(s: GeneratingSet, n: int) -> CodecTable:
-    """The table for C_n(S); the n - m + 1 rows of walk counts it holds
-    pass ``capacity.check_walk_budget`` before any work."""
-    if n < s.m:
-        raise ValueError(f"block length n={n} is smaller than m={s.m}")
+    """The table for C_n(S); n and the n - m + 1 rows of walk counts it
+    holds pass ``capacity.check_walk_budget`` before any work."""
     check_walk_budget(s, n)
     g = build_digraph(s)
     trie = SiblingTrie(g)

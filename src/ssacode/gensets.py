@@ -262,7 +262,7 @@ def tc_dominant_set(m: int) -> GeneratingSet:
     """
     if m < 2:
         raise ValueError(f"m must be >= 2, got {m}")
-    check_budget(4 ** m, f"4^{m} words")  # before the 2^m mask table too
+    check_budget(4, f"4^{m} words", exp=m)  # before the 2^m mask table too
     return _mask_union(m, tc_dominant_masks(m))
 
 

@@ -50,6 +50,13 @@ def _word_key(s: GeneratingSet) -> Tuple[int, ...]:
     return tuple(s.codes.tolist())
 
 
+def _beats(rate: float, s: GeneratingSet, best_rate: float, best) -> bool:
+    """Whether ``s`` of ``rate`` replaces the best so far: a rate more than
+    ``_RATE_EPS`` higher, or one within it and a smaller word set."""
+    return rate > best_rate + _RATE_EPS or (
+        abs(rate - best_rate) <= _RATE_EPS and _word_key(s) < _word_key(best))
+
+
 def exhaustive_search(m: int, tol: float = DEFAULT_TOL) -> SearchResult:
     """Find the maximal RC-free set of best rate; practical only for m=2
     (64 sets).
@@ -76,15 +83,13 @@ def exhaustive_search(m: int, tol: float = DEFAULT_TOL) -> SearchResult:
     check_tol(tol)
     a, b = rc_pairs(m)
     n_pairs = len(a)
-    check_budget(2 ** n_pairs, f"2^{n_pairs} candidate sets")
+    check_budget(2, f"2^{n_pairs} candidate sets", exp=n_pairs)
     best_rate = -1.0
     best_set = best_report = None
     for cand in _canonical_candidates(m, a, b):
         report = rate_of_set(cand, tol=tol)
         rate = report.rate_bits_per_nt
-        if rate > best_rate + _RATE_EPS or (
-                abs(rate - best_rate) <= _RATE_EPS
-                and _word_key(cand) < _word_key(best_set)):
+        if _beats(rate, cand, best_rate, best_set):
             best_rate, best_set, best_report = rate, cand, report
     return SearchResult(best_set=best_set, best_rate=best_rate,
                         candidates_examined=2 ** n_pairs, method="exhaustive",
@@ -177,9 +182,7 @@ def local_search(m: int, restarts: int = 20, iterations: int = 200,
                         break
                 else:
                     pick_a[idx] = not pick_a[idx]  # revert
-            if cur > best_rate + _RATE_EPS or (
-                    abs(cur - best_rate) <= _RATE_EPS
-                    and _word_key(state) < _word_key(best_set)):
+            if _beats(cur, state, best_rate, best_set):
                 best_rate, best_set = cur, state
             if on_restart is not None:
                 on_restart(restart, cur, best_rate)

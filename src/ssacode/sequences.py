@@ -30,10 +30,11 @@ class BudgetExceededError(ValueError):
     """An exhaustive enumeration would exceed the configured budget."""
 
 
-def check_budget(size: int, what: str) -> None:
-    """Raise BudgetExceededError if ``size`` items (``what``) exceed the
-    budget: ``SSA_BUDGET`` if set, else ``DEFAULT_ENUMERATION_BUDGET``.
-    Raise ValueError if ``SSA_BUDGET`` is not a non-negative integer."""
+def check_budget(size: int, what: str, exp: int = 1) -> None:
+    """Raise BudgetExceededError if ``size ** exp`` items (``what``) exceed
+    the budget: ``SSA_BUDGET`` if set, else ``DEFAULT_ENUMERATION_BUDGET``;
+    a huge ``exp`` is refused without forming the power.  Raise ValueError
+    if ``SSA_BUDGET`` is not a non-negative integer."""
     env = os.environ.get("SSA_BUDGET")
     if not env:
         cap = DEFAULT_ENUMERATION_BUDGET
@@ -41,7 +42,7 @@ def check_budget(size: int, what: str) -> None:
         cap = int(env)
     else:
         raise ValueError(f"SSA_BUDGET must be a non-negative integer, got {env!r}")
-    if size > cap:
+    if size ** min(exp, cap.bit_length() + 1) > cap:
         raise BudgetExceededError(f"{what} exceed the enumeration budget {cap}")
 
 
@@ -100,7 +101,7 @@ def rc_code(code: int, m: int) -> int:
 
 def all_codes(m: int) -> np.ndarray:
     """Every length-m word code, 0 .. 4^m - 1, within the enumeration budget."""
-    check_budget(4 ** m, f"4^{m} words")
+    check_budget(4, f"4^{m} words", exp=m)
     return np.arange(4 ** m, dtype=np.int64)
 
 
@@ -251,7 +252,7 @@ def rc_masks(masks: np.ndarray, m: int) -> np.ndarray:
 def tc_dominant_masks(m: int) -> np.ndarray:
     """Keep table over the 2^m TC masks: True where more than m/2 bits are 1,
     the masks of the TC-dominant words."""
-    check_budget(2 ** m, f"2^{m} binary words")
+    check_budget(2, f"2^{m} binary words", exp=m)
     return tc_weights(spread(np.arange(2 ** m)), m) > m // 2
 
 
@@ -267,7 +268,7 @@ def tc_mask_members(m: int, keep: np.ndarray) -> np.ndarray:
     per low one, so it reads in word-code order; no mask or code of a
     whole word is formed, and ``np.flatnonzero`` of it gives the kept codes.
     """
-    check_budget(4 ** m, f"4^{m} words")
+    check_budget(4, f"4^{m} words", exp=m)
     low = m // 2
     hi = tc_masks(np.arange(4 ** (m - low), dtype=np.int64), m - low)
     lo = tc_masks(np.arange(4 ** low, dtype=np.int64), low)
@@ -279,7 +280,7 @@ def codes_with_tc_mask(m: int, mask: str) -> np.ndarray:
     """All words whose TC pattern (T,C -> 1; A,G -> 0) equals the given mask."""
     if len(mask) != m or any(ch not in "01" for ch in mask):
         raise ValueError(f"mask {mask!r} is not a length-{m} binary string")
-    check_budget(4 ** m, f"4^{m} words")  # before the 2^m mask table too
+    check_budget(4, f"4^{m} words", exp=m)  # before the 2^m mask table too
     keep = np.zeros(2 ** m, dtype=bool)
     keep[int(mask, 2)] = True
     return np.flatnonzero(tc_mask_members(m, keep))
@@ -368,7 +369,7 @@ def count_all_ssa(n: int, m: int) -> int:
         raise ValueError(f"m must be >= 2, got {m}")
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    check_budget(4 ** n, f"4^{n} sequences")
+    check_budget(4, f"4^{n} sequences", exp=n)
     if n < 2 * m:
         return 4 ** n
     mod = 4 ** m

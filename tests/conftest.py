@@ -155,6 +155,14 @@ def adjacency_matrix(g, max_vertices=4096):
     return (codes[:, None] % 4 ** (g.m - 1) == codes[None, :] // 4).astype(np.int64)
 
 
+def ref_successor_runs(g):
+    """(first, stop) of each vertex's run of successors in an overlap
+    digraph, by binary search over its non-decreasing prefix bins: the
+    successors of v are the vertices first[v] .. stop[v] - 1."""
+    first = np.searchsorted(g._pre, g._suf)
+    return first.tolist(), np.searchsorted(g._pre, g._suf, side="right").tolist()
+
+
 def ac_word(mask, m):
     """The word over {A, C} of an m-bit mask: bit 0 -> A, bit 1 -> C."""
     return format(mask, f"0{m}b").translate(str.maketrans("01", "AC"))

@@ -33,7 +33,7 @@ from ssacode import (
     trivial_upper_bound,
     validate,
 )
-from ssacode.capacity import BLOCK_CONCAT_WORDS, MIN_TOL, SiblingTrie, walk_counts
+from ssacode.capacity import BLOCK_CONCAT_WORDS, MIN_TOL, SiblingTrie
 from ssacode.sequences import codes_to_words, rc_code, spread, tc_mask_members, word_to_code
 from conftest import (
     ac_word,
@@ -48,6 +48,7 @@ from conftest import (
     ref_binary_window_digraph,
     ref_count_constrained,
     ref_good_binary_count,
+    ref_successor_runs,
     tc_pattern,
 )
 
@@ -166,6 +167,7 @@ def reindexed(g, dense):
         h._nbins = len(keys)
     else:
         h._pre, h._suf, h._nbins = pre, suf, 4 ** (g.m - 1)
+    h._start = np.searchsorted(h._pre, np.arange(h._nbins + 1))
     return h
 
 
@@ -179,6 +181,7 @@ class TestIndexModes:
     @example((2, TransitionDigraph(m=2, codes=AC_PAIRS), True), 0)
     @example((2, TransitionDigraph(m=2, codes=[0, 1]), False), 0)  # AA, AC
     @example((2, TransitionDigraph(m=2, codes=[0, 5, 15]), False), 0)
+    @example((3, TransitionDigraph(m=3, codes=[]), False), 0)
     def test_against_adjacency_matrix(self, case, seed):
         m, g, dense = case
         overlaps = 4 ** (m - 1)
@@ -189,6 +192,11 @@ class TestIndexModes:
         else:
             assert g._nbins <= 2 * g.vertex_count
         assert (np.diff(g._pre) >= 0).all()
+        for h in (g, reindexed(g, dense)):  # the run of each prefix bin
+            assert len(h._start) == h._nbins + 1
+            for k in range(h._nbins):
+                assert (np.flatnonzero(h._pre == k).tolist()
+                        == list(range(h._start[k], h._start[k + 1])))
         adj = adjacency_matrix(g)
         rng = np.random.default_rng(seed)
         x = rng.integers(0, 1000, g.vertex_count)
@@ -198,7 +206,7 @@ class TestIndexModes:
                 if len(idx) > 1 or adj[idx[0], idx[0]]}
         assert {tuple(idx.tolist()) for idx in g.cyclic_components()} == want
         row = np.ones(g.vertex_count, dtype=np.int64)
-        for counts in walk_counts(g, 4):
+        for counts, _ in SiblingTrie(g).walk(4):
             assert counts == row.tolist()  # row r is A^r 1
             row = adj @ row
 
@@ -212,7 +220,7 @@ class TestIndexModes:
         assert g.arc_count == other.arc_count
         assert ({tuple(idx.tolist()) for idx in g.cyclic_components()}
                 == {tuple(idx.tolist()) for idx in other.cyclic_components()})
-        assert list(walk_counts(g, 5)) == list(walk_counts(other, 5))
+        assert list(SiblingTrie(g).walk(5)) == list(SiblingTrie(other).walk(5))
         # the codec's successor table
         assert SiblingTrie(g).succ_start == SiblingTrie(other).succ_start
 
@@ -237,6 +245,12 @@ class TestIndexModes:
             assert sums[trie.succ_node[v]] == sum(row[u] for u in successors)
             if successors:
                 assert trie.succ_start[v] == successors[0]
+        # against binary search over the sorted prefix bins
+        start, stop = ref_successor_runs(g)
+        assert trie.succ_start == start
+        for v in range(g.vertex_count):
+            assert (trie.succ_node[v] == 0) == (start[v] == stop[v])
+            assert sums[trie.succ_node[v]] == sum(row[start[v]:stop[v]])
 
     @pytest.mark.parametrize("m", [5, 7, 11])
     def test_tc_dominant_is_dense(self, m):
@@ -401,7 +415,7 @@ class TestMaskQuotient:
         x = np.random.default_rng(seed).integers(0, 1000, len(kept))
         assert quotient.matvec(x).tolist() == (want @ x).tolist()
         assert quotient.arc_count == want.sum()
-        for r, counts in enumerate(walk_counts(quotient, 4)):
+        for r, (counts, _) in enumerate(SiblingTrie(quotient).walk(4)):
             assert counts == ref_binary_walk_counts(keep, r)
 
     def test_not_a_union(self):

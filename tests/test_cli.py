@@ -1,8 +1,10 @@
 import json
 import subprocess
 import sys
+import time
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from ssacode import GeneratingSet, cli, tc_dominant_set, write_set_file
 
@@ -181,6 +183,38 @@ class TestUsageErrors:
         err = usage_error(capsys, *argv, "--m", "5", "--set-file", str(path))
         assert err.endswith(f"--m 5 does not match the word length 3 of --set-file {path}")
         assert cli.main([*argv, "--m", "3", "--set-file", str(path)]) == 0
+
+    @pytest.mark.parametrize("name, m", [
+        ("m4-heuristic", 4), ("m6-stage", 6), ("block-concat-baseline", 2)])
+    @pytest.mark.parametrize("argv", [
+        ("capacity",),
+        ("count", "--n", "8"),
+        ("encode", "--n", "8", "--payload", "ff"),
+        ("decode", "--n", "8", "--seq", "TTTTTTTT"),
+    ], ids=["capacity", "count", "encode", "decode"])
+    def test_m_against_builtin_set(self, capsys, argv, name, m):
+        err = usage_error(capsys, *argv, "--m", "3", "--set", name)
+        assert err.endswith(f"--m 3 does not match the word length {m} of --set {name}")
+        if argv[0] in ("capacity", "count"):
+            assert cli.main([*argv, "--m", str(m), "--set", name]) == 0
+
+    @pytest.mark.parametrize("name, m", [
+        ("m4-heuristic", 4), ("m6-stage", 6), ("block-concat-baseline", 2)])
+    @pytest.mark.parametrize("argv", [
+        ("count",),
+        ("encode", "--payload", "ff"),
+        ("decode", "--seq", "T"),
+    ], ids=["count", "encode", "decode"])
+    def test_n_below_builtin_set(self, capsys, argv, name, m):
+        err = usage_error(capsys, *argv, "--n", str(m - 1), "--set", name)
+        assert err.endswith(f"--n {m - 1} is smaller than the word length {m} "
+                            f"of --set {name}")
+
+    def test_n_below_set_file(self, tmp_path, capsys):
+        path = tmp_path / "w3.txt"
+        write_set_file(tc_dominant_set(3), path)
+        err = usage_error(capsys, "count", "--n", "2", "--set-file", str(path))
+        assert err.endswith(f"--n 2 is smaller than the word length 3 of --set-file {path}")
 
     def test_no_iterations_is_fine(self):
         proc = run_cli("search", "--m", "2", "--restarts", "1", "--iters", "0",
@@ -473,3 +507,91 @@ class TestOutput:
     def test_unknown_command_usage_error(self):
         proc = run_cli("frobnicate")
         assert proc.returncode == 2
+
+
+# Values drawn for the numeric options: half of the draws usable, half the
+# edges of every range, values that are not numbers at all, and ones past
+# any budget.
+NUMBERS = st.one_of(st.integers(2, 8).map(str), st.sampled_from(
+    ["0", "-1", "-7", "1", "12", str(10 ** 9), "nan", "inf", "-inf", "x"]))
+TOLS = st.one_of(st.sampled_from(["1e-13", "1e-8", "1e-3"]), st.sampled_from(
+    ["0", "-1e-10", "nan", "inf", "-inf", "1", "2", "1e-14", "1e-300", "x"]))
+SET_FILE = "@set-file"  # stands for a file of the m=3 TC-dominant words
+WALL_BOUND_S = 5.0
+GRAMMAR = {  # command: (required options, optional ones)
+    "check": (["--m", "--seq"], []),
+    "capacity": ([], ["--m", "--set", "--tol"]),
+    "count": (["--n"], ["--m", "--set"]),
+    "oracle": (["--m", "--n"], []),
+    # --restarts and --iters always: SSA_BUDGET does not cap a local search
+    "search": (["--m", "--restarts", "--iters"], ["--mode", "--seed", "--tol"]),
+    "table": ([], []),
+    "encode": (["--n", "--payload"], ["--m", "--set"]),
+    "decode": (["--n", "--seq"], ["--m", "--set"]),
+}
+OPTION_VALUES = {
+    "--m": NUMBERS,
+    "--n": NUMBERS,
+    "--tol": TOLS,
+    "--set": st.sampled_from(cli.BUILTIN_SETS),
+    "--mode": st.sampled_from(["local", "exhaustive"]),
+    "--restarts": st.sampled_from(["-1", "0", "1", "3", "nan"]),
+    "--iters": st.sampled_from(["-1", "0", "1", "3", "inf"]),
+    "--seed": st.sampled_from(["0", "-5", str(10 ** 9), "x"]),
+    "--seq": st.one_of(st.text("ACGT", max_size=14), st.text("ACGTN", max_size=14)),
+    "--payload": st.sampled_from(["", "ff", "C0FFEE", "0x1F", "g"]),
+}
+
+
+@st.composite
+def command_lines(draw):
+    """argv drawn from the command grammar: every required option, each
+    optional one or not, and for a set one builtin, a set file or both."""
+    command = draw(st.sampled_from(sorted(GRAMMAR)))
+    required, optional = GRAMMAR[command]
+    argv = [command]
+    for option in required + optional:
+        if option in required or draw(st.booleans()):
+            argv.append(f"{option}={draw(OPTION_VALUES[option])}")
+    if "--set" in optional and draw(st.integers(0, 3)) == 0:
+        argv.append(f"--set-file={SET_FILE}")
+    argv.append(f"--format={draw(st.sampled_from(['json', 'csv', 'text']))}")
+    return argv
+
+
+class TestAnyCommandLine:
+    """Any command line ends in exit 0, 1 or 2 within a fixed wall time,
+    with no other exception, under a small SSA_BUDGET."""
+
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(command_lines())
+    # command lines that once crashed, ran for minutes or passed unchecked
+    @example(["search", "--m=2", "--mode=local", "--restarts=0"])
+    @example(["capacity", "--set=tc-dominant", "--m=5", "--tol=inf"])
+    @example(["capacity", "--set=tc-dominant", "--m=9", "--tol=nan"])
+    @example(["capacity", "--set=tc-dominant", "--m=9", "--tol=1e-300"])
+    @example(["capacity", "--set=tc-dominant", "--m=9", "--tol=0"])
+    @example(["capacity", "--m=5", f"--set-file={SET_FILE}"])
+    @example(["capacity", "--m=5", "--set=m6-stage", "--format=json"])
+    @example(["encode", "--m=3", "--set=m4-heuristic", "--n=8", "--payload=AB"])
+    @example(["count", "--set=m6-stage", "--n=4"])
+    @example(["count", "--m=3", "--set=tc-dominant", "--n=2"])
+    @example(["capacity", "--set=tc-dominant", f"--m={10 ** 9}"])
+    @example(["oracle", "--m=2", f"--n={10 ** 9}"])
+    @example(["search", f"--m={10 ** 9}", "--restarts=1", "--iters=1"])
+    def test_exit_code(self, tmp_path, monkeypatch, capsys, argv):
+        monkeypatch.setenv("SSA_BUDGET", "4096")
+        path = tmp_path / "w3.txt"
+        if not path.exists():
+            write_set_file(tc_dominant_set(3), path)
+        argv = [a.replace(SET_FILE, str(path)) for a in argv]
+        start = time.perf_counter()
+        try:
+            code = cli.main(argv)
+        except SystemExit as stop:  # argparse and usage errors
+            code = stop.code
+        elapsed = time.perf_counter() - start
+        capsys.readouterr()
+        assert code in (0, 1, 2), argv
+        assert elapsed < WALL_BOUND_S, argv

@@ -69,7 +69,7 @@ class TestBuildCodec:
         monkeypatch.setattr(codec, "build_digraph",
                             lambda s: calls.append(s) or real(s))
         # AT is its own reverse complement: validating this set would fail
-        with pytest.raises(ValueError, match="^block length n=1 is smaller than m=2$"):
+        with pytest.raises(ValueError, match="^n=1 is smaller than the word length m=2$"):
             build_codec(GeneratingSet.from_words(["AT"]), 1)
         assert calls == []
         build_codec(M2_SET, 2)

@@ -404,6 +404,30 @@ class TestBudgetGuard:
             all_codes(2)
         assert not isinstance(err.value, BudgetExceededError)
 
+    @pytest.mark.parametrize("budget, exp, refused", [
+        ("4096", 6, False), ("4096", 7, True), ("4095", 6, True),
+        ("0", 0, True), ("1", 0, False), ("4096", 10 ** 9, True), ("1", 10 ** 18, True)])
+    def test_power_verdict(self, monkeypatch, budget, exp, refused):
+        # 4^exp against the budget, inclusive; no power past the budget's
+        # bit length is formed, so 4^(10^18) is refused at once
+        monkeypatch.setenv("SSA_BUDGET", budget)
+        start = time.perf_counter()
+        if refused:
+            with pytest.raises(BudgetExceededError, match=f"^4\\^{exp} words exceed"):
+                sequences.check_budget(4, f"4^{exp} words", exp=exp)
+        else:
+            sequences.check_budget(4, f"4^{exp} words", exp=exp)
+        assert time.perf_counter() - start < 1.0
+
+    @pytest.mark.parametrize("build", [all_codes, tc_dominant_set, rc_pairs,
+                                       lambda m: count_all_ssa(m, 2)])
+    def test_huge_m_refused_at_once(self, monkeypatch, build):
+        monkeypatch.setenv("SSA_BUDGET", "4096")
+        start = time.perf_counter()
+        with pytest.raises(BudgetExceededError, match="^4\\^1000000000 "):
+            build(10 ** 9)
+        assert time.perf_counter() - start < 1.0
+
     def test_zero_budget_refuses_any_work(self, monkeypatch):
         monkeypatch.setenv("SSA_BUDGET", "0")
         with pytest.raises(BudgetExceededError, match="budget 0$"):
