@@ -487,10 +487,22 @@ def check_walk_budget(s: GeneratingSet, n: int) -> None:
 
 def count_constrained(s: GeneratingSet, n: int) -> int:
     """Exact |C_n(S)|: the number of walks of length n - m in the digraph.
-    The DP passes ``check_walk_budget`` before any work."""
+    The DP passes ``check_walk_budget`` before any work.
+
+    A union of whole TC-mask classes is counted on its ``mask_quotient``:
+    a sequence is in C_n(S) iff its TC mask (a binary string of length n)
+    has every m-window kept, and each such mask is that of 2^n sequences,
+    so |C_n(S)| is 2^n times the walks of length n - m in the quotient.
+    """
     check_walk_budget(s, n)
-    (last, _), = deque(SiblingTrie(build_digraph(s)).walk(n - s.m), maxlen=1)
-    return sum(last)
+    quotient = mask_quotient(s)
+    if quotient is None:
+        g, lift = build_digraph(s), 1
+    else:
+        s.require_valid()
+        g, lift = quotient[0], 2 ** n
+    (last, _), = deque(SiblingTrie(g).walk(n - s.m), maxlen=1)
+    return lift * sum(last)
 
 
 def binary_reduction_rate(m: int) -> CapacityReport:

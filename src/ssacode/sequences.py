@@ -307,29 +307,77 @@ class Witness:
     m: int
 
 
+_DIGITS = np.zeros(128, dtype=np.int64)  # code point -> 2-bit digit
+_DIGITS[_SYMBOL_POINTS] = np.arange(4)
+
+# Widest window key, in bits, that the doubling in ``_window_keys`` forms:
+# a pair of keys past it is re-ranked first, so it never reaches the sign.
+_KEY_BITS = 62
+
+
+def _window_keys(digits: np.ndarray, m: int) -> np.ndarray:
+    """An int64 key for every length-m window of ``digits`` (m >= 1): two
+    windows have equal keys iff they are equal.
+
+    Prefix doubling (Manber & Myers, "Suffix arrays", SIAM J. Comput.,
+    1993): from exact keys of the length-L windows, the pair of keys at p
+    and p + s, s <= L, is an exact key of the length-(L + s) window at p,
+    as the two windows cover it.  A pair of b-bit keys takes 2b bits; when
+    that would pass ``_KEY_BITS`` the keys are first re-ranked to their
+    index among the distinct keys (``np.unique``), at most log2 of the
+    window count bits, so the keys stay exact up to 2^31 windows.
+    ceil(log2 m) steps; no re-rank while m <= 16.
+    """
+    keys, length, bits = digits, 1, 2
+    while length < m:
+        step = min(length, m - length)
+        if 2 * bits > _KEY_BITS:
+            keys = np.unique(keys, return_inverse=True)[1].astype(np.int64)
+            bits = max(int(keys.max()).bit_length(), 1)
+        keys = keys[:-step] << bits | keys[step:]
+        length += step
+        bits *= 2
+    return keys
+
+
 def find_secondary_structure(x: str, m: int) -> Optional[Witness]:
     """Return the smallest (i, j) witness of a secondary structure, or None.
 
     None means x is an m-SSA sequence.  Witnesses are ordered by i, then j.
     A symbol other than A, C, G, T raises ValueError.
 
-    O(n*m): one dict maps each window that can close a pair (start j >= m)
-    to its last start.  The reverse complement of x[i:i+m] is a slice of the
-    reverse complement of x, so each i costs one slice and one lookup; the
-    first i whose target last starts at or after i + m is the witness, and
-    its j is the target's first start there.
+    One vectorized pass over the n - m + 1 windows of x and as many of its
+    reverse complement, whose window at n - m - i is the reverse complement
+    of x[i:i+m], the target of i.  Both get exact window keys
+    (``_window_keys``, on x's digits followed by those of its reverse
+    complement), the targets by i first, then x's windows by start j, so a
+    key's index k is i, or w + j with w = n - m + 1.  One argsort of the
+    keys makes each key's entries a run, and a segmented max of k over each
+    run (``np.maximum.reduceat``) is w plus the key's last start in x, or
+    below w if x lacks it.  The witness is the first i whose run max is at
+    least w + i + m, and its j is the target's first start there.  O(n log
+    n) time for the sort (and the ``np.unique`` re-ranks past m = 16);
+    memory is a few int64 arrays of 2n entries, 16n bytes each.
     """
     if m < 2:
         raise ValueError(f"stem length m must be >= 2, got {m}")
     parse_sequence(x)
     n = len(x)
-    last = {x[j:j + m]: j for j in range(m, n - m + 1)}
-    rc = reverse_complement(x)
-    for i in range(n - 2 * m + 1):
-        target = rc[n - i - m:n - i]  # reverse complement of x[i:i+m]
-        if last.get(target, -1) >= i + m:
-            return Witness(i=i + 1, j=x.find(target, i + m) + 1, m=m)
-    return None
+    if n < 2 * m:
+        return None
+    digits = _DIGITS[np.frombuffer(x.encode("ascii"), dtype=np.uint8)]
+    keys = _window_keys(np.concatenate((digits, 3 - digits[::-1])), m)
+    w = n - m + 1
+    both = np.concatenate((keys[:n - 1:-1], keys[:w]))
+    order = np.argsort(both)
+    runs = np.flatnonzero(np.diff(both[order], prepend=-1))  # keys are >= 0
+    last = np.repeat(np.maximum.reduceat(order, runs), np.diff(runs, append=len(order)))
+    hits = order[last >= order + (w + m)]  # never true of an entry k >= w
+    if len(hits) == 0:
+        return None
+    i = int(hits.min())
+    target = reverse_complement(x[i:i + m])
+    return Witness(i=i + 1, j=x.find(target, i + m) + 1, m=m)
 
 
 def window_multiset(x: str, m: int) -> Counter:
@@ -342,9 +390,11 @@ def window_multiset(x: str, m: int) -> Counter:
 
 
 def is_tc_dominant(x: str, m: int) -> bool:
-    """True iff every length-m window has strictly more than m/2 T/C symbols."""
+    """True iff every length-m window has strictly more than m/2 T/C symbols.
+    A symbol other than A, C, G, T raises ValueError."""
     if m < 2:
         raise ValueError(f"m must be >= 2, got {m}")
+    parse_sequence(x)
     n = len(x)
     if n < m:
         raise ValueError(f"sequence of length {n} is shorter than m={m}")

@@ -4,6 +4,7 @@ import math
 import random
 import tracemalloc
 import warnings
+from collections import deque
 from fractions import Fraction
 
 import numpy as np
@@ -34,7 +35,8 @@ from ssacode import (
     validate,
 )
 from ssacode.capacity import BLOCK_CONCAT_WORDS, MIN_TOL, SiblingTrie
-from ssacode.sequences import codes_to_words, rc_code, spread, tc_mask_members, word_to_code
+from ssacode.sequences import (
+    codes_to_words, rc_code, rc_masks, spread, tc_mask_members, word_to_code)
 from conftest import (
     ac_word,
     adjacency_matrix,
@@ -712,6 +714,42 @@ class TestCountConstrained:
         assert calls == []
         assert count_constrained(WORKED_SET, 2) == 6
         assert calls == [WORKED_SET]
+
+    @settings(max_examples=40, deadline=None)
+    @given(keep_tables(ms=range(2, 7)))
+    @example(np.array([2 * bin(a).count("1") > 5 for a in range(32)]))
+    @example(np.ones(64, dtype=bool))  # every mask: only {A, C}^6's pairs go
+    def test_mask_union_count_against_word_dp(self, keep):
+        # drop each kept mask whose reverse complement's mask is kept and not
+        # above it (a self-paired mask too): an RC-free union remains
+        m = len(keep).bit_length() - 1
+        masks = np.arange(2 ** m)
+        partner = rc_masks(masks, m)
+        keep = keep & ~(keep[partner] & (masks >= partner))
+        assume(keep.any())
+        s = GeneratingSet.from_codes(m, np.flatnonzero(tc_mask_members(m, keep)))
+        assert s.mask_classes is not None
+        word_dp = SiblingTrie(TransitionDigraph(m=m, codes=s.codes)).walk(2 * m)
+        for n, (row, _) in enumerate(word_dp, start=m):
+            assert count_constrained(s, n) == sum(row)
+
+    @pytest.mark.parametrize("s", [tc_dominant_set(3), tc_dominant_set(5),
+                                   heuristic_set_m6_stage()],
+                             ids=["tc-dominant-3", "tc-dominant-5", "m6-stage"])
+    def test_mask_union_counted_on_the_quotient(self, s, monkeypatch):
+        from ssacode import capacity
+        monkeypatch.setattr(capacity, "build_digraph", None)  # never called
+        for n in (s.m, s.m + 1, 12, 20):
+            (row, _), = deque(SiblingTrie(TransitionDigraph(m=s.m, codes=s.codes))
+                              .walk(n - s.m), maxlen=1)
+            assert count_constrained(s, n) == sum(row)
+
+    def test_mask_union_not_rc_free(self):
+        # every TC mask of m=2: 01 and 10 are each other's reverse complement
+        s = GeneratingSet.from_codes(2, np.arange(16))
+        assert s.mask_classes is not None
+        with pytest.raises(InvalidGeneratingSetError):
+            count_constrained(s, 4)
 
 
 class TestBinaryReduction:

@@ -72,6 +72,63 @@ def reads_with_planted_pairs(draw):
     return "".join(x), m
 
 
+@st.composite
+def reads_with_refolded_targets(draw):
+    """A read of 2m to 4m symbols over two letters or all four, and a stem
+    length m in 2..70, with one of two plants, or none.
+
+    - An RC palindrome of length m + k, k < m, at some i: the reverse
+      complement of the window at i then starts at i + k, before i + m, and
+      it is planted once more at some j >= i + m + k, so the witness's j is
+      not the first start of its target.
+    - A window at i and, at some j >= i + m, its reverse complement with one
+      symbol changed: a near miss that any key blind to that symbol takes
+      for a witness.
+    """
+    m = draw(st.integers(2, 70))
+    alphabet = draw(st.sampled_from(["AT", "CG", "TC", "AG", "ACGT"]))
+    rng = random.Random(draw(st.integers(0, 2 ** 32 - 1)))
+    n = draw(st.integers(2 * m, 4 * m))
+    x = [rng.choice(alphabet) for _ in range(n)]
+    k = m % 2 + 2 * draw(st.integers(0, (m - 1 - m % 2) // 2))  # m + k even
+    plant = draw(st.sampled_from(["refold", "near miss", None]))
+    if plant == "refold" and n >= 2 * m + k:
+        half = "".join(rng.choice("ACGT") for _ in range((m + k) // 2))
+        fold = half + ref_rc(half)
+        i = draw(st.integers(0, n - 2 * m - k))
+        j = draw(st.integers(i + m + k, n - m))
+        x[i:i + m + k] = fold
+        x[j:j + m] = fold[k:k + m]
+    elif plant == "near miss":
+        word = [rng.choice("ACGT") for _ in range(m)]
+        miss = list(ref_rc(word))
+        at = draw(st.integers(0, m - 1))
+        miss[at] = rng.choice([ch for ch in "ACGT" if ch != miss[at]])
+        i = draw(st.integers(0, n - 2 * m))
+        j = draw(st.integers(i + m, n - m))
+        x[i:i + m] = word
+        x[j:j + m] = miss
+    return "".join(x), m
+
+
+def refolded_read(m, k):
+    """An RC palindrome of length m + k between T/C runs, then its m symbols
+    from k, the reverse complement of its first m, again: the witness is
+    (4, 4 + m + k + 5), and its target also starts at 4 + k < 4 + m."""
+    half = ("ACGGTAC" * m)[:(m + k) // 2]
+    fold = half + ref_rc(half)
+    return "TCT" + fold + "CTTCT" + fold[k:k + m] + "TC", m
+
+
+def clipped_key_read(m):
+    """A read of 2m symbols (33 <= m <= 64) with no witness, whose window at
+    m agrees with the reverse complement of its window at 0 in the last 32
+    symbols only: keys that drop a window's first m - 32 symbols take the
+    two for a witness."""
+    head = m - 32
+    return "G" * head + "A" * 32 + "A" * head + "T" * (32 - head) + "C" * head, m
+
+
 class TestComplement:
     def test_pairing(self):
         assert complement("A") == "T"
@@ -158,6 +215,23 @@ class TestFindSecondaryStructure:
         assert (None if w is None else (w.i, w.j)) == ref_first_witness(x, m)
         assert w is None or w.m == m
 
+    @settings(max_examples=150, deadline=None)
+    @given(reads_with_refolded_targets())
+    @example(refolded_read(31, 1))
+    @example(refolded_read(32, 0))
+    @example(refolded_read(62, 2))
+    @example(refolded_read(63, 61))
+    @example(clipped_key_read(40))
+    @example(clipped_key_read(62))
+    @example(clipped_key_read(63))
+    @example(("AT" * 40, 31))  # two letters: every key repeats
+    @example(("AT" * 40, 32))
+    def test_matches_naive_witness_up_to_m_70(self, read):
+        # past m = 16 the window keys are re-ranked between doubling steps
+        x, m = read
+        w = find_secondary_structure(x, m)
+        assert (None if w is None else (w.i, w.j)) == ref_first_witness(x, m)
+
     def test_long_tc_read_scans_in_linear_time(self):
         # the reverse complement of a T/C window is all A/G: SSA, full scan
         rng = random.Random(13)
@@ -237,6 +311,14 @@ class TestTcDominant:
     def test_rejects_short(self):
         with pytest.raises(ValueError):
             is_tc_dominant("TC", 3)
+
+    @pytest.mark.parametrize("x, m", [("TTTTX", 3), ("tct", 3), ("TCN", 2), ("TN", 3)])
+    def test_invalid_symbol_raises(self, x, m):
+        with pytest.raises(ValueError) as expected:
+            parse_sequence(x)
+        with pytest.raises(ValueError) as got:
+            is_tc_dominant(x, m)
+        assert str(got.value) == str(expected.value)
 
     def test_odd_m_dominance_implies_ssa_exhaustive(self):
         for n in range(3, 8):
