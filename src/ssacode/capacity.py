@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 import operator
+import sys
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
@@ -278,7 +279,7 @@ def mask_quotient(s: GeneratingSet) -> Optional[Tuple[TransitionDigraph, np.ndar
 # it is within a relative gamma_4 = 4u / (1 - 4u) of its exact value
 # (u = eps / 2).  Widening each end by 8 eps = 16u covers that and the
 # rounding of the widening product itself.
-_BRACKET_MARGIN = 8 * np.finfo(float).eps
+_BRACKET_MARGIN = 8 * sys.float_info.epsilon  # a Python float, as the bracket is
 
 # The quotient is iterated this much below tol: the lifted bracket came out
 # about ten times wider than the quotient's eigenpair residual.
@@ -476,25 +477,31 @@ class SiblingTrie:
             yield row, sums
 
 
-def check_walk_budget(s: GeneratingSet, n: int) -> None:
+def check_walk_budget(s: GeneratingSet, n: int, on_quotient: bool) -> None:
     """Raise ValueError if n < m, then pass the walk-count DP for length-n
-    sequences on S, n - m + 1 rows of |S| counts, through ``SSA_BUDGET``."""
+    sequences on S, n - m + 1 rows of one count per vertex walked, through
+    ``SSA_BUDGET``.  The words are walked, or with ``on_quotient`` the kept
+    masks of a union of TC-mask classes (``mask_quotient``); no digraph is
+    built here."""
     if n < s.m:
         raise ValueError(f"n={n} is smaller than the word length m={s.m}")
+    union = s.mask_classes if on_quotient else None
+    vertices = len(s) if union is None else len(union[0])
     rows = n - s.m + 1
-    sequences.check_budget(rows * len(s), f"{rows} rows of {len(s)} walk counts")
+    sequences.check_budget(rows * vertices, f"{rows} rows of {vertices} walk counts")
 
 
 def count_constrained(s: GeneratingSet, n: int) -> int:
     """Exact |C_n(S)|: the number of walks of length n - m in the digraph.
-    The DP passes ``check_walk_budget`` before any work.
+    The DP passes ``check_walk_budget`` before any work, charged for the
+    digraph that it walks.
 
     A union of whole TC-mask classes is counted on its ``mask_quotient``:
     a sequence is in C_n(S) iff its TC mask (a binary string of length n)
     has every m-window kept, and each such mask is that of 2^n sequences,
     so |C_n(S)| is 2^n times the walks of length n - m in the quotient.
     """
-    check_walk_budget(s, n)
+    check_walk_budget(s, n, on_quotient=True)
     quotient = mask_quotient(s)
     if quotient is None:
         g, lift = build_digraph(s), 1

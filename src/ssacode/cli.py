@@ -26,7 +26,21 @@ REFERENCE_TABLE = {2: 1.1679, 3: 1.5515, 4: 1.5940, 5: 1.6980,
                7: 1.7698, 9: 1.8131, 11: 1.8423}
 TABLE_GATE_TOL = 2e-3
 
-BUILTIN_SETS = ("tc-dominant", "m4-heuristic", "m6-stage", "block-concat-baseline")
+
+def _tc_dominant(m: Optional[int]) -> gs.GeneratingSet:
+    if m is None:
+        raise ValueError("--set tc-dominant requires --m")
+    return gs.tc_dominant_set(m)
+
+
+# --set name -> builder of the set from --m (None if not given)
+_BUILTINS = {
+    "tc-dominant": _tc_dominant,
+    "m4-heuristic": lambda m: gs.heuristic_set_m4(),
+    "m6-stage": lambda m: gs.heuristic_set_m6_stage(),
+    "block-concat-baseline": lambda m: gs.GeneratingSet.from_words(cap.BLOCK_CONCAT_WORDS),
+}
+BUILTIN_SETS = tuple(_BUILTINS)
 
 
 def _sequence(text: str) -> str:
@@ -90,17 +104,7 @@ def _builtin_set(args) -> gs.GeneratingSet:
     name = getattr(args, "set", None)
     if name is None:
         raise ValueError("a generating set is required (--set or --set-file)")
-    if name == "tc-dominant":
-        if args.m is None:
-            raise ValueError("--set tc-dominant requires --m")
-        return gs.tc_dominant_set(args.m)
-    if name == "m4-heuristic":
-        return gs.heuristic_set_m4()
-    if name == "m6-stage":
-        return gs.heuristic_set_m6_stage()
-    if name == "block-concat-baseline":
-        return gs.GeneratingSet.from_words(cap.BLOCK_CONCAT_WORDS)
-    raise ValueError(f"unknown builtin set {name!r}")
+    return _BUILTINS[name](args.m)
 
 
 def _config(args, keys) -> dict:

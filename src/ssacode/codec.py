@@ -88,9 +88,9 @@ class CodecTable:
 
 
 def build_codec(s: GeneratingSet, n: int) -> CodecTable:
-    """The table for C_n(S); n and the n - m + 1 rows of walk counts it
+    """The table for C_n(S); n and the n - m + 1 rows of |S| walk counts it
     holds pass ``capacity.check_walk_budget`` before any work."""
-    check_walk_budget(s, n)
+    check_walk_budget(s, n, on_quotient=False)
     g = build_digraph(s)
     trie = SiblingTrie(g)
     steps = list(trie.walk(n - s.m))

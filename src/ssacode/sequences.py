@@ -82,11 +82,17 @@ def code_to_word(code: int, m: int) -> str:
     return "".join(reversed(out))
 
 
+def _digits(codes, m: int) -> Tuple[np.ndarray, np.ndarray]:
+    """The base-4 digits of integer codes, most significant first, on a new
+    last axis of length m (int64), and the shift that places each digit."""
+    shifts = np.arange(2 * (m - 1), -1, -2, dtype=np.int64)
+    return (np.asarray(codes, dtype=np.int64)[..., None] >> shifts) & 3, shifts
+
+
 def codes_to_words(codes, m: int) -> List[str]:
     """:func:`code_to_word` over an array of codes, in one vectorized pass:
     the digits become UCS4 code points, read back as length-m strings."""
-    shifts = np.arange(2 * (m - 1), -1, -2, dtype=np.int64)
-    digits = (np.asarray(codes, dtype=np.int64)[:, None] >> shifts) & 3
+    digits, _ = _digits(codes, m)
     return _SYMBOL_POINTS[digits].view(f"U{m}")[:, 0].tolist()
 
 
@@ -139,6 +145,12 @@ def rc_codes(codes: np.ndarray, m: int) -> np.ndarray:
     return x.view(np.int64)
 
 
+# Row 4 * s + c is the symbol map d -> s(d) ^ c of ``symmetry_images``,
+# indexed by digit d; s = 1 swaps C and G
+_SYMBOL_MAPS = np.array([[((d & 1) << 1 | d >> 1 if s else d) ^ c for d in range(4)]
+                         for s in range(2) for c in range(4)], dtype=np.int64)
+
+
 def symmetry_images(codes: np.ndarray, m: int) -> np.ndarray:
     """The 16 images of integer-coded words under the symmetries of the
     overlap digraph that commute with reverse complement (m <= 31), as an
@@ -146,26 +158,16 @@ def symmetry_images(codes: np.ndarray, m: int) -> np.ndarray:
 
     Image 4 * s + c maps each digit d to s(d) ^ c, where s = 0 is the
     identity and s = 1 swaps the digit's two bits, and c = 0 .. 3: the 8
-    symbol maps that commute with complement (d -> d ^ 3).  Images 8 .. 15
-    are images 0 .. 7 of the reversed words, and a word reversed is
-    ``rc_codes`` of its complement.  Image 0 is the identity.  A symbol map
-    relabels the overlap digraph and reversal transposes it, so every image
-    of a set has the same Perron root, and an RC-free set's images are
-    RC-free.
+    symbol maps that commute with complement (d -> d ^ 3), read from the
+    table ``_SYMBOL_MAPS`` at each digit.  Images 8 .. 15 are images
+    0 .. 7 with the digits reversed.  Image 0 is the identity.  A symbol
+    map relabels the overlap digraph and reversal transposes it, so every
+    image of a set has the same Perron root, and an RC-free set's images
+    are RC-free.
     """
-    x = _as_words(codes)
-    digits = np.uint64(_LOW_BITS & (4 ** m - 1))  # the low bit of each digit
-    out = np.empty((16,) + x.shape, dtype=np.uint64)
-    out[0] = x
-    out[8] = rc_codes(x.view(np.int64) ^ (4 ** m - 1), m)
-    for base in (0, 8):
-        words, swapped = out[base], out[base + 4]
-        np.left_shift(words & digits, np.uint64(1), out=swapped)
-        swapped |= words >> np.uint64(1) & digits  # the two bits of every digit
-        for c in range(1, 4):
-            np.bitwise_xor(words, np.uint64(c) * digits, out=out[base + c])
-            np.bitwise_xor(swapped, np.uint64(c) * digits, out=out[base + 4 + c])
-    return out.view(np.int64)
+    digits, shifts = _digits(codes, m)
+    images = _SYMBOL_MAPS[:, digits]
+    return (np.concatenate((images, images[..., ::-1])) << shifts).sum(-1)
 
 
 def tc_weights(codes: np.ndarray, m: int) -> np.ndarray:
@@ -276,16 +278,6 @@ def tc_mask_members(m: int, keep: np.ndarray) -> np.ndarray:
     return np.take(by_low, hi, axis=0).ravel()  # whole rows: C order
 
 
-def codes_with_tc_mask(m: int, mask: str) -> np.ndarray:
-    """All words whose TC pattern (T,C -> 1; A,G -> 0) equals the given mask."""
-    if len(mask) != m or any(ch not in "01" for ch in mask):
-        raise ValueError(f"mask {mask!r} is not a length-{m} binary string")
-    check_budget(4, f"4^{m} words", exp=m)  # before the 2^m mask table too
-    keep = np.zeros(2 ** m, dtype=bool)
-    keep[int(mask, 2)] = True
-    return np.flatnonzero(tc_mask_members(m, keep))
-
-
 def rc_pairs(m: int) -> Tuple[np.ndarray, np.ndarray]:
     """The RC pairs {w, RC(w)}, w != RC(w), of length-m words as two code
     arrays: ascending lower members and their reverse complements."""
@@ -381,9 +373,11 @@ def find_secondary_structure(x: str, m: int) -> Optional[Witness]:
 
 
 def window_multiset(x: str, m: int) -> Counter:
-    """Multiset of all length-m windows of x, with multiplicities."""
+    """Multiset of all length-m windows of x, with multiplicities.  A symbol
+    other than A, C, G, T raises ValueError."""
     if m < 1:
         raise ValueError(f"window length m must be >= 1, got {m}")
+    parse_sequence(x)
     if len(x) < m:
         raise ValueError(f"sequence of length {len(x)} has no length-{m} windows")
     return Counter(x[i:i + m] for i in range(len(x) - m + 1))
@@ -398,14 +392,9 @@ def is_tc_dominant(x: str, m: int) -> bool:
     n = len(x)
     if n < m:
         raise ValueError(f"sequence of length {n} is shorter than m={m}")
-    weight = sum(1 for ch in x[:m] if ch in "TC")
-    if 2 * weight <= m:
-        return False
-    for i in range(m, n):
-        weight += (x[i] in "TC") - (x[i - m] in "TC")
-        if 2 * weight <= m:
-            return False
-    return True
+    tc = _DIGITS[np.frombuffer(x.encode("ascii"), dtype=np.uint8)] & 1  # T, C: odd
+    before = np.concatenate(([0], np.cumsum(tc)))  # T/C symbols in x[:k]
+    return bool((2 * (before[m:] - before[:-m]) > m).all())
 
 
 def count_all_ssa(n: int, m: int) -> int:

@@ -366,6 +366,19 @@ class TestRateOfSet:
                 s = random_valid_set(rng, m, drop_rate=rng.choice([0.0, 0.25]))
                 assert rate_of_set(s).rate_bits_per_nt <= trivial_upper_bound(m) + 1e-9
 
+    @pytest.mark.parametrize("report, method", [
+        (lambda: rate_of_set(tc_dominant_set(3)), "mask-quotient"),
+        (lambda: rate_of_set(heuristic_set_m4()), "power-iteration"),
+        (lambda: binary_reduction_rate(5), "binary-reduction"),
+    ], ids=["mask-quotient", "power-iteration", "binary-reduction"])
+    def test_reports_hold_python_floats(self, report, method):
+        rep = report()
+        assert rep.method == method
+        values = rep.to_dict()
+        for key in ("spectral_radius", "rate_bits_per_nt", "residual"):
+            assert type(values[key]) is float, key
+        assert rep.bracket is None or all(type(v) is float for v in rep.bracket)
+
 
 @st.composite
 def keep_tables(draw, ms=range(2, 9)):
@@ -743,6 +756,19 @@ class TestCountConstrained:
             (row, _), = deque(SiblingTrie(TransitionDigraph(m=s.m, codes=s.codes))
                               .walk(n - s.m), maxlen=1)
             assert count_constrained(s, n) == sum(row)
+
+    def test_union_budget_charged_on_the_quotient(self, monkeypatch):
+        # 33 rows of the 1,024 kept masks; the 2,097,152 words would need
+        # 33 rows of 2^21 counts, past the default budget of 4^13
+        monkeypatch.delenv("SSA_BUDGET", raising=False)
+        m, n = 11, 43
+        kept = [2 * bin(a).count("1") > m for a in range(2 ** m)]
+        # binary strings by last m-window, one symbol at a time
+        binary = [int(k) for k in kept]
+        for _ in range(n - m):
+            binary = [binary[a >> 1] + binary[a >> 1 | 2 ** (m - 1)] if kept[a] else 0
+                      for a in range(2 ** m)]
+        assert count_constrained(tc_dominant_set(m), n) == 2 ** n * sum(binary)
 
     def test_mask_union_not_rc_free(self):
         # every TC mask of m=2: 01 and 10 are each other's reverse complement

@@ -314,9 +314,11 @@ class TestCountAndOracle:
         assert proc.stderr == (f"error: SSA_BUDGET must be a non-negative integer, "
                                f"got {budget!r}\n")
 
-    # the DP of n - m + 1 rows of |S| = 32 walk counts, refused before any
-    # row is built (the default budget 4^13 is pinned here)
-    WALK_BUDGET_ERROR = ("error: 99999998 rows of 32 walk counts exceed the "
+    # the DP of n - m + 1 rows of walk counts, refused before any row is
+    # built (the default budget 4^13 is pinned here): one count per vertex
+    # walked, the 4 kept masks of the count's quotient or the |S| = 32
+    # words of the encoder's table
+    WALK_BUDGET_ERROR = ("error: 99999998 rows of {} walk counts exceed the "
                          "enumeration budget 67108864\n")
 
     def test_count_walk_budget(self):
@@ -324,14 +326,14 @@ class TestCountAndOracle:
                        env={"SSA_BUDGET": str(4 ** 13)})
         assert proc.returncode == 1
         assert proc.stdout == ""
-        assert proc.stderr == self.WALK_BUDGET_ERROR
+        assert proc.stderr == self.WALK_BUDGET_ERROR.format(4)
 
     def test_encode_walk_budget(self):
         proc = run_cli("encode", "--m", "3", "--set", "tc-dominant", "--n", "100000000",
                        "--payload", "C0FFEE", env={"SSA_BUDGET": str(4 ** 13)})
         assert proc.returncode == 1
         assert proc.stdout == ""
-        assert proc.stderr == self.WALK_BUDGET_ERROR
+        assert proc.stderr == self.WALK_BUDGET_ERROR.format(32)
 
     def test_oracle_budget_env(self):
         proc = run_cli("oracle", "--m", "2", "--n", "8",

@@ -95,6 +95,26 @@ class TestWalkBudget:
         build(M2_SET, 12)
         assert calls == [M2_SET]
 
+    def test_union_count_charged_on_its_quotient(self, monkeypatch):
+        s = tc_dominant_set(5)  # 512 words in 16 whole TC-mask classes
+        calls = []
+        real = capacity.mask_quotient
+        monkeypatch.setattr(capacity, "mask_quotient", lambda s: calls.append(s) or real(s))
+        monkeypatch.setenv("SSA_BUDGET", str(6 * 16 - 1))  # n=10: 6 rows
+        with pytest.raises(BudgetExceededError,
+                           match="^6 rows of 16 walk counts exceed the enumeration budget 95$"):
+            count_constrained(s, 10)
+        assert calls == []
+        monkeypatch.setenv("SSA_BUDGET", str(6 * 16))
+        assert count_constrained(s, 10) == 190464
+        assert calls == [s]
+        # the encoder walks the words
+        with pytest.raises(BudgetExceededError,
+                           match="^6 rows of 512 walk counts exceed the enumeration budget 96$"):
+            build_codec(s, 10)
+        monkeypatch.setenv("SSA_BUDGET", str(6 * 512))
+        assert build_codec(s, 10).total == 190464
+
 
 class TestEncodeDecode:
     def test_boundary_words(self):

@@ -23,7 +23,7 @@ from ssacode import (
 )
 from ssacode.gensets import _validate_words, num_rc_pairs, num_self_rc
 from ssacode.sequences import (
-    _LOW_BITS, all_codes, code_to_word, codes_to_words, codes_with_tc_mask, parse_sequence, rc_code,
+    _LOW_BITS, all_codes, code_to_word, codes_to_words, parse_sequence, rc_code,
     rc_codes, rc_masks, rc_pairs, spread, tc_class_codes, tc_dominant_masks, tc_mask_members,
     tc_masks, tc_weights)
 from conftest import mask_rc, mask_unions, rc_free_words, ref_rc, tc_pattern
@@ -127,11 +127,12 @@ class TestVectorWordHelpers:
         assert (tc_masks(words, m) == tc_masks(np.array([code]), m)[0]).all()
         if m <= 6:
             mask = tc_pattern(code_to_word(code, m))
-            assert np.array_equal(words, codes_with_tc_mask(m, mask))
+            assert words.tolist() == [c for c in range(4 ** m)
+                                      if tc_pattern(code_to_word(c, m)) == mask]
 
     @pytest.mark.parametrize("mask", ["".join(bits) for bits in itertools.product("01", repeat=4)])
     def test_codes_with_tc_mask_match_per_character_pattern(self, mask):
-        got = [code_to_word(int(c), 4) for c in codes_with_tc_mask(4, mask)]
+        got = [code_to_word(int(c), 4) for c in tc_class_codes(int(spread(int(mask, 2))), 4)]
         want = [w for w in map("".join, itertools.product("ACGT", repeat=4))
                 if tc_pattern(w) == mask]
         assert got == want
@@ -439,16 +440,17 @@ class TestHeuristicSets:
         assert heuristic_set_m4().mask_classes is None
 
     def test_m6_mask_census(self):
-        from ssacode.sequences import codes_with_tc_mask
         s = heuristic_set_m6_stage()
         words = set(s.words())
-        from ssacode.sequences import code_to_word
+
+        def members(mask):
+            return {w for w in map("".join, itertools.product("ACGT", repeat=6))
+                    if tc_pattern(w) == mask}
+
         for mask in ("001110", "010110", "011010", "011100", "001101", "101100"):
-            member_words = {code_to_word(int(c), 6) for c in codes_with_tc_mask(6, mask)}
-            assert member_words <= words
+            assert members(mask) <= words
         for mask in ("000111", "111000", "100011", "110010", "010101", "011001"):
-            member_words = {code_to_word(int(c), 6) for c in codes_with_tc_mask(6, mask)}
-            assert not (member_words & words)
+            assert not (members(mask) & words)
 
 
 class TestCTilde:

@@ -30,11 +30,11 @@ from ssacode.sequences import (
     all_codes,
     code_to_word,
     codes_to_words,
-    codes_with_tc_mask,
     rc_code,
     rc_codes,
     rc_pairs,
     symmetry_images,
+    tc_mask_members,
     word_to_code,
 )
 from conftest import (
@@ -301,6 +301,14 @@ class TestWindowMultiset:
         with pytest.raises(ValueError):
             window_multiset("AC", 3)
 
+    @pytest.mark.parametrize("x", ["NNx", "ACGN", "acgt", "AC GT", "ACGTU"])
+    def test_rejects_symbols_outside_acgt(self, x):
+        with pytest.raises(ValueError) as err:
+            window_multiset(x, 1)
+        with pytest.raises(ValueError) as want:
+            parse_sequence(x)
+        assert str(err.value) == str(want.value)
+
 
 class TestTcDominant:
     def test_examples(self):
@@ -311,6 +319,17 @@ class TestTcDominant:
     def test_rejects_short(self):
         with pytest.raises(ValueError):
             is_tc_dominant("TC", 3)
+
+    @given(st.integers(2, 8).flatmap(lambda m: st.tuples(
+        st.just(m), st.lists(st.sampled_from("TTTCCCAG"), min_size=m, max_size=40))))
+    @example((4, list("TCAG")))  # weight exactly m/2
+    @example((3, list("TCT")))  # n = m
+    def test_matches_per_window_count(self, case):
+        m, symbols = case
+        x = "".join(symbols)
+        want = all(2 * sum(ch in "TC" for ch in x[i:i + m]) > m
+                   for i in range(len(x) - m + 1))
+        assert is_tc_dominant(x, m) is want
 
     @pytest.mark.parametrize("x, m", [("TTTTX", 3), ("tct", 3), ("TCN", 2), ("TN", 3)])
     def test_invalid_symbol_raises(self, x, m):
@@ -436,6 +455,19 @@ class TestSymmetryImages:
                 rate, rel=1e-12, abs=1e-14)
 
 
+class TestSymmetryImageOrder:
+    def test_image_4s_plus_c_maps_each_digit_to_s_of_it_xor_c(self):
+        words = ["ACGT", "TTGA", "CCCA", "GGTC"]
+        images = symmetry_images(np.array([word_to_code(w) for w in words]), 4)
+        swap = str.maketrans("CG", "GC")  # s = 1 swaps a digit's two bits
+        for s in range(2):
+            for c in range(4):
+                want = ["".join(sequences.ALPHABET[sequences.DIGIT[ch] ^ c]
+                                for ch in (w.translate(swap) if s else w)) for w in words]
+                assert codes_to_words(images[4 * s + c], 4) == want
+                assert codes_to_words(images[8 + 4 * s + c], 4) == [w[::-1] for w in want]
+
+
 @pytest.fixture
 def no_arange(monkeypatch):
     """Every word array comes from np.arange; fail the test if one is made."""
@@ -464,7 +496,7 @@ class TestBudgetGuard:
     def test_env_budget(self, monkeypatch, no_arange):
         monkeypatch.setenv("SSA_BUDGET", "1024")
         for build in (all_codes, rc_classes, rc_pairs, tc_dominant_set,
-                      lambda m: codes_with_tc_mask(m, "01" * (m // 2))):
+                      lambda m: tc_mask_members(m, np.ones(2 ** m, dtype=bool))):
             with pytest.raises(BudgetExceededError):
                 build(6)
         with pytest.raises(BudgetExceededError, match="2\\^11 binary words"):
