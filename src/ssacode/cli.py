@@ -87,10 +87,12 @@ def _usage_error(args) -> Optional[str]:
 def _resolve_set(args) -> gs.GeneratingSet:
     """The set of --set or --set-file.  A --m other than its word length,
     or an --n below it, is a usage error (exit 2)."""
-    if getattr(args, "set_file", None):
+    if args.set_file:
         s, source = gs.read_set_file(args.set_file), f"--set-file {args.set_file}"
+    elif args.set is None:
+        raise ValueError("a generating set is required (--set or --set-file)")
     else:
-        s, source = _builtin_set(args), f"--set {args.set}"
+        s, source = _BUILTINS[args.set](args.m), f"--set {args.set}"
     if args.m is not None and args.m != s.m:
         args.usage_error(f"--m {args.m} does not match the word length "
                          f"{s.m} of {source}")
@@ -100,56 +102,39 @@ def _resolve_set(args) -> gs.GeneratingSet:
     return s
 
 
-def _builtin_set(args) -> gs.GeneratingSet:
-    name = getattr(args, "set", None)
-    if name is None:
-        raise ValueError("a generating set is required (--set or --set-file)")
-    return _BUILTINS[name](args.m)
-
-
-def _config(args, keys) -> dict:
-    return {k: getattr(args, k, None) for k in keys}
-
-
-def _flatten(prefix: str, value, out: list) -> None:
-    if isinstance(value, dict):
-        for k, v in value.items():
-            _flatten(f"{prefix}.{k}" if prefix else str(k), v, out)
-    else:
-        out.append((prefix, value))
-
-
-def _emit(report: dict, args) -> None:
-    fmt = getattr(args, "format", "text")
-    if fmt == "json":
-        text = json.dumps(report, indent=2, default=str) + "\n"
-    elif fmt == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        if "rows" in report:
-            writer.writerow(report["columns"])
-            for row in report["rows"]:
-                writer.writerow(row)
+def _flatten(value: dict, prefix: str = ""):
+    """The (dotted key, value) pairs of a nested dict, in order."""
+    for k, v in value.items():
+        if isinstance(v, dict):
+            yield from _flatten(v, f"{prefix}{k}.")
         else:
-            pairs = []
-            _flatten("", report, pairs)
-            writer.writerow(["key", "value"])
-            writer.writerows(pairs)
-        text = buf.getvalue()
+            yield f"{prefix}{k}", v
+
+
+def _emit(args, config_keys, body: dict) -> None:
+    """Write the report ``{"command", "config", **body}`` in ``--format`` to
+    ``--out`` or stdout; ``config`` holds the options named in
+    ``config_keys``.  A body with ``rows`` carries a table headed by
+    ``columns``: csv writes only the table, text the other keys, then the
+    table, and json the report object as it is."""
+    report = {"command": args.command,
+              "config": {k: getattr(args, k) for k in config_keys},
+              **body}
+    if args.format == "json":
+        text = json.dumps(report, indent=2, default=str) + "\n"
     else:
-        pairs = []
-        _flatten("", report, pairs)
-        if "rows" in report:
-            pairs = [(k, v) for k, v in pairs if not k.startswith("rows")]
-        lines = [f"{k}: {v}" for k, v in pairs]
-        if "rows" in report:
-            lines.append("  ".join(str(c) for c in report["columns"]))
-            for row in report["rows"]:
-                lines.append("  ".join(str(c) for c in row))
-        text = "\n".join(lines) + "\n"
-    out_path = getattr(args, "out", None)
-    if out_path:
-        with open(out_path, "w") as fh:
+        pairs = _flatten({k: v for k, v in report.items() if k != "rows"})
+        table = [report["columns"], *report["rows"]] if "rows" in report else []
+        if args.format == "csv":
+            buf = io.StringIO()
+            csv.writer(buf).writerows(table or [("key", "value"), *pairs])
+            text = buf.getvalue()
+        else:
+            lines = [f"{k}: {v}" for k, v in pairs]
+            lines += ["  ".join(str(c) for c in row) for row in table]
+            text = "\n".join(lines) + "\n"
+    if args.out:
+        with open(args.out, "w") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
@@ -160,13 +145,11 @@ def cmd_check(args) -> int:
         return _check_file(args)
     witness = seq.find_secondary_structure(args.seq, args.m)
     report = {
-        "command": "check",
-        "config": _config(args, ("m", "seq")),
         "ssa": witness is None,
     }
     if witness is not None:
         report["witness"] = {"i": witness.i, "j": witness.j, "m": witness.m}
-    _emit(report, args)
+    _emit(args, ("m", "seq"), report)
     return 0 if witness is None else 1
 
 
@@ -175,36 +158,32 @@ def _check_file(args) -> int:
     rows = []
     with open(args.seq_file) as fh:
         for index, line in enumerate(fh, start=1):
+            read = line.rstrip("\r\n")
             try:
-                read = seq.parse_sequence(line.rstrip("\r\n"))
+                witness = seq.find_secondary_structure(read, args.m)
             except ValueError as exc:
                 raise ValueError(f"{args.seq_file}, line {index}: {exc}") from None
-            witness = seq.find_secondary_structure(read, args.m)
             if witness is None:
                 rows.append([index, len(read), True, None, None])
             else:
                 rows.append([index, len(read), False, witness.i, witness.j])
     non_ssa = sum(not row[2] for row in rows)
-    _emit({
-        "command": "check",
-        "config": _config(args, ("m", "seq_file")),
+    _emit(args, ("m", "seq_file"), {
         "reads": len(rows),
         "non_ssa": non_ssa,
         "columns": ["index", "length", "ssa", "i", "j"],
         "rows": rows,
-    }, args)
+    })
     return 0 if non_ssa == 0 else 1
 
 
 def cmd_capacity(args) -> int:
     s = _resolve_set(args)
     report = cap.rate_of_set(s, tol=args.tol)
-    _emit({
-        "command": "capacity",
-        "config": _config(args, ("m", "set", "set_file", "tol")),
+    _emit(args, ("m", "set", "set_file", "tol"), {
         "set_size": len(s),
         **report.to_dict(),
-    }, args)
+    })
     if not report.converged:
         _not_converged(report, args.tol)
         return 1
@@ -220,21 +199,17 @@ def _not_converged(report: cap.CapacityReport, tol: float) -> None:
 def cmd_count(args) -> int:
     s = _resolve_set(args)
     total = cap.count_constrained(s, args.n)
-    _emit({
-        "command": "count",
-        "config": _config(args, ("m", "n", "set", "set_file")),
+    _emit(args, ("m", "n", "set", "set_file"), {
         "count": str(total),
-    }, args)
+    })
     return 0
 
 
 def cmd_oracle(args) -> int:
     total = seq.count_all_ssa(args.n, args.m)
-    _emit({
-        "command": "oracle",
-        "config": _config(args, ("m", "n")),
+    _emit(args, ("m", "n"), {
         "count": str(total),
-    }, args)
+    })
     return 0
 
 
@@ -251,8 +226,6 @@ def cmd_search(args) -> int:
                                    iterations=args.iters, seed=args.seed,
                                    on_restart=progress)
     report = {
-        "command": "search",
-        "config": _config(args, ("m", "mode", "restarts", "iters", "seed", "tol")),
         "best_rate": result.best_rate,
         "candidates_examined": result.candidates_examined,
         "method": result.method,
@@ -261,7 +234,7 @@ def cmd_search(args) -> int:
     }
     if len(result.best_set) <= 4096:
         report["best_set"] = result.best_set.words()
-    _emit(report, args)
+    _emit(args, ("m", "mode", "restarts", "iters", "seed", "tol"), report)
     if not result.report.converged:
         _not_converged(result.report, result.tol)
         return 1
@@ -288,14 +261,12 @@ def cmd_table(args) -> int:
         diff = abs(computed - reference)
         worst = max(worst, diff)
         rows.append([m, f"{computed:.4f}", f"{reference:.4f}", f"{diff:.2e}"])
-    _emit({
-        "command": "table",
-        "config": {},
+    _emit(args, (), {
         "columns": ["m", "computed_rate", "reference_rate", "abs_diff"],
         "rows": rows,
         "max_abs_diff": f"{worst:.2e}",
         "within_tolerance": worst <= TABLE_GATE_TOL,
-    }, args)
+    })
     for report in unconverged:
         _not_converged(report, cap.DEFAULT_TOL)
     return 0 if worst <= TABLE_GATE_TOL and not unconverged else 1
@@ -305,14 +276,12 @@ def cmd_encode(args) -> int:
     s = _resolve_set(args)
     table = cdc.build_codec(s, args.n)
     blocks = cdc.encode_payload(table, args.payload)
-    _emit({
-        "command": "encode",
-        "config": _config(args, ("m", "n", "set", "set_file", "payload")),
+    _emit(args, ("m", "n", "set", "set_file", "payload"), {
         "bits_per_block": cdc.bits_per_block(table),
         "blocks": len(blocks),
         "payload_bits": 4 * len(args.payload),
         "sequence": "".join(blocks),
-    }, args)
+    })
     return 0
 
 
@@ -320,13 +289,11 @@ def cmd_decode(args) -> int:
     s = _resolve_set(args)
     table = cdc.build_codec(s, args.n)
     payload_hex = cdc.decode_payload(table, args.seq)
-    _emit({
-        "command": "decode",
-        "config": _config(args, ("m", "n", "set", "set_file", "seq")),
+    _emit(args, ("m", "n", "set", "set_file", "seq"), {
         "bits_per_block": cdc.bits_per_block(table),
         "blocks": len(args.seq) // args.n,
         "payload_hex": payload_hex,
-    }, args)
+    })
     return 0
 
 
@@ -414,8 +381,7 @@ def main(argv: Optional[list] = None) -> int:
         args.usage_error(problem)  # exits 2
     try:
         return args.func(args)
-    except (seq.BudgetExceededError, gs.InvalidGeneratingSetError,
-            cdc.CodecError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:  # the library's errors are ValueErrors
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -179,14 +179,21 @@ def bits_per_block(t: CodecTable) -> int:
     return k
 
 
+def _check_block_bits(k: int) -> None:
+    if k < 1:
+        raise ValueError(f"block size k must be at least 1 bit, got {k}")
+
+
 def payload_to_indices(payload_hex: str, k: int) -> List[int]:
     """Split a big-endian hex payload into k-bit block indices.
 
     Only the digits 0-9, A-F and a-f are accepted: no prefix, sign,
     separator or whitespace.  The bit string is zero-padded on the right to
     a whole number of blocks.  The payload is cut as a string of binary
-    digits, so the work is linear in its length.
+    digits, so the work is linear in its length.  A block size k < 1 raises
+    ValueError.
     """
+    _check_block_bits(k)
     if payload_hex == "":
         raise ValueError("empty payload")
     bad = _NON_HEX.search(payload_hex)
@@ -201,7 +208,9 @@ def payload_to_indices(payload_hex: str, k: int) -> List[int]:
 
 def indices_to_payload(indices: List[int], k: int) -> str:
     """Reassemble block indices into a hex payload (right-padded bits kept),
-    through one string of binary digits."""
+    through one string of binary digits.  A block size k < 1 raises
+    ValueError."""
+    _check_block_bits(k)
     for idx in indices:
         if not 0 <= idx < (1 << k):
             raise ValueError(f"block index {idx} does not fit in {k} bits")

@@ -34,6 +34,11 @@ from .sequences import (
 )
 
 
+# Longest word of a set: the word code helpers work on 64-bit words
+# (``rc_codes``, ``tc_masks``)
+MAX_WORD_LENGTH = 31
+
+
 class InvalidGeneratingSetError(ValueError):
     """The generating set violates RC-freeness (or is otherwise malformed)."""
 
@@ -73,12 +78,15 @@ class GeneratingSet:
     @classmethod
     def from_codes(cls, m: int, codes: Iterable[int], *,
                    _owned: bool = False) -> "GeneratingSet":
-        """Codes in [0, 4^m), in any order and with repeats; others raise ValueError.
+        """Codes in [0, 4^m), in any order and with repeats, for a word
+        length 1 <= m <= 31; other codes or lengths raise ValueError.
 
         A caller's array is never kept: if it is already sorted, it is
         copied.  ``_owned`` is for this module's builders, which hand over
         a fresh array that nothing else holds; it is kept without a copy.
         """
+        if not 1 <= m <= MAX_WORD_LENGTH:
+            raise ValueError(f"word length m must be in 1..{MAX_WORD_LENGTH}, got {m}")
         try:
             arr = sorted_unique(codes)
         except OverflowError:

@@ -75,6 +75,9 @@ def word_to_code(word: str) -> int:
 
 
 def code_to_word(code: int, m: int) -> str:
+    """The length-m word of a code in [0, 4^m); other codes raise ValueError."""
+    if not 0 <= code < 4 ** m:
+        raise ValueError(f"word code {code} out of range for m={m}")
     out = []
     for _ in range(m):
         out.append(ALPHABET[code % 4])
@@ -84,14 +87,25 @@ def code_to_word(code: int, m: int) -> str:
 
 def _digits(codes, m: int) -> Tuple[np.ndarray, np.ndarray]:
     """The base-4 digits of integer codes, most significant first, on a new
-    last axis of length m (int64), and the shift that places each digit."""
+    last axis of length m (int64), and the shift that places each digit.
+    A code outside [0, 4^m) raises ValueError."""
+    try:
+        codes = np.asarray(codes, dtype=np.int64)
+    except OverflowError:
+        raise ValueError(f"word code out of range for m={m}") from None
+    if codes.size:
+        low, high = int(codes.min()), int(codes.max())
+        if low < 0 or high >= 4 ** m:
+            raise ValueError(f"word code {low if low < 0 else high} "
+                             f"out of range for m={m}")
     shifts = np.arange(2 * (m - 1), -1, -2, dtype=np.int64)
-    return (np.asarray(codes, dtype=np.int64)[..., None] >> shifts) & 3, shifts
+    return (codes[..., None] >> shifts) & 3, shifts
 
 
 def codes_to_words(codes, m: int) -> List[str]:
     """:func:`code_to_word` over an array of codes, in one vectorized pass:
-    the digits become UCS4 code points, read back as length-m strings."""
+    the digits become UCS4 code points, read back as length-m strings.  A
+    code outside [0, 4^m) raises ValueError."""
     digits, _ = _digits(codes, m)
     return _SYMBOL_POINTS[digits].view(f"U{m}")[:, 0].tolist()
 
@@ -163,7 +177,7 @@ def symmetry_images(codes: np.ndarray, m: int) -> np.ndarray:
     0 .. 7 with the digits reversed.  Image 0 is the identity.  A symbol
     map relabels the overlap digraph and reversal transposes it, so every
     image of a set has the same Perron root, and an RC-free set's images
-    are RC-free.
+    are RC-free.  A code outside [0, 4^m) raises ValueError.
     """
     digits, shifts = _digits(codes, m)
     images = _SYMBOL_MAPS[:, digits]

@@ -268,6 +268,14 @@ class TestCapacity:
         proc = run_cli("capacity", "--set-file", str(path))
         assert proc.returncode == 1
 
+    def test_set_file_words_too_long(self, tmp_path, capsys):
+        path = tmp_path / "long.txt"
+        path.write_text("A" * 32 + "\n")
+        assert cli.main(["capacity", "--set-file", str(path)]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: word length m must be in 1..31, got 32\n"
+
     def test_capacity_budget_env(self):
         proc = run_cli("capacity", "--set", "tc-dominant", "--m", "6",
                        env={"SSA_BUDGET": "1024"})

@@ -219,6 +219,13 @@ class TestPayloadSegmentation:
         with pytest.raises(ValueError):
             indices_to_payload([4], 2)
 
+    @pytest.mark.parametrize("k", [0, -1, -3])
+    def test_block_size_below_one(self, k):
+        with pytest.raises(ValueError, match=f"block size k must be at least 1 bit, got {k}"):
+            payload_to_indices("F", k)
+        with pytest.raises(ValueError, match=f"block size k must be at least 1 bit, got {k}"):
+            indices_to_payload([0], k)
+
     def test_only_hex_digits_accepted(self):
         # int(..., 16) takes all of these; "0x1F" would frame as [0, 31]
         for bad in ("0x1F", "1_F", " 1F", "+1F", "-1F", "1F\n", "\uff11F", ""):

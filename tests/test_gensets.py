@@ -69,6 +69,31 @@ class TestFromCodesDedup:
             GeneratingSet.from_codes(m, codes)
 
 
+class TestWordLength:
+    """A set's words have length 1 <= m <= 31, the range of the 64-bit word
+    code helpers; one ValueError names the range for any other m."""
+
+    @pytest.mark.parametrize("m", [0, 32])
+    def test_refused(self, m, tmp_path):
+        message = f"word length m must be in 1..31, got {m}"
+        with pytest.raises(ValueError, match=message):
+            GeneratingSet.from_codes(m, [0])
+        for word in ("A" * m, "T" * m):  # the lowest and the highest code alike
+            with pytest.raises(ValueError, match=message):
+                GeneratingSet.from_words([word])
+        if m:  # a set file has no empty word: blank lines are skipped
+            path = tmp_path / "set.txt"
+            path.write_text("T" * m + "\n")
+            with pytest.raises(ValueError, match=message):
+                read_set_file(path)
+
+    @pytest.mark.parametrize("m", [1, 31])
+    def test_edges_accepted(self, m):
+        s = GeneratingSet.from_words(["A" * m, "C" * m])
+        assert s.m == m and s.words() == ["A" * m, "C" * m]
+        assert repr(s)
+
+
 class TestVectorWordHelpers:
     @pytest.mark.parametrize("m", range(2, 7))
     def test_rc_codes_match_scalar(self, m):

@@ -455,6 +455,26 @@ class TestSymmetryImages:
                 rate, rel=1e-12, abs=1e-14)
 
 
+class TestWordCodeRange:
+    """The word helpers take codes in [0, 4^m) only; others raise ValueError
+    instead of wrapping around to another word."""
+
+    @pytest.mark.parametrize("m", [2, 5])
+    @pytest.mark.parametrize("bad", ["4^m", -1])
+    def test_out_of_range_raises(self, m, bad):
+        code = 4 ** m if bad == "4^m" else bad
+        with pytest.raises(ValueError, match=f"word code {code} out of range for m={m}"):
+            code_to_word(code, m)
+        with pytest.raises(ValueError, match=f"word code {code} out of range for m={m}"):
+            codes_to_words([0, code], m)
+        with pytest.raises(ValueError, match=f"word code {code} out of range for m={m}"):
+            symmetry_images(np.array([code, 1], dtype=np.int64), m)
+
+    def test_code_past_int64_raises(self):
+        with pytest.raises(ValueError, match="out of range for m=2"):
+            codes_to_words([2 ** 70], 2)
+
+
 class TestSymmetryImageOrder:
     def test_image_4s_plus_c_maps_each_digit_to_s_of_it_xor_c(self):
         words = ["ACGT", "TTGA", "CCCA", "GGTC"]
