@@ -145,11 +145,12 @@ class CapacityReport:
     ``bracket``, the certified interval (lo, hi) that holds the root, and
     ``spectral_radius`` is its midpoint.  ``bracket`` is None for the other
     methods and is left out of ``to_dict``.  A "mask-quotient" report comes
-    with no word-level digraph built: its ``vertex_count`` is the size of
-    the set, and its ``arc_count`` is 2^(m+1) times the quotient's, since
-    every word has two successors per quotient arc of its mask.  That is
-    exact for a union that ``GeneratingSet.mask_classes`` verified from the
-    codes.
+    with no word-level digraph built: its bracket is the word-level
+    Collatz-Wielandt product taken on the kept masks, its ``vertex_count``
+    is the size of the set, and its ``arc_count`` is 2^(m+1) times the
+    quotient's, since every word has two successors per quotient arc of
+    its mask.  That is exact for a union that
+    ``GeneratingSet.mask_classes`` verified from the codes.
     """
 
     m: int
@@ -286,67 +287,42 @@ _BRACKET_MARGIN = 8 * sys.float_info.epsilon  # a Python float, as the bracket i
 _QUOTIENT_TOL_FACTOR = 1e-3
 
 
-def _lifted_bracket(m: int, codes: np.ndarray, masks: np.ndarray,
+def _lifted_bracket(m: int, kept: np.ndarray,
                     by_mask: np.ndarray) -> Optional[Tuple[float, float]]:
-    """Certified bounds lo <= rho(A) <= hi on the overlap digraph A of
-    ``codes``, from one product with x = ``by_mask[masks]`` > 0.
+    """Certified bounds lo <= rho(A) <= hi on the overlap digraph A of the
+    union of the TC-mask classes ``kept`` (ascending, not empty), from one
+    product with the vector x that reads each word's value at its mask in
+    ``by_mask``.
 
     Collatz-Wielandt: for a nonnegative A and a positive x,
     min_i (Ax)_i / x_i <= rho(A) <= max_i (Ax)_i / x_i, and both ends are
-    widened by ``_BRACKET_MARGIN``.  The product is taken a block of words
-    at a time: no digraph is built, and the one array over the words'
-    overlaps is the 4^(m-1) prefix sums.  It is that of
-    ``TransitionDigraph(m, codes).matvec(x)``, to the bit.
-
-    The bins are those of ``TransitionDigraph`` (``_overlap_bins``).  The
-    first pass sums x = ``by_mask[masks]`` per prefix bin, with one
-    ``bincount`` per block offset by the block's first bin.  The codes are
-    sorted, so the prefix bins are non-decreasing: of a block's bins only
-    the first can hold a sum begun in earlier blocks, and that sum is
-    added to the block's first weight.  Every bin is thus summed from 0 in
-    word order, as one ``bincount`` sums it.  The second pass reads the
-    sums at the suffix bins and keeps the least and greatest ratio.  None
-    if an entry of x is not a positive normal float.
+    widened by ``_BRACKET_MARGIN``.  The product is taken on the 2^m
+    masks, with no word read.  A word of mask a ends in an (m-1)-word of
+    mask b = a mod 2^(m-1), whose four successors, that word followed by
+    A, C, G and T, have the masks 2b, 2b+1, 2b and 2b+1; each is in S iff
+    its mask is kept.  With v = x at the kept masks and an exact 0.0 at
+    the others, (Ax)_u is f[b] = ((v[2b] + v[2b+1]) + v[2b]) + v[2b+1]:
+    the overlap's bin summed in the order the ``bincount`` of
+    ``TransitionDigraph.matvec`` sums it.  So every word's ratio is that
+    of the word-level product to the bit, and the least and greatest
+    over the kept masks are those over the words.  Only ``by_mask`` at
+    ``kept``, the classes found in the codes, is read, whatever it holds
+    elsewhere.  None if an entry of x is not a positive normal float.
     """
-    if len(codes) == 0:
+    x = by_mask[kept]
+    if not x.min() >= np.finfo(float).tiny:
         return None
-    nbins, binned = _overlap_bins(m, codes)
-    step = sequences._MASK_BLOCK
-    x = np.empty(min(len(codes), step))  # a block's x, reused
-    ratio = np.empty(len(x))
-    words = np.empty(len(x), dtype=np.int64)  # a block's prefixes or suffixes
-    t = np.zeros(nbins)
-
-    def blocks():
-        """(codes, x, overlap-word buffer) of each block of words."""
-        for start in range(0, len(codes), step):
-            block = codes[start:start + step]
-            n = len(block)
-            # masks index by_mask in range; "clip" spares take a copy of out
-            np.take(by_mask, masks[start:start + n], out=x[:n], mode="clip")
-            yield block, x[:n], words[:n]
-
-    for block, xb, buf in blocks():
-        if not xb.min() >= np.finfo(float).tiny:
-            return None
-        pre = binned(np.right_shift(block, 2, out=buf))
-        first = pre[0]
-        xb[0] += t[first]  # the sum its bin began in earlier blocks, or 0
-        pre -= first
-        sums = np.bincount(pre, weights=xb)
-        t[first:first + len(sums)] = sums
-    lo, hi = math.inf, -math.inf
-    for block, xb, buf in blocks():
-        suf = binned(np.bitwise_and(block, 4 ** (m - 1) - 1, out=buf))
-        rb = np.take(t, suf, out=ratio[:len(xb)], mode="clip")
-        rb /= xb
-        lo = min(lo, float(rb.min()))
-        hi = max(hi, float(rb.max()))
-    return lo * (1.0 - _BRACKET_MARGIN), hi * (1.0 + _BRACKET_MARGIN)
+    v = np.zeros(2 ** m)
+    v[kept] = x
+    even, odd = v[0::2], v[1::2]  # v at the masks 2b and 2b+1
+    f = ((even + odd) + even) + odd
+    ratio = f[kept & (2 ** (m - 1) - 1)] / x
+    return (float(ratio.min()) * (1.0 - _BRACKET_MARGIN),
+            float(ratio.max()) * (1.0 + _BRACKET_MARGIN))
 
 
 def _lifted_rate(s: GeneratingSet, quotient: TransitionDigraph,
-                 masks: np.ndarray, tol: float) -> Optional[CapacityReport]:
+                 tol: float) -> Optional[CapacityReport]:
     """The root of S's digraph bracketed by the quotient's lifted Perron
     vector, or None if the bracket is not certified to ``tol``."""
     cyclic = quotient.cyclic_components()
@@ -355,8 +331,8 @@ def _lifted_rate(s: GeneratingSet, quotient: TransitionDigraph,
     _, iterations, _, _, y = _shifted_power(
         quotient.matvec, quotient.vertex_count, tol * _QUOTIENT_TOL_FACTOR)
     by_mask = np.zeros(2 ** s.m)
-    by_mask[sequences.tc_masks(quotient.codes, s.m)] = y  # at the kept masks
-    bracket = _lifted_bracket(s.m, s.codes, masks, by_mask)
+    by_mask[sequences.tc_masks(quotient.codes, s.m)] = y  # at the quotient's masks
+    bracket = _lifted_bracket(s.m, s.mask_classes[0], by_mask)
     if bracket is None:
         return None
     lo, hi = bracket
@@ -383,12 +359,13 @@ def rate_of_set(s: GeneratingSet, tol: float = DEFAULT_TOL) -> CapacityReport:
     ``mask_quotient``) is strongly connected, the quotient, at most 2^m
     vertices, is iterated, its Perron vector is lifted to every word by
     mask, and one product with the full 4^m-word operator brackets the root
-    (Collatz-Wielandt, see ``_lifted_bracket``).  That product is taken a
-    block of words at a time, straight from the codes, and no digraph is
-    built.  The bracket is taken on the full operator, so it does not rest
-    on the quotient being right.  If it is at most ``tol`` wide relative to
-    the root, the report's method is "mask-quotient" and it carries the
-    bracket; its ``arc_count`` is read off the quotient (see
+    (Collatz-Wielandt, see ``_lifted_bracket``).  Every word's ratio in
+    that product is a function of its mask, so it is taken on the 2^m
+    masks, bit for bit the word-level one, and no digraph is built.  The
+    classes it reads are those found in the codes, so the bracket does not
+    rest on the quotient being right.  If it is at most ``tol`` wide
+    relative to the root, the report's method is "mask-quotient" and it
+    carries the bracket; its ``arc_count`` is read off the quotient (see
     ``CapacityReport``).  In every other case the rate is
     ``spectral_radius`` of the full digraph, as for any set.  S is
     validated once either way: after the certificate, or by
@@ -398,7 +375,7 @@ def rate_of_set(s: GeneratingSet, tol: float = DEFAULT_TOL) -> CapacityReport:
     check_tol(tol)
     quotient = mask_quotient(s)
     if quotient is not None:
-        report = _lifted_rate(s, *quotient, tol)
+        report = _lifted_rate(s, quotient[0], tol)
         if report is not None:
             s.require_valid()
             return report

@@ -116,14 +116,15 @@ def _emit(args, config_keys, body: dict) -> None:
     ``--out`` or stdout; ``config`` holds the options named in
     ``config_keys``.  A body with ``rows`` carries a table headed by
     ``columns``: csv writes only the table, text the other keys, then the
-    table, and json the report object as it is."""
+    table with its header, and json the report object as it is."""
     report = {"command": args.command,
               "config": {k: getattr(args, k) for k in config_keys},
               **body}
     if args.format == "json":
         text = json.dumps(report, indent=2, default=str) + "\n"
     else:
-        pairs = _flatten({k: v for k, v in report.items() if k != "rows"})
+        pairs = _flatten({k: v for k, v in report.items()
+                          if k not in ("columns", "rows")})
         table = [report["columns"], *report["rows"]] if "rows" in report else []
         if args.format == "csv":
             buf = io.StringIO()

@@ -205,8 +205,7 @@ def tc_weights(codes: np.ndarray, m: int) -> np.ndarray:
 
 
 # Words per step of every blockwise pass over a set's words (``tc_masks``,
-# ``GeneratingSet.mask_classes``, the lifted bracket of ``capacity``), so the
-# scratch arrays stay in cache.
+# ``GeneratingSet.mask_classes``), so the scratch arrays stay in cache.
 _MASK_BLOCK = 1 << 16
 
 

@@ -630,51 +630,48 @@ class TestMaskQuotient:
 
     @settings(max_examples=40, deadline=None)
     @given(mask_unions(), st.integers(0, 2 ** 32 - 1),
-           st.sampled_from([None, 0.0, 5e-324, 1e-310]), st.sampled_from([1, 3, 4, 7, None]))
-    @example(tc_dominant_set(3).words(), 0, None, 7)  # dense; splits runs 1|3 and 2|2
-    @example(ONE_CLASS, 0, None, 3)  # sparse
-    @example(ONE_CLASS, 0, 5e-324, 4)
-    def test_lifted_bracket_is_perron_bracket(self, words, seed, bad, step):
-        # blocks of 1, 3, 4 and 7 words split prefix runs (up to 4 words)
-        # at every offset and leave a short last block; a zero or subnormal
-        # entry at a kept mask turns both away
-        from ssacode import capacity, sequences
+           st.sampled_from([None, 0.0, 5e-324, 1e-310]), st.booleans())
+    @example(tc_dominant_set(3).words(), 0, None, False)  # dense
+    @example(tc_dominant_set(3).words(), 0, None, True)  # 101 -> 010, not kept
+    @example(ONE_CLASS, 0, None, False)  # sparse
+    @example(ONE_CLASS, 0, 5e-324, True)
+    def test_lifted_bracket_is_perron_bracket(self, words, seed, bad, stray):
+        # a zero or subnormal entry at a kept mask turns both away; with
+        # stray, every mask that is not kept holds a value too, as a wrong
+        # quotient's vector leaves it, and the bracket must not read it
+        from ssacode import capacity
         assume(words)
         s = GeneratingSet.from_words(words)
         kept, masks = s.mask_classes
         rng = random.Random(seed)
         by_mask = np.zeros(2 ** s.m)
+        if stray:
+            by_mask[:] = [rng.uniform(0.1, 10.0) for _ in by_mask]
         by_mask[kept] = [rng.uniform(0.1, 10.0) for _ in kept]
         if bad is not None:
             by_mask[rng.choice(kept.tolist())] = bad
         expected = perron_bracket(build_digraph(s), by_mask[masks])
         assert (expected is None) == (bad is not None)
-        with pytest.MonkeyPatch.context() as mp:
-            if step is not None:
-                mp.setattr(sequences, "_MASK_BLOCK", step)
-            assert capacity._lifted_bracket(s.m, s.codes, masks, by_mask) == expected
+        assert capacity._lifted_bracket(s.m, kept, by_mask) == expected
 
-    @pytest.mark.parametrize("m", range(2, 10))
-    def test_lifted_bracket_tc_dominant(self, monkeypatch, m):
-        from ssacode import capacity, sequences
+    @pytest.mark.parametrize("m", range(2, 12))
+    def test_lifted_bracket_tc_dominant(self, m):
+        # the word-level product on the built 4^m digraph, to the bit
+        from ssacode import capacity
         s = tc_dominant_set(m)
-        quotient, masks = mask_quotient(s)
-        y = np.random.default_rng(m).uniform(0.1, 10.0, quotient.vertex_count)
+        kept, masks = s.mask_classes
         by_mask = np.zeros(2 ** m)
-        by_mask[s.mask_classes[0]] = y
+        by_mask[kept] = np.random.default_rng(m).uniform(0.1, 10.0, len(kept))
         expected = perron_bracket(build_digraph(s), by_mask[masks])
-        assert capacity._lifted_bracket(m, s.codes, masks, by_mask) == expected
-        # tiny blocks cost a few numpy calls per word: all four up to m=6
-        for step in (1, 3, 4, 7) if m <= 6 else (7,):
-            monkeypatch.setattr(sequences, "_MASK_BLOCK", step)
-            assert capacity._lifted_bracket(m, s.codes, masks, by_mask) == expected
+        assert capacity._lifted_bracket(m, kept, by_mask) == expected
 
     def test_certified_rate_in_little_memory(self):
         # the digraph's two bin arrays, the lifted vector, the product and
-        # the ratios would each take 16 MB at m=11; streamed, the prefix
-        # sums (8 MB) and the block buffers remain
+        # the ratios would each take 16 MB at m=11; on the masks the
+        # certificate holds a few arrays of 2^11 entries.  A first call
+        # computes the word masks, which are kept, and imports scipy.
         s = tc_dominant_set(11)
-        assert s.mask_classes is not None
+        assert rate_of_set(s).method == "mask-quotient"
         tracemalloc.start()
         try:
             rep = rate_of_set(s)
@@ -682,7 +679,7 @@ class TestMaskQuotient:
         finally:
             tracemalloc.stop()
         assert rep.method == "mask-quotient"
-        assert peak < 16 * 2 ** 20
+        assert peak < 2 ** 20
 
 
 class TestCountConstrained:
