@@ -149,8 +149,8 @@ class CapacityReport:
     Collatz-Wielandt product taken on the kept masks, its ``vertex_count``
     is the size of the set, and its ``arc_count`` is 2^(m+1) times the
     quotient's, since every word has two successors per quotient arc of
-    its mask.  That is exact for a union that
-    ``GeneratingSet.mask_classes`` verified from the codes.
+    its mask.  That is exact for a union whose kept masks
+    ``GeneratingSet.mask_classes`` found in the codes.
     """
 
     m: int
@@ -252,7 +252,7 @@ def spectral_radius(g: TransitionDigraph, tol: float = DEFAULT_TOL) -> CapacityR
     )
 
 
-def mask_quotient(s: GeneratingSet) -> Optional[Tuple[TransitionDigraph, np.ndarray]]:
+def mask_quotient(s: GeneratingSet) -> Optional[TransitionDigraph]:
     """The quotient of S's overlap digraph by TC mask, if it is equitable.
 
     When S is a union of whole TC-mask classes (every mask present has all
@@ -264,15 +264,12 @@ def mask_quotient(s: GeneratingSet) -> Optional[Tuple[TransitionDigraph, np.ndar
     digraph.  The binary window digraph is the overlap digraph of the kept
     masks' words over {A, C} (``sequences.spread``): A and C are the digits
     0 and 1, and spreading keeps order, so its i-th vertex is the i-th kept
-    mask.  Returns (quotient digraph, each word's mask), or None when S is
-    not such a union.  The masks are ``s.mask_classes``, computed once per
-    set and shared with ``validate``.
+    mask.  Returns that quotient digraph, or None when S is not such a
+    union.  The kept masks are ``s.mask_classes``, found once per set and
+    shared with ``validate``.
     """
-    union = s.mask_classes
-    if union is None:
-        return None
-    kept, masks = union
-    return TransitionDigraph(m=s.m, codes=sequences.spread(kept)), masks
+    kept = s.mask_classes
+    return None if kept is None else TransitionDigraph(m=s.m, codes=sequences.spread(kept))
 
 
 # A ratio (Ax)_i / x_i is a sum of at most 4 positive terms (one per
@@ -332,7 +329,7 @@ def _lifted_rate(s: GeneratingSet, quotient: TransitionDigraph,
         quotient.matvec, quotient.vertex_count, tol * _QUOTIENT_TOL_FACTOR)
     by_mask = np.zeros(2 ** s.m)
     by_mask[sequences.tc_masks(quotient.codes, s.m)] = y  # at the quotient's masks
-    bracket = _lifted_bracket(s.m, s.mask_classes[0], by_mask)
+    bracket = _lifted_bracket(s.m, s.mask_classes, by_mask)
     if bracket is None:
         return None
     lo, hi = bracket
@@ -375,7 +372,7 @@ def rate_of_set(s: GeneratingSet, tol: float = DEFAULT_TOL) -> CapacityReport:
     check_tol(tol)
     quotient = mask_quotient(s)
     if quotient is not None:
-        report = _lifted_rate(s, quotient[0], tol)
+        report = _lifted_rate(s, quotient, tol)
         if report is not None:
             s.require_valid()
             return report
@@ -454,37 +451,33 @@ class SiblingTrie:
             yield row, sums
 
 
-def check_walk_budget(s: GeneratingSet, n: int, on_quotient: bool) -> None:
+def check_walk_budget(m: int, n: int, vertices: int) -> None:
     """Raise ValueError if n < m, then pass the walk-count DP for length-n
-    sequences on S, n - m + 1 rows of one count per vertex walked, through
-    ``SSA_BUDGET``.  The words are walked, or with ``on_quotient`` the kept
-    masks of a union of TC-mask classes (``mask_quotient``); no digraph is
-    built here."""
-    if n < s.m:
-        raise ValueError(f"n={n} is smaller than the word length m={s.m}")
-    union = s.mask_classes if on_quotient else None
-    vertices = len(s) if union is None else len(union[0])
-    rows = n - s.m + 1
+    sequences of length-m words, n - m + 1 rows of one count per vertex
+    walked, through ``SSA_BUDGET``; no digraph is built here."""
+    if n < m:
+        raise ValueError(f"n={n} is smaller than the word length m={m}")
+    rows = n - m + 1
     sequences.check_budget(rows * vertices, f"{rows} rows of {vertices} walk counts")
 
 
 def count_constrained(s: GeneratingSet, n: int) -> int:
     """Exact |C_n(S)|: the number of walks of length n - m in the digraph.
     The DP passes ``check_walk_budget`` before any work, charged for the
-    digraph that it walks.
+    vertices that it walks: the kept masks of a union, else the words.
 
     A union of whole TC-mask classes is counted on its ``mask_quotient``:
     a sequence is in C_n(S) iff its TC mask (a binary string of length n)
     has every m-window kept, and each such mask is that of 2^n sequences,
     so |C_n(S)| is 2^n times the walks of length n - m in the quotient.
     """
-    check_walk_budget(s, n, on_quotient=True)
-    quotient = mask_quotient(s)
-    if quotient is None:
+    kept = s.mask_classes
+    check_walk_budget(s.m, n, len(s) if kept is None else len(kept))
+    if kept is None:
         g, lift = build_digraph(s), 1
     else:
         s.require_valid()
-        g, lift = quotient[0], 2 ** n
+        g, lift = mask_quotient(s), 2 ** n
     (last, _), = deque(SiblingTrie(g).walk(n - s.m), maxlen=1)
     return lift * sum(last)
 

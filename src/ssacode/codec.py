@@ -90,7 +90,7 @@ class CodecTable:
 def build_codec(s: GeneratingSet, n: int) -> CodecTable:
     """The table for C_n(S); n and the n - m + 1 rows of |S| walk counts it
     holds pass ``capacity.check_walk_budget`` before any work."""
-    check_walk_budget(s, n, on_quotient=False)
+    check_walk_budget(s.m, n, len(s))
     g = build_digraph(s)
     trie = SiblingTrie(g)
     steps = list(trie.walk(n - s.m))

@@ -14,11 +14,11 @@ from typing import Iterable, List, Optional, Tuple
 
 import numpy as np
 
-from . import sequences
 from .sequences import (
     DIGIT,
     all_codes,
     check_budget,
+    code_array,
     code_to_word,
     codes_to_words,
     parse_sequence,
@@ -38,6 +38,10 @@ from .sequences import (
 # (``rc_codes``, ``tc_masks``)
 MAX_WORD_LENGTH = 31
 
+# Words per step of the mask pass of ``GeneratingSet.mask_classes``, so its
+# scratch arrays stay in cache
+_MASK_BLOCK = 1 << 16
+
 
 class InvalidGeneratingSetError(ValueError):
     """The generating set violates RC-freeness (or is otherwise malformed)."""
@@ -49,11 +53,12 @@ def sorted_unique(codes) -> np.ndarray:
     Sort-and-diff, not ``np.unique``: numpy 2.3+ takes a hash path in
     ``np.unique`` that is about 50x slower on millions of int64 codes.
     A 1-d int64 array that is already strictly increasing is returned as
-    it is, not copied; otherwise the input is left as it is.
+    it is, not copied; otherwise the input is left as it is.  Codes that
+    are not integers raise ValueError (``sequences.code_array``).
     """
     if not isinstance(codes, np.ndarray):
         codes = list(codes)
-    arr = np.asarray(codes, dtype=np.int64)
+    arr = code_array(codes)
     if arr.ndim == 1 and (arr[1:] > arr[:-1]).all():
         return arr
     arr = np.sort(arr, axis=None)
@@ -104,28 +109,27 @@ class GeneratingSet:
         words = list(words)
         if not words:
             raise ValueError("generating set needs at least one word")
-        m = len(words[0])
         for w in words:
-            if len(w) != m:
-                raise ValueError(f"mixed word lengths: {words[0]!r} vs {w!r}")
-            parse_sequence(w)
-        return cls.from_codes(m, [word_to_code(w) for w in words])
+            _check_word(w, words[0])
+        return cls.from_codes(len(words[0]), [word_to_code(w) for w in words])
 
     def words(self) -> List[str]:
         return codes_to_words(self.codes, self.m)
 
     @cached_property
-    def mask_classes(self) -> Optional[Tuple[np.ndarray, np.ndarray]]:
-        """(kept masks, each word's int32 mask) if S is a union of whole TC-mask
+    def mask_classes(self) -> Optional[np.ndarray]:
+        """The kept masks, ascending int64, if S is a union of whole TC-mask
         classes (T,C -> 1; A,G -> 0), that is, every mask present has all
         2^m words; None otherwise.
 
-        One ``tc_masks`` pass and a blockwise ``bincount``, made on first
-        use and kept (``codes`` is read-only): ``validate`` and
-        ``capacity.mask_quotient`` both read it.  A set whose size is not
-        a positive multiple of 2^m is no union, and neither is one that
-        misses a word of its first word's class (``tc_class_codes``, 2^m
-        lookups); for those no mask is computed.
+        One pass over the codes, ``_MASK_BLOCK`` words at a time: each
+        block's ``tc_masks`` are counted into 2^m bins and dropped, so no
+        word's mask is kept.  Made on first use and kept (``codes`` is
+        read-only): ``validate`` and ``capacity.mask_quotient`` both read
+        it.  A set whose size is not a positive multiple of 2^m is no
+        union, and neither is one that misses a word of its first word's
+        class (``tc_class_codes``, 2^m lookups); for those no mask is
+        computed.
         """
         codes, classes = self.codes, 2 ** self.m
         if len(codes) == 0 or len(codes) % classes:
@@ -134,18 +138,14 @@ class GeneratingSet:
         at = np.searchsorted(codes, first)
         if at[-1] == len(codes) or (codes[at] != first).any():
             return None
-        masks = tc_masks(codes, self.m)
-        # bincount casts int32 masks to intp: a block at a time, the cast
-        # stays in cache
-        step = sequences._MASK_BLOCK
-        counts = sum(np.bincount(masks[i:i + step], minlength=classes)
-                     for i in range(0, len(masks), step))
+        counts = sum(np.bincount(tc_masks(codes[i:i + _MASK_BLOCK], self.m),
+                                 minlength=classes)
+                     for i in range(0, len(codes), _MASK_BLOCK))
         kept = np.flatnonzero(counts)
         if (counts[kept] != classes).any():
             return None
-        masks.setflags(write=False)
         kept.setflags(write=False)
-        return kept, masks
+        return kept
 
     def __len__(self) -> int:
         return len(self.codes)
@@ -206,12 +206,10 @@ def validate(s: GeneratingSet) -> ValidationResult:
     other set, and a union that fails this test, is checked word by word,
     which also lists the violations.
     """
-    union = s.mask_classes
-    if union is not None:
-        kept = union[0]
-        if not np.isin(rc_masks(kept, s.m), kept).any():
-            return ValidationResult(valid=True, maximal=len(s) == num_rc_pairs(s.m),
-                                    violations=[])
+    kept = s.mask_classes
+    if kept is not None and not np.isin(rc_masks(kept, s.m), kept).any():
+        return ValidationResult(valid=True, maximal=len(s) == num_rc_pairs(s.m),
+                                violations=[])
     return _validate_words(s)
 
 
@@ -306,25 +304,34 @@ def in_c_tilde(x: str, s: GeneratingSet) -> bool:
     at most 2m-1 times in the window multiset of x.  ValueError if x has a
     non-ACGT symbol."""
     s.require_valid()
-    parse_sequence(x)
     counts = window_multiset(x, s.m)
     limit = 2 * s.m - 1
     return all(c <= limit for w, c in counts.items() if w not in s)
 
 
+def _check_word(word: str, first: str) -> None:
+    """ValueError unless ``word`` is as long as ``first`` and all ACGT."""
+    if len(word) != len(first):
+        raise ValueError(f"mixed word lengths: {first!r} vs {word!r}")
+    parse_sequence(word)
+
+
 def read_set_file(path) -> GeneratingSet:
-    """Read a generating set: one word per line, '#' comments, blanks ignored."""
+    """Read a generating set: one word per line, '#' comments, blanks
+    ignored.  A bad symbol or a word whose length is not the first word's
+    raises ValueError naming the file and the line."""
     words = []
     for index, raw in enumerate(Path(path).read_text().splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if line:
             try:
-                words.append(parse_sequence(line))
+                _check_word(line, words[0] if words else line)
             except ValueError as exc:
                 raise ValueError(f"{path}, line {index}: {exc}") from None
+            words.append(line)
     if not words:
         raise ValueError(f"no words found in set file {path}")
-    return GeneratingSet.from_words(words)
+    return GeneratingSet.from_codes(len(words[0]), [word_to_code(w) for w in words])
 
 
 def write_set_file(s: GeneratingSet, path, comment: Optional[str] = None) -> None:

@@ -85,12 +85,22 @@ def code_to_word(code: int, m: int) -> str:
     return "".join(reversed(out))
 
 
+def code_array(codes) -> np.ndarray:
+    """Integer codes as an int64 array.  ValueError if they are not
+    integers (a float, str or bool dtype), unless there are none;
+    OverflowError for a Python int past int64."""
+    arr = np.asarray(codes)
+    if arr.size and arr.dtype.kind not in "iuO":
+        raise ValueError(f"word codes must be integers, got dtype {arr.dtype}")
+    return np.asarray(codes, dtype=np.int64)  # a list's big int overflows here
+
+
 def _digits(codes, m: int) -> Tuple[np.ndarray, np.ndarray]:
     """The base-4 digits of integer codes, most significant first, on a new
     last axis of length m (int64), and the shift that places each digit.
-    A code outside [0, 4^m) raises ValueError."""
+    A code outside [0, 4^m) or not an integer raises ValueError."""
     try:
-        codes = np.asarray(codes, dtype=np.int64)
+        codes = code_array(codes)
     except OverflowError:
         raise ValueError(f"word code out of range for m={m}") from None
     if codes.size:
@@ -204,34 +214,22 @@ def tc_weights(codes: np.ndarray, m: int) -> np.ndarray:
     return x.view(np.int64)
 
 
-# Words per step of every blockwise pass over a set's words (``tc_masks``,
-# ``GeneratingSet.mask_classes``), so the scratch arrays stay in cache.
-_MASK_BLOCK = 1 << 16
-
-
 def tc_masks(codes: np.ndarray, m: int) -> np.ndarray:
     """TC mask per word (T,C -> 1; A,G -> 0) as an m-bit big-endian int32
-    integer (m <= 31).
+    integer (m <= 31), in the shape of ``codes``.
 
     The mask is the m digits' low bits packed together: step k ORs in the
     bits 2^k places higher and keeps the runs of 2^(k+1) bits, ceil(log2 m)
-    steps, one block of words at a time in two reused uint64 buffers.
+    steps.
     """
-    codes = np.asarray(codes, dtype=np.int64)
-    flat = codes.ravel()
-    masks = np.empty(len(flat), dtype=np.int32)
-    x = np.empty(min(len(flat), _MASK_BLOCK), dtype=np.uint64)
-    y = np.empty_like(x)
-    for start in range(0, len(flat), _MASK_BLOCK):
-        block = flat[start:start + _MASK_BLOCK]
-        xb, yb = x[:len(block)], y[:len(block)]
-        np.bitwise_and(block.view(np.uint64), _LOW_BITS, out=xb)
-        for k in range((m - 1).bit_length()):
-            np.right_shift(xb, 1 << k, out=yb)
-            xb |= yb
-            xb &= _RUNS[k + 1]
-        masks[start:start + len(block)] = xb
-    return masks.reshape(codes.shape)
+    x = _as_words(codes)
+    x &= _LOW_BITS
+    y = np.empty_like(x)  # the one scratch array; every other step is in place
+    for k in range((m - 1).bit_length()):
+        np.right_shift(x, 1 << k, out=y)
+        x |= y
+        x &= _RUNS[k + 1]
+    return x.astype(np.int32)
 
 
 def spread(masks) -> np.ndarray:

@@ -36,7 +36,7 @@ from ssacode import (
 )
 from ssacode.capacity import BLOCK_CONCAT_WORDS, MIN_TOL, SiblingTrie
 from ssacode.sequences import (
-    codes_to_words, rc_code, rc_masks, spread, tc_mask_members, word_to_code)
+    codes_to_words, rc_code, rc_masks, spread, tc_mask_members, tc_masks, word_to_code)
 from conftest import (
     ac_word,
     adjacency_matrix,
@@ -402,11 +402,11 @@ class TestMaskQuotient:
     @pytest.mark.parametrize("m", [3, 5])
     def test_tc_dominant_quotient(self, m):
         s = tc_dominant_set(m)
-        quotient, masks = mask_quotient(s)
+        quotient = mask_quotient(s)
         # the {A, C} words of the kept masks, in mask order
         assert codes_to_words(quotient.codes, m) == [
             ac_word(a, m) for a in range(2 ** m) if 2 * bin(a).count("1") > m]
-        assert masks.tolist() == [int(tc_pattern(w), 2) for w in s.words()]
+        assert tc_masks(s.codes, m).tolist() == [int(tc_pattern(w), 2) for w in s.words()]
         # binary_reduction_rate iterates the same digraph
         binary = binary_reduction_rate(m)
         assert binary.vertex_count == quotient.vertex_count
@@ -422,7 +422,7 @@ class TestMaskQuotient:
         assume(keep.any())
         m = len(keep).bit_length() - 1
         s = GeneratingSet.from_codes(m, np.flatnonzero(tc_mask_members(m, keep)))
-        quotient, _ = mask_quotient(s)
+        quotient = mask_quotient(s)
         kept = np.flatnonzero(keep)
         assert codes_to_words(quotient.codes, m) == [ac_word(a, m) for a in kept]
         want = ref_binary_window_digraph(keep)  # in kept order
@@ -541,12 +541,11 @@ class TestMaskQuotient:
         # induced quotient is strongly connected (random unions seldom are)
         assume(words)
         s = GeneratingSet.from_words(words)
-        quotient, masks = mask_quotient(s)
-        cyclic = quotient.cyclic_components()
+        cyclic = mask_quotient(s).cyclic_components()
         assume(cyclic)
-        core = s.mask_classes[0][max(cyclic, key=len)]  # vertex i: kept mask i
-        s = GeneratingSet.from_codes(s.m, s.codes[np.isin(masks, core)])
-        quotient, _ = mask_quotient(s)
+        core = s.mask_classes[max(cyclic, key=len)]  # vertex i: kept mask i
+        s = GeneratingSet.from_codes(s.m, s.codes[np.isin(tc_masks(s.codes, s.m), core)])
+        quotient = mask_quotient(s)
         assert [len(c) for c in quotient.cyclic_components()] == [quotient.vertex_count]
         rep = rate_of_set(s)
         assert rep.method == "mask-quotient"
@@ -556,9 +555,9 @@ class TestMaskQuotient:
     @pytest.mark.parametrize("build", [lambda: tc_dominant_set(7),
                                        heuristic_set_m6_stage])
     def test_masks_computed_once(self, monkeypatch, build):
+        # one pass over the codes, a block at a time, whoever reads first
         from ssacode import gensets
         calls = []
-        tc_masks = gensets.tc_masks
 
         def counted(codes, m):
             calls.append(codes)
@@ -566,11 +565,14 @@ class TestMaskQuotient:
 
         s = build()
         monkeypatch.setattr(gensets, "tc_masks", counted)
-        _, masks = mask_quotient(s)
+        kept = s.mask_classes
         assert validate(s).valid
         rate_of_set(s)
-        assert len(calls) == 1 and calls[0] is s.codes
-        assert mask_quotient(s)[1] is masks
+        assert mask_quotient(s).vertex_count == len(kept)
+        # views of the codes whose lengths sum to |S|, each word read once
+        assert all(np.shares_memory(block, s.codes) for block in calls)
+        assert np.array_equal(np.concatenate(calls), s.codes)
+        assert s.mask_classes is kept
 
     def test_certificate_is_taken_on_the_full_operator(self, monkeypatch):
         # a wrong quotient (all 32 masks) gives a Perron vector that is not
@@ -578,9 +580,8 @@ class TestMaskQuotient:
         # wide, and the rate falls back to power iteration
         from ssacode import capacity
         s = tc_dominant_set(5)
-        _, masks = mask_quotient(s)
         wrong = TransitionDigraph(m=5, codes=spread(np.arange(32)))
-        monkeypatch.setattr(capacity, "mask_quotient", lambda t: (wrong, masks))
+        monkeypatch.setattr(capacity, "mask_quotient", lambda t: wrong)
         rep = rate_of_set(s)
         assert rep.method == "power-iteration"
         assert rep.to_dict() == spectral_radius(build_digraph(s)).to_dict()
@@ -642,7 +643,7 @@ class TestMaskQuotient:
         from ssacode import capacity
         assume(words)
         s = GeneratingSet.from_words(words)
-        kept, masks = s.mask_classes
+        kept, masks = s.mask_classes, tc_masks(s.codes, s.m)
         rng = random.Random(seed)
         by_mask = np.zeros(2 ** s.m)
         if stray:
@@ -659,7 +660,7 @@ class TestMaskQuotient:
         # the word-level product on the built 4^m digraph, to the bit
         from ssacode import capacity
         s = tc_dominant_set(m)
-        kept, masks = s.mask_classes
+        kept, masks = s.mask_classes, tc_masks(s.codes, m)
         by_mask = np.zeros(2 ** m)
         by_mask[kept] = np.random.default_rng(m).uniform(0.1, 10.0, len(kept))
         expected = perron_bracket(build_digraph(s), by_mask[masks])
@@ -669,7 +670,7 @@ class TestMaskQuotient:
         # the digraph's two bin arrays, the lifted vector, the product and
         # the ratios would each take 16 MB at m=11; on the masks the
         # certificate holds a few arrays of 2^11 entries.  A first call
-        # computes the word masks, which are kept, and imports scipy.
+        # finds the kept masks and imports scipy.
         s = tc_dominant_set(11)
         assert rate_of_set(s).method == "mask-quotient"
         tracemalloc.start()
@@ -680,6 +681,22 @@ class TestMaskQuotient:
             tracemalloc.stop()
         assert rep.method == "mask-quotient"
         assert peak < 2 ** 20
+
+    def test_first_certified_rate_in_little_memory(self):
+        # the first call finds the kept masks a block of words at a time
+        # and keeps only them, 8 KiB at m=11, not each word's int32 mask
+        # (8 MiB); scipy is imported before, so its modules are not counted
+        import scipy.sparse.csgraph  # noqa: F401
+        s = tc_dominant_set(11)
+        tracemalloc.start()
+        try:
+            rep = rate_of_set(s)
+            retained, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert rep.method == "mask-quotient"
+        assert retained < 64 * 2 ** 10
+        assert peak < 2 * 2 ** 20
 
 
 class TestCountConstrained:

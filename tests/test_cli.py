@@ -117,6 +117,13 @@ class TestCheck:
         assert from_reads.stderr == f"error: {reads}{tail}"
         assert from_set.stderr == f"error: {words}{tail}"
 
+    def test_set_file_names_the_line_of_a_wrong_length_word(self, tmp_path):
+        words = tmp_path / "set.txt"
+        words.write_text("TTT\n# comment\nTC\n")
+        proc = run_cli("capacity", "--set-file", str(words))
+        assert proc.returncode == 1 and proc.stdout == ""
+        assert proc.stderr == f"error: {words}, line 3: mixed word lengths: 'TTT' vs 'TC'\n"
+
 
 def usage_error(capsys, *argv):
     """The message of a usage error (exit 2) from ``ssacode argv``."""

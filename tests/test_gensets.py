@@ -9,6 +9,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 from ssacode import (
     GeneratingSet,
     InvalidGeneratingSetError,
+    TransitionDigraph,
     find_secondary_structure,
     heuristic_set_m4,
     heuristic_set_m6_stage,
@@ -67,6 +68,26 @@ class TestFromCodesDedup:
         codes.insert(data.draw(st.integers(0, len(codes))), bad)
         with pytest.raises(ValueError):
             GeneratingSet.from_codes(m, codes)
+
+    @pytest.mark.parametrize("codes", [
+        [1.5, 2.7], [1.0], np.array([3.0]), ["5"], np.array(["5"]), [True],
+        np.array([False, True])], ids=repr)
+    def test_non_integer_codes_rejected(self, codes):
+        # not truncated or parsed to another word: 1.5 is no code of AAC
+        with pytest.raises(ValueError, match="^word codes must be integers, got dtype "):
+            GeneratingSet.from_codes(3, codes)
+        with pytest.raises(ValueError, match="^word codes must be integers"):
+            TransitionDigraph(m=3, codes=codes)
+
+    @pytest.mark.parametrize("codes", [[], (), np.array([]), np.array([], dtype=str)],
+                             ids=repr)
+    def test_empty_input_is_the_empty_set(self, codes):
+        s = GeneratingSet.from_codes(3, codes)
+        assert len(s) == 0 and s.codes.dtype == np.int64
+
+    def test_code_past_int64_keeps_its_message(self):
+        with pytest.raises(ValueError, match="^word code out of range for m=3$"):
+            GeneratingSet.from_codes(3, [2 ** 70])
 
 
 class TestWordLength:
@@ -340,10 +361,12 @@ class TestMaskLevelValidate:
     @pytest.mark.parametrize("m", range(2, 12))
     def test_tc_dominant_from_masks(self, m):
         s = tc_dominant_set(m)
-        kept, masks = s.mask_classes
+        kept = s.mask_classes
         assert np.array_equal(kept, np.flatnonzero(tc_dominant_masks(m)))
+        assert kept.dtype == np.int64 and not kept.flags.writeable
+        masks = tc_masks(s.codes, m)
         assert masks.dtype == np.int32
-        assert np.array_equal(masks, tc_masks(s.codes, m))
+        assert np.array_equal(np.unique(masks), kept)
         result = validate(s)
         assert result.valid and result.maximal == (m % 2 == 1) and not result.violations
 
@@ -550,6 +573,19 @@ class TestSetFiles:
         path.write_text("TT\nTTT\n")
         with pytest.raises(ValueError):
             read_set_file(path)
+
+    @pytest.mark.parametrize("text, line, word", [
+        ("ACG\n# comment\n\nAC\n", 4, "AC"),  # shorter, after skipped lines
+        ("TT\nTC\nTTT  # inline comment\n", 3, "TTT"),
+        ("TT\nTTX\n", 2, "TTX"),  # the length is checked before the symbols
+    ], ids=["shorter", "longer", "longer-bad-symbol"])
+    def test_wrong_length_names_the_line(self, tmp_path, text, line, word):
+        path = tmp_path / "set.txt"
+        path.write_text(text)
+        first = text.split("\n", 1)[0]
+        with pytest.raises(ValueError) as exc:
+            read_set_file(path)
+        assert str(exc.value) == f"{path}, line {line}: mixed word lengths: {first!r} vs {word!r}"
 
     def test_rejects_empty(self, tmp_path):
         path = tmp_path / "set.txt"

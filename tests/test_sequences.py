@@ -474,6 +474,19 @@ class TestWordCodeRange:
         with pytest.raises(ValueError, match="out of range for m=2"):
             codes_to_words([2 ** 70], 2)
 
+    @pytest.mark.parametrize("codes", [np.array([1.5]), [1.0, 2.0], ["5"], [True]],
+                             ids=repr)
+    def test_non_integer_codes_raise(self, codes):
+        # codes_to_words(np.array([1.5]), 2) is not ['AC']
+        with pytest.raises(ValueError, match="^word codes must be integers, got dtype "):
+            codes_to_words(codes, 2)
+        with pytest.raises(ValueError, match="^word codes must be integers, got dtype "):
+            symmetry_images(codes, 2)
+
+    def test_no_codes_give_no_words(self):
+        assert codes_to_words([], 2) == [] == codes_to_words(np.array([]), 2)
+        assert symmetry_images([], 2).shape == (16, 0)
+
 
 class TestSymmetryImageOrder:
     def test_image_4s_plus_c_maps_each_digit_to_s_of_it_xor_c(self):
