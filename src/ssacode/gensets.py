@@ -25,7 +25,6 @@ from .sequences import (
     rc_codes,
     rc_masks,
     rc_pairs,
-    tc_class_codes,
     tc_dominant_masks,
     tc_mask_members,
     tc_masks,
@@ -122,21 +121,16 @@ class GeneratingSet:
         classes (T,C -> 1; A,G -> 0), that is, every mask present has all
         2^m words; None otherwise.
 
-        One pass over the codes, ``_MASK_BLOCK`` words at a time: each
-        block's ``tc_masks`` are counted into 2^m bins and dropped, so no
-        word's mask is kept.  Made on first use and kept (``codes`` is
+        A set whose size is not a positive multiple of 2^m is no union
+        and computes no mask.  Any other set takes one pass over its codes,
+        ``_MASK_BLOCK`` words at a time: each block's ``tc_masks`` are
+        counted into 2^m bins and dropped, so no word's mask is kept, and
+        the counts decide alone.  Made on first use and kept (``codes`` is
         read-only): ``validate`` and ``capacity.mask_quotient`` both read
-        it.  A set whose size is not a positive multiple of 2^m is no
-        union, and neither is one that misses a word of its first word's
-        class (``tc_class_codes``, 2^m lookups); for those no mask is
-        computed.
+        it.
         """
         codes, classes = self.codes, 2 ** self.m
         if len(codes) == 0 or len(codes) % classes:
-            return None
-        first = tc_class_codes(int(codes[0]), self.m)
-        at = np.searchsorted(codes, first)
-        if at[-1] == len(codes) or (codes[at] != first).any():
             return None
         counts = sum(np.bincount(tc_masks(codes[i:i + _MASK_BLOCK], self.m),
                                  minlength=classes)

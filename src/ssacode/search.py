@@ -15,7 +15,7 @@ import numpy as np
 
 from .capacity import DEFAULT_TOL, CapacityReport, check_tol, rate_of_set
 from .gensets import GeneratingSet
-from .sequences import check_budget, rc_pairs, symmetry_images, tc_masks, tc_weights
+from .sequences import check_budget, mask_weights, rc_pairs, symmetry_images, tc_masks
 
 LOCAL_TOL = 1e-8  # local search rates its candidates at this tolerance
 _PLATEAU_LIMIT = 25  # sideways moves in a row that local search allows
@@ -119,19 +119,19 @@ def greedy_tc_choice(m: int) -> GeneratingSet:
     return GeneratingSet.from_codes(m, np.where(_greedy_bits(m, a, b), a, b))
 
 
-def _centrality(codes: np.ndarray, m: int) -> np.ndarray:
-    masks = tc_masks(codes, m)
-    score = np.zeros_like(codes)
+def _centrality(masks: np.ndarray, m: int) -> np.ndarray:
+    score = np.zeros_like(masks)
     for pos in range(m):  # T/C at position pos: bit m - 1 - pos of the mask
         score += (masks >> (m - 1 - pos) & 1) * min(pos + 1, m - pos)
     return score
 
 
 def _greedy_bits(m: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    wa, wb = tc_weights(a, m), tc_weights(b, m)
-    ca, cb = _centrality(a, m), _centrality(b, m)
-    keep_a = (wa > wb) | ((wa == wb) & (ca > cb)) | ((wa == wb) & (ca == cb) & (a < b))
-    return keep_a
+    ma, mb = tc_masks(a, m), tc_masks(b, m)
+    weights = mask_weights(m)
+    wa, wb = weights[ma], weights[mb]
+    ca, cb = _centrality(ma, m), _centrality(mb, m)
+    return (wa > wb) | ((wa == wb) & (ca > cb)) | ((wa == wb) & (ca == cb) & (a < b))
 
 
 def local_search(m: int, restarts: int = 20, iterations: int = 200,

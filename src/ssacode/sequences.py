@@ -87,12 +87,17 @@ def code_to_word(code: int, m: int) -> str:
 
 def code_array(codes) -> np.ndarray:
     """Integer codes as an int64 array.  ValueError if they are not
-    integers (a float, str or bool dtype), unless there are none;
-    OverflowError for a Python int past int64."""
+    integers (a float, str or bool dtype, or a float, str or bool element
+    of a list or an object array), unless there are none; OverflowError
+    for an integer past int64."""
     arr = np.asarray(codes)
     if arr.size and arr.dtype.kind not in "iuO":
         raise ValueError(f"word codes must be integers, got dtype {arr.dtype}")
-    return np.asarray(codes, dtype=np.int64)  # a list's big int overflows here
+    if arr.dtype == object or arr is not codes:  # [True, 3] reads as int64
+        for kind in set(map(type, np.asarray(codes, dtype=object).flat)):
+            if kind is bool or not issubclass(kind, (int, np.integer)):
+                raise ValueError(f"word codes must be integers, got {kind.__name__}")
+    return np.asarray(arr, dtype=np.int64)  # an object array's big int overflows here
 
 
 def _digits(codes, m: int) -> Tuple[np.ndarray, np.ndarray]:
@@ -138,13 +143,12 @@ def all_codes(m: int) -> np.ndarray:
 # _RUNS[k] sets the low 2^k of every 2^(k+1) bits: 0x5555..., 0x3333..., 0x0F0F...
 _RUNS = tuple((2 ** 64 - 1) // (2 ** 2 ** k + 1) for k in range(6))
 _LOW_BITS = _RUNS[0]  # low bit of every digit: set for C and T
-_EVEN_BIT_PAIRS = _RUNS[1]  # digits 0, 2, 4, ...
-_EVEN_NIBBLES = _RUNS[2]  # digit pairs 0, 2, 4, ... (low nibble of each byte)
 
 
 def _as_words(codes) -> np.ndarray:
-    """A fresh uint64 copy of integer codes, so that shifts are logical."""
-    return np.asarray(codes, dtype=np.int64).astype(np.uint64)
+    """A fresh uint64 copy of integer codes (``code_array``), so that
+    shifts are logical."""
+    return code_array(codes).astype(np.uint64)
 
 
 def rc_codes(codes: np.ndarray, m: int) -> np.ndarray:
@@ -158,11 +162,11 @@ def rc_codes(codes: np.ndarray, m: int) -> np.ndarray:
     x = _as_words(codes)
     x ^= 4 ** m - 1
     y = np.empty_like(x)  # the one scratch array; every other step is in place
-    for shift, mask in ((2, _EVEN_BIT_PAIRS), (4, _EVEN_NIBBLES)):
-        np.right_shift(x, shift, out=y)
-        y &= mask
-        x &= mask
-        x <<= shift
+    for k in (1, 2):  # swap digits, then digit pairs: _RUNS[k] keeps the even ones
+        np.right_shift(x, 1 << k, out=y)
+        y &= _RUNS[k]
+        x &= _RUNS[k]
+        x <<= 1 << k
         x |= y
     x.byteswap(inplace=True)
     x >>= 64 - 2 * m
@@ -192,26 +196,6 @@ def symmetry_images(codes: np.ndarray, m: int) -> np.ndarray:
     digits, shifts = _digits(codes, m)
     images = _SYMBOL_MAPS[:, digits]
     return (np.concatenate((images, images[..., ::-1])) << shifts).sum(-1)
-
-
-def tc_weights(codes: np.ndarray, m: int) -> np.ndarray:
-    """Number of T/C symbols per word.  T and C have odd codes.
-
-    The weight is the popcount of the digits' low bits, summed per nibble,
-    per byte, then over the bytes.
-    """
-    x = _as_words(codes)
-    x &= _LOW_BITS
-    y = x >> 2  # the one scratch array; every other step is in place
-    y &= _EVEN_BIT_PAIRS
-    x &= _EVEN_BIT_PAIRS
-    x += y
-    np.right_shift(x, 4, out=y)
-    x += y
-    x &= _EVEN_NIBBLES
-    x *= 0x0101010101010101  # wraps: the top byte collects the byte sums
-    x >>= 56
-    return x.view(np.int64)
 
 
 def tc_masks(codes: np.ndarray, m: int) -> np.ndarray:
@@ -246,27 +230,27 @@ def spread(masks) -> np.ndarray:
     return x.view(np.int64)
 
 
-def tc_class_codes(code: int, m: int) -> np.ndarray:
-    """The 2^m codes that share the TC mask of ``code``, ascending.
-
-    A digit's low bit is its TC bit, so the class keeps those bits of
-    ``code`` and takes the spread masks 0 .. 2^m - 1, ascending, as the
-    digits' high bits.  2^m work, no 4^m array.
-    """
-    return (code & _LOW_BITS) | spread(np.arange(2 ** m)) << 1
-
-
 def rc_masks(masks: np.ndarray, m: int) -> np.ndarray:
     """TC mask of the reverse complements of each m-bit mask class: the mask
     of the reverse complement of any one word of the class."""
     return tc_masks(rc_codes(spread(masks), m), m)
 
 
+def mask_weights(m: int) -> np.ndarray:
+    """Number of ones in each of the 2^m masks, int64, indexed by mask: the
+    TC weight of every word of the mask's class.  Built by doubling: a mask
+    with its top bit set weighs one more than the mask below it."""
+    check_budget(2, f"2^{m} binary words", exp=m)
+    weights = np.zeros(1, dtype=np.int64)
+    for _ in range(m):
+        weights = np.concatenate((weights, weights + 1))
+    return weights
+
+
 def tc_dominant_masks(m: int) -> np.ndarray:
     """Keep table over the 2^m TC masks: True where more than m/2 bits are 1,
     the masks of the TC-dominant words."""
-    check_budget(2, f"2^{m} binary words", exp=m)
-    return tc_weights(spread(np.arange(2 ** m)), m) > m // 2
+    return mask_weights(m) > m // 2
 
 
 def tc_mask_members(m: int, keep: np.ndarray) -> np.ndarray:

@@ -141,6 +141,19 @@ def mask_unions(draw, ms=(2, 3, 4, 5)):
             if tc_pattern(w) in kept]
 
 
+def ref_mask_classes(words):
+    """The TC masks of a word set as ascending ints if it is a union of
+    whole TC-mask classes, else None (also for no words).  The words are
+    grouped by ``tc_pattern``; a class has 2^m words, one of two symbols at
+    each position, so a group is whole iff it has 2^m distinct words."""
+    groups = {}
+    for w in set(words):
+        groups.setdefault(tc_pattern(w), set()).add(w)
+    if not groups or any(len(g) != 2 ** len(p) for p, g in groups.items()):
+        return None
+    return sorted(int(p, 2) for p in groups)
+
+
 @pytest.fixture
 def rng():
     return random.Random(0xDA7A)

@@ -1,4 +1,5 @@
 import itertools
+import random
 import sys
 import tracemalloc
 
@@ -24,10 +25,10 @@ from ssacode import (
 )
 from ssacode.gensets import _validate_words, num_rc_pairs, num_self_rc
 from ssacode.sequences import (
-    _LOW_BITS, all_codes, code_to_word, codes_to_words, parse_sequence, rc_code,
-    rc_codes, rc_masks, rc_pairs, spread, tc_class_codes, tc_dominant_masks, tc_mask_members,
-    tc_masks, tc_weights)
-from conftest import mask_rc, mask_unions, rc_free_words, ref_rc, tc_pattern
+    _LOW_BITS, all_codes, code_to_word, codes_to_words, mask_weights, parse_sequence, rc_code,
+    rc_codes, rc_masks, rc_pairs, spread, tc_dominant_masks, tc_mask_members, tc_masks)
+from conftest import (
+    mask_rc, mask_unions, random_valid_set, rc_free_words, ref_mask_classes, ref_rc, tc_pattern)
 
 
 def codes_for_some_m(max_m, max_size=60):
@@ -85,9 +86,21 @@ class TestFromCodesDedup:
         s = GeneratingSet.from_codes(3, codes)
         assert len(s) == 0 and s.codes.dtype == np.int64
 
+    @pytest.mark.parametrize("codes", [
+        np.array([1.5, 7], dtype=object), [True, 3], np.array([0.5, 5], dtype=object),
+        [2 ** 70, 0.5], np.array([7, "5"], dtype=object)], ids=repr)
+    def test_non_integer_elements_rejected(self, codes):
+        # from_codes(2, [True, 3]) is not ['AC', 'AT'], and the digraph
+        # keeps no truncated vertex 0
+        with pytest.raises(ValueError, match="^word codes must be integers, got "):
+            GeneratingSet.from_codes(2, codes)
+        with pytest.raises(ValueError, match="^word codes must be integers, got "):
+            TransitionDigraph(2, codes)
+
     def test_code_past_int64_keeps_its_message(self):
-        with pytest.raises(ValueError, match="^word code out of range for m=3$"):
-            GeneratingSet.from_codes(3, [2 ** 70])
+        for codes in ([2 ** 70], np.array([2 ** 70, 1], dtype=object)):
+            with pytest.raises(ValueError, match="^word code out of range for m=3$"):
+                GeneratingSet.from_codes(3, codes)
 
 
 class TestWordLength:
@@ -127,10 +140,10 @@ class TestVectorWordHelpers:
 
     @pytest.mark.parametrize("m", range(2, 7))
     def test_tc_weights_match_per_character_count(self, m):
-        weights = tc_weights(np.arange(4 ** m, dtype=np.int64), m)
-        assert weights.dtype == np.int64
-        assert weights.tolist() == [sum(ch in "TC" for ch in code_to_word(c, m))
-                                    for c in range(4 ** m)]
+        weights = mask_weights(m)
+        assert weights.dtype == np.int64 and weights.shape == (2 ** m,)
+        assert weights[tc_masks(np.arange(4 ** m, dtype=np.int64), m)].tolist() == [
+            sum(ch in "TC" for ch in code_to_word(c, m)) for c in range(4 ** m)]
 
     @pytest.mark.parametrize("m", range(2, 7))
     def test_tc_masks_match_per_character_pattern(self, m):
@@ -151,7 +164,6 @@ class TestVectorWordHelpers:
         assert codes_to_words(arr, m) == words
         assert rc_codes(arr, m).tolist() == [rc_code(c, m) for c in codes]
         assert [code_to_word(c, m) for c in rc_codes(arr, m).tolist()] == [ref_rc(w) for w in words]
-        assert tc_weights(arr, m).tolist() == [sum(ch in "TC" for ch in w) for w in words]
         assert tc_masks(arr, m).dtype == np.int32
         assert tc_masks(arr, m).tolist() == [int(tc_pattern(w), 2) for w in words]
 
@@ -163,22 +175,27 @@ class TestVectorWordHelpers:
         assert np.array_equal(tc_masks(codes, m), want)
         assert np.array_equal(tc_masks(codes.reshape(-1, 3), m), want.reshape(-1, 3))
 
-    @given(st.integers(1, 12).flatmap(lambda m: st.tuples(
-        st.just(m), st.integers(0, 4 ** m - 1))))
-    def test_tc_class_codes(self, case):
-        m, code = case
-        words = tc_class_codes(code, m)
-        assert words.dtype == np.int64 and len(words) == 2 ** m
-        assert (np.diff(words) > 0).all() and code in words
-        assert (tc_masks(words, m) == tc_masks(np.array([code]), m)[0]).all()
-        if m <= 6:
-            mask = tc_pattern(code_to_word(code, m))
-            assert words.tolist() == [c for c in range(4 ** m)
-                                      if tc_pattern(code_to_word(c, m)) == mask]
+    @settings(max_examples=60, deadline=None)
+    @given(mask_unions(), st.integers(0, 2 ** 16), st.integers(0, 2 ** 16))
+    def test_tc_class_codes(self, words, pick, other):
+        # a union of whole classes minus any one word of any class is no
+        # union, also with a word of a class it lacks put in its place
+        assume(words)
+        m = len(words[0])
+        assert GeneratingSet.from_words(words).mask_classes is not None
+        drop = words[pick % len(words)]
+        rest = [w for w in words if w != drop]
+        kept = {tc_pattern(w) for w in words}
+        outside = [w for w in map("".join, itertools.product("ACGT", repeat=m))
+                   if tc_pattern(w) not in kept]
+        for left in (rest, rest + [outside[other % len(outside)]]):  # never empty
+            assert GeneratingSet.from_words(left).mask_classes is None
 
     @pytest.mark.parametrize("mask", ["".join(bits) for bits in itertools.product("01", repeat=4)])
     def test_codes_with_tc_mask_match_per_character_pattern(self, mask):
-        got = [code_to_word(int(c), 4) for c in tc_class_codes(int(spread(int(mask, 2))), 4)]
+        one_hot_keep = np.zeros(2 ** 4, dtype=bool)
+        one_hot_keep[int(mask, 2)] = True
+        got = [code_to_word(int(c), 4) for c in np.flatnonzero(tc_mask_members(4, one_hot_keep))]
         want = [w for w in map("".join, itertools.product("ACGT", repeat=4))
                 if tc_pattern(w) == mask]
         assert got == want
@@ -340,8 +357,9 @@ class TestMaskLevelValidate:
         assert not self.same_as_word_path(GeneratingSet.from_words(words + [rcw])).valid
 
     def test_non_union_skips_the_mask_pass(self, monkeypatch):
-        # a maximal set at odd m has 2^(2m-1) words, a multiple of 2^m; a
-        # random one misses most of its first word's class
+        # a maximal set at odd m has 2^(2m-1) words, a multiple of 2^m, so
+        # a random one takes the one mask pass, a block of its codes at a
+        # time, and the counts turn it away
         from ssacode import gensets
         calls = []
 
@@ -356,7 +374,9 @@ class TestMaskLevelValidate:
         assert len(s) % 2 ** 9 == 0
         result = validate(s)
         assert result == _validate_words(s) and result.valid and result.maximal
-        assert s.mask_classes is None and not calls
+        assert s.mask_classes is None and len(calls) > 1
+        assert all(np.shares_memory(codes, s.codes) for codes in calls)
+        assert sum(len(codes) for codes in calls) == len(s)
 
     @pytest.mark.parametrize("m", range(2, 12))
     def test_tc_dominant_from_masks(self, m):
@@ -369,6 +389,36 @@ class TestMaskLevelValidate:
         assert np.array_equal(np.unique(masks), kept)
         result = validate(s)
         assert result.valid and result.maximal == (m % 2 == 1) and not result.violations
+
+
+class TestMaskClassesOracle:
+    """``mask_classes`` against ``ref_mask_classes``, which groups the words
+    by TC pattern: on unions, on sets one word away from a union and on
+    maximal sets at odd m, whose size is a multiple of 2^m."""
+
+    @staticmethod
+    def check(words):
+        got = GeneratingSet.from_words(words).mask_classes
+        assert (None if got is None else got.tolist()) == ref_mask_classes(words)
+
+    @settings(max_examples=80, deadline=None)
+    @given(mask_unions(), st.sampled_from(["union", "minus one", "plus one", "swap one"]),
+           st.integers(0, 2 ** 16), st.integers(0, 2 ** 16))
+    def test_unions_and_sets_one_word_away(self, words, edit, pick, other):
+        assume(words)
+        kept = {tc_pattern(w) for w in words}
+        outside = [w for w in map("".join, itertools.product("ACGT", repeat=len(words[0])))
+                   if tc_pattern(w) not in kept]
+        if edit in ("minus one", "swap one"):
+            words = words[:pick % len(words)] + words[pick % len(words) + 1:]
+        if edit in ("plus one", "swap one"):
+            words = words + [outside[other % len(outside)]]
+        self.check(words)
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.sampled_from([3, 5, 7]), st.integers(0, 2 ** 32 - 1))
+    def test_random_maximal_sets_at_odd_m(self, m, seed):
+        self.check(random_valid_set(random.Random(seed), m).words())
 
 
 class TestBadSymbols:
@@ -422,7 +472,8 @@ class TestTcDominantSet:
         codes = all_codes(m)
         s = tc_dominant_set(m)
         assert s.codes.dtype == np.int64
-        assert np.array_equal(s.codes, codes[tc_weights(codes, m) > m // 2])
+        weights = sum((codes >> 2 * i) & 1 for i in range(m))  # T and C: odd digits
+        assert np.array_equal(s.codes, codes[weights > m // 2])
 
     def test_codes_built_once_and_held_by_the_set_alone(self):
         # the builder hands its fresh code array to the set without a copy:

@@ -483,6 +483,23 @@ class TestWordCodeRange:
         with pytest.raises(ValueError, match="^word codes must be integers, got dtype "):
             symmetry_images(codes, 2)
 
+    @pytest.mark.parametrize("codes", [
+        np.array([1.5]), [1.0, 2.0], np.array([1.5, 7], dtype=object), [1.5, 2 ** 70],
+        [True, 3], np.array([True, 3], dtype=object), np.array([np.bool_(False), 3], dtype=object),
+        ["5"], [3, "5"]], ids=repr)
+    def test_bit_parallel_helpers_refuse_non_integer_codes(self, codes):
+        # rc_codes(np.array([1.5]), 2) is not [11], nor tc_masks or spread [1]
+        for helper in (lambda c: rc_codes(c, 2), lambda c: sequences.tc_masks(c, 2),
+                       sequences.spread, lambda c: codes_to_words(c, 2)):
+            with pytest.raises(ValueError, match="^word codes must be integers, got "):
+                helper(codes)
+
+    def test_object_array_of_integers_is_read(self):
+        codes = np.array([3, np.int64(7), np.uint8(1)], dtype=object)
+        assert rc_codes(codes, 2).tolist() == [rc_code(c, 2) for c in (3, 7, 1)]
+        assert codes_to_words(codes, 2) == ["AT", "CT", "AC"]
+        assert sequences.spread(5).tolist() == 0b010001
+
     def test_no_codes_give_no_words(self):
         assert codes_to_words([], 2) == [] == codes_to_words(np.array([]), 2)
         assert symmetry_images([], 2).shape == (16, 0)
