@@ -19,8 +19,8 @@ from typing import Callable, Iterator, List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import sequences
-from .gensets import GeneratingSet, sorted_unique
-from .sequences import tc_dominant_masks
+from .gensets import GeneratingSet
+from .sequences import check_stem, sorted_unique, tc_dominant_masks
 
 DEFAULT_TOL = 1e-10  # the relative tolerance of a rate, unless one is given
 # The least tol a rate can be asked for: below it the quotient's target
@@ -45,7 +45,7 @@ def _overlap_bins(m: int, codes: np.ndarray) -> Tuple[int, Callable]:
     overlaps = 4 ** (m - 1)
     if overlaps <= len(codes):
         return overlaps, lambda words: words
-    keys = sorted_unique(np.concatenate([codes >> 2, codes & (overlaps - 1)]))
+    keys = sorted_unique(np.concatenate([codes >> 2, codes & (overlaps - 1)]), m - 1)
     return len(keys), lambda words: np.searchsorted(keys, words)
 
 
@@ -78,7 +78,7 @@ class TransitionDigraph:
     codes: np.ndarray  # sorted, duplicate-free vertex codes
 
     def __post_init__(self):
-        self.codes = codes = sorted_unique(self.codes)
+        self.codes = codes = sorted_unique(self.codes, self.m)
         self._nbins, binned = _overlap_bins(self.m, codes)
         self._pre = binned(codes >> 2)  # of the (m-1)-prefixes, codes // 4
         self._suf = binned(codes & (4 ** (self.m - 1) - 1))  # codes % 4^(m-1)
@@ -493,8 +493,7 @@ def binary_reduction_rate(m: int) -> CapacityReport:
     reported spectral radius is the quaternary-equivalent 2 * rho_bin,
     iterated to ``DEFAULT_TOL``.
     """
-    if m < 2:
-        raise ValueError(f"m must be >= 2, got {m}")
+    check_stem(m)
     report = spectral_radius(TransitionDigraph(
         m=m, codes=sequences.spread(np.flatnonzero(tc_dominant_masks(m)))))
     rho_bin = report.spectral_radius
@@ -595,8 +594,7 @@ def largest_real_root(coeffs: Sequence[float]) -> float:
 
 def trivial_upper_bound(m: int) -> float:
     """Capacity upper bound (1/m) * log2(4^m / 2) = 2 - 1/m."""
-    if m < 2:
-        raise ValueError(f"m must be >= 2, got {m}")
+    check_stem(m)
     return 2.0 - 1.0 / m
 
 

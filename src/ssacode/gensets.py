@@ -16,15 +16,17 @@ import numpy as np
 
 from .sequences import (
     DIGIT,
+    MAX_WORD_LENGTH,
     all_codes,
     check_budget,
-    code_array,
+    check_stem,
     code_to_word,
     codes_to_words,
     parse_sequence,
     rc_codes,
     rc_masks,
     rc_pairs,
+    sorted_unique,
     tc_dominant_masks,
     tc_mask_members,
     tc_masks,
@@ -33,10 +35,6 @@ from .sequences import (
 )
 
 
-# Longest word of a set: the word code helpers work on 64-bit words
-# (``rc_codes``, ``tc_masks``)
-MAX_WORD_LENGTH = 31
-
 # Words per step of the mask pass of ``GeneratingSet.mask_classes``, so its
 # scratch arrays stay in cache
 _MASK_BLOCK = 1 << 16
@@ -44,28 +42,6 @@ _MASK_BLOCK = 1 << 16
 
 class InvalidGeneratingSetError(ValueError):
     """The generating set violates RC-freeness (or is otherwise malformed)."""
-
-
-def sorted_unique(codes) -> np.ndarray:
-    """A sorted, duplicate-free int64 array of the given codes.
-
-    Sort-and-diff, not ``np.unique``: numpy 2.3+ takes a hash path in
-    ``np.unique`` that is about 50x slower on millions of int64 codes.
-    A 1-d int64 array that is already strictly increasing is returned as
-    it is, not copied; otherwise the input is left as it is.  Codes that
-    are not integers raise ValueError (``sequences.code_array``).
-    """
-    if not isinstance(codes, np.ndarray):
-        codes = list(codes)
-    arr = code_array(codes)
-    if arr.ndim == 1 and (arr[1:] > arr[:-1]).all():
-        return arr
-    arr = np.sort(arr, axis=None)
-    if len(arr) > 1:
-        fresh = arr[1:] != arr[:-1]
-        if not fresh.all():
-            arr = arr[np.concatenate(([True], fresh))]
-    return arr
 
 
 @dataclass(frozen=True, eq=False)
@@ -83,7 +59,8 @@ class GeneratingSet:
     def from_codes(cls, m: int, codes: Iterable[int], *,
                    _owned: bool = False) -> "GeneratingSet":
         """Codes in [0, 4^m), in any order and with repeats, for a word
-        length 1 <= m <= 31; other codes or lengths raise ValueError.
+        length 1 <= m <= 31; other codes or lengths raise ValueError
+        (``sequences.sorted_unique``).
 
         A caller's array is never kept: if it is already sorted, it is
         copied.  ``_owned`` is for this module's builders, which hand over
@@ -91,15 +68,10 @@ class GeneratingSet:
         """
         if not 1 <= m <= MAX_WORD_LENGTH:
             raise ValueError(f"word length m must be in 1..{MAX_WORD_LENGTH}, got {m}")
-        try:
-            arr = sorted_unique(codes)
-        except OverflowError:
-            raise ValueError(f"word code out of range for m={m}") from None
+        arr = sorted_unique(codes, m)
         if not _owned and (arr is codes or (isinstance(codes, np.ndarray)
                                             and np.may_share_memory(arr, codes))):
             arr = arr.copy()  # sorted already: the caller's array stays theirs
-        if len(arr) and (arr[0] < 0 or arr[-1] >= 4 ** m):
-            raise ValueError(f"word code out of range for m={m}")
         arr.setflags(write=False)
         return cls(m=m, codes=arr)
 
@@ -260,8 +232,7 @@ def tc_dominant_set(m: int) -> GeneratingSet:
     2^m masks (``sequences.tc_mask_members``): no int64 pass over all 4^m
     codes and their weights.
     """
-    if m < 2:
-        raise ValueError(f"m must be >= 2, got {m}")
+    check_stem(m)
     check_budget(4, f"4^{m} words", exp=m)  # before the 2^m mask table too
     return _mask_union(m, tc_dominant_masks(m))
 
@@ -329,8 +300,9 @@ def read_set_file(path) -> GeneratingSet:
 
 
 def write_set_file(s: GeneratingSet, path, comment: Optional[str] = None) -> None:
-    lines = []
-    if comment:
-        lines.append(f"# {comment}")
+    """Write a generating set as ``read_set_file`` reads it: one word per
+    line, after the comment, if any, with every one of its lines
+    prefixed by '# ' (so no comment line reads back as a word)."""
+    lines = [f"# {line}" for line in comment.splitlines()] if comment else []
     lines.extend(s.words())
     Path(path).write_text("\n".join(lines) + "\n")

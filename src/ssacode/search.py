@@ -15,7 +15,8 @@ import numpy as np
 
 from .capacity import DEFAULT_TOL, CapacityReport, check_tol, rate_of_set
 from .gensets import GeneratingSet
-from .sequences import check_budget, mask_weights, rc_pairs, symmetry_images, tc_masks
+from .sequences import (check_budget, check_stem, mask_weights, rc_pairs, symmetry_images,
+                        tc_masks)
 
 LOCAL_TOL = 1e-8  # local search rates its candidates at this tolerance
 _PLATEAU_LIMIT = 25  # sideways moves in a row that local search allows
@@ -146,8 +147,7 @@ def local_search(m: int, restarts: int = 20, iterations: int = 200,
     seed).  A KeyboardInterrupt stops the search early and reports the best
     result found so far.  Needs ``restarts >= 1`` and ``iterations >= 0``.
     """
-    if m < 2:
-        raise ValueError(f"m must be >= 2, got {m}")
+    check_stem(m)
     if restarts < 1:
         raise ValueError(f"restarts must be >= 1, got {restarts}")
     if iterations < 0:

@@ -5,6 +5,10 @@ the word code the library computes on: a length-m word is an integer with
 one 2-bit digit per symbol (base 4, A=0 C=1 G=2 T=3, big-endian).  Scalar
 helpers and their vectorized forms on int64 code arrays sit side by side,
 and every array over all 4^m words passes the ``SSA_BUDGET`` guard first.
+Each input rule has one gate here, which every entry taking that input
+goes through: ``code_array`` and ``sorted_unique`` for word codes,
+``check_stem`` for a stem length, and ``parse_sequence`` for a read
+(``_digits_of`` adds the digit lookup for the vectorized checks).
 All indices reported to callers (e.g. in :class:`Witness`) are 1-based.
 """
 
@@ -24,6 +28,10 @@ DIGIT = {s: i for i, s in enumerate(ALPHABET)}  # symbol -> its 2-bit digit
 _SYMBOL_POINTS = np.array([ord(s) for s in ALPHABET], dtype=np.uint32)  # digit -> code point
 
 DEFAULT_ENUMERATION_BUDGET = 4 ** 13
+
+# Longest word the 64-bit word helpers (``rc_codes``, ``tc_masks``,
+# ``spread``) take, and so the longest word of a set
+MAX_WORD_LENGTH = 31
 
 
 class BudgetExceededError(ValueError):
@@ -76,8 +84,7 @@ def word_to_code(word: str) -> int:
 
 def code_to_word(code: int, m: int) -> str:
     """The length-m word of a code in [0, 4^m); other codes raise ValueError."""
-    if not 0 <= code < 4 ** m:
-        raise ValueError(f"word code {code} out of range for m={m}")
+    _check_range(code, code, m)
     out = []
     for _ in range(m):
         out.append(ALPHABET[code % 4])
@@ -85,11 +92,25 @@ def code_to_word(code: int, m: int) -> str:
     return "".join(reversed(out))
 
 
-def code_array(codes) -> np.ndarray:
-    """Integer codes as an int64 array.  ValueError if they are not
-    integers (a float, str or bool dtype, or a float, str or bool element
-    of a list or an object array), unless there are none; OverflowError
-    for an integer past int64."""
+def check_stem(m: int) -> None:
+    """Raise ValueError unless ``m`` is a stem length, m >= 2."""
+    if m < 2:
+        raise ValueError(f"m must be >= 2, got {m}")
+
+
+def _check_range(low: int, high: int, m: int) -> None:
+    """Raise ValueError if the least code ``low`` or the greatest code
+    ``high`` lies outside [0, 4^m), naming it."""
+    if low < 0 or high >= 4 ** m:
+        raise ValueError(f"word code {low if low < 0 else high} out of range for m={m}")
+
+
+def code_array(codes, m: int) -> np.ndarray:
+    """Integer codes of length-m words as an int64 array.  ValueError if
+    they are not integers (a float, str or bool dtype, or a float, str or
+    bool element of a list or an object array), unless there are none, or
+    if one is past int64 (``word code out of range for m=...``).  The
+    range [0, 4^m) is not checked here."""
     arr = np.asarray(codes)
     if arr.size and arr.dtype.kind not in "iuO":
         raise ValueError(f"word codes must be integers, got dtype {arr.dtype}")
@@ -97,22 +118,46 @@ def code_array(codes) -> np.ndarray:
         for kind in set(map(type, np.asarray(codes, dtype=object).flat)):
             if kind is bool or not issubclass(kind, (int, np.integer)):
                 raise ValueError(f"word codes must be integers, got {kind.__name__}")
-    return np.asarray(arr, dtype=np.int64)  # an object array's big int overflows here
+    if arr.dtype == np.uint64 and arr.size and int(arr.max()) >= 2 ** 63:
+        arr = arr.astype(object)  # [2 ** 63] reads as uint64, and a cast would wrap
+    try:
+        return np.asarray(arr, dtype=np.int64)  # an object array's big int overflows here
+    except OverflowError:
+        raise ValueError(f"word code out of range for m={m}") from None
+
+
+def sorted_unique(codes, m: int) -> np.ndarray:
+    """A sorted, duplicate-free int64 array of the given codes of length-m
+    words: the one gate of a set of codes.
+
+    Sort-and-diff, not ``np.unique``: numpy 2.3+ takes a hash path in
+    ``np.unique`` that is about 50x slower on millions of int64 codes.
+    A 1-d int64 array that is already strictly increasing is returned as
+    it is, not copied; otherwise the input is left as it is.  Codes that
+    are not integers or are past int64 (``code_array``), or that lie
+    outside [0, 4^m), checked on the sorted ends, raise ValueError.
+    """
+    if not isinstance(codes, np.ndarray):
+        codes = list(codes)
+    arr = code_array(codes, m)
+    if arr.ndim != 1 or not (arr[1:] > arr[:-1]).all():
+        arr = np.sort(arr, axis=None)
+        if len(arr) > 1:
+            fresh = arr[1:] != arr[:-1]
+            if not fresh.all():
+                arr = arr[np.concatenate(([True], fresh))]
+    if len(arr):
+        _check_range(int(arr[0]), int(arr[-1]), m)
+    return arr
 
 
 def _digits(codes, m: int) -> Tuple[np.ndarray, np.ndarray]:
     """The base-4 digits of integer codes, most significant first, on a new
     last axis of length m (int64), and the shift that places each digit.
     A code outside [0, 4^m) or not an integer raises ValueError."""
-    try:
-        codes = code_array(codes)
-    except OverflowError:
-        raise ValueError(f"word code out of range for m={m}") from None
+    codes = code_array(codes, m)
     if codes.size:
-        low, high = int(codes.min()), int(codes.max())
-        if low < 0 or high >= 4 ** m:
-            raise ValueError(f"word code {low if low < 0 else high} "
-                             f"out of range for m={m}")
+        _check_range(int(codes.min()), int(codes.max()), m)
     shifts = np.arange(2 * (m - 1), -1, -2, dtype=np.int64)
     return (codes[..., None] >> shifts) & 3, shifts
 
@@ -145,10 +190,10 @@ _RUNS = tuple((2 ** 64 - 1) // (2 ** 2 ** k + 1) for k in range(6))
 _LOW_BITS = _RUNS[0]  # low bit of every digit: set for C and T
 
 
-def _as_words(codes) -> np.ndarray:
-    """A fresh uint64 copy of integer codes (``code_array``), so that
-    shifts are logical."""
-    return code_array(codes).astype(np.uint64)
+def _as_words(codes, m: int) -> np.ndarray:
+    """A fresh uint64 copy of integer codes of length-m words
+    (``code_array``, so no range check), so that shifts are logical."""
+    return code_array(codes, m).astype(np.uint64)
 
 
 def rc_codes(codes: np.ndarray, m: int) -> np.ndarray:
@@ -159,7 +204,7 @@ def rc_codes(codes: np.ndarray, m: int) -> np.ndarray:
     digits, then neighbouring digit pairs, then the bytes) and the 32 - m
     unused digits, now at the bottom, are shifted out.
     """
-    x = _as_words(codes)
+    x = _as_words(codes, m)
     x ^= 4 ** m - 1
     y = np.empty_like(x)  # the one scratch array; every other step is in place
     for k in (1, 2):  # swap digits, then digit pairs: _RUNS[k] keeps the even ones
@@ -206,7 +251,7 @@ def tc_masks(codes: np.ndarray, m: int) -> np.ndarray:
     bits 2^k places higher and keeps the runs of 2^(k+1) bits, ceil(log2 m)
     steps.
     """
-    x = _as_words(codes)
+    x = _as_words(codes, m)
     x &= _LOW_BITS
     y = np.empty_like(x)  # the one scratch array; every other step is in place
     for k in range((m - 1).bit_length()):
@@ -221,9 +266,10 @@ def spread(masks) -> np.ndarray:
     of digit i, so a mask becomes the code of its word over {A, C}, int64.
 
     Step k ORs every bit in 2^k places higher and keeps the runs of 2^k
-    bits, for k = 4, ..., 0.  Spreading keeps order.
+    bits, for k = 4, ..., 0.  Spreading keeps order.  A mask past int64
+    raises ValueError naming ``MAX_WORD_LENGTH``, the longest mask.
     """
-    x = _as_words(masks)
+    x = _as_words(masks, MAX_WORD_LENGTH)
     for k in range(4, -1, -1):
         x |= x << (1 << k)
         x &= _RUNS[k]
@@ -276,8 +322,7 @@ def tc_mask_members(m: int, keep: np.ndarray) -> np.ndarray:
 def rc_pairs(m: int) -> Tuple[np.ndarray, np.ndarray]:
     """The RC pairs {w, RC(w)}, w != RC(w), of length-m words as two code
     arrays: ascending lower members and their reverse complements."""
-    if m < 2:
-        raise ValueError(f"m must be >= 2, got {m}")
+    check_stem(m)
     codes = all_codes(m)
     rcs = rc_codes(codes, m)
     lo = codes < rcs
@@ -296,6 +341,14 @@ class Witness:
 
 _DIGITS = np.zeros(128, dtype=np.int64)  # code point -> 2-bit digit
 _DIGITS[_SYMBOL_POINTS] = np.arange(4)
+
+
+def _digits_of(x: str) -> np.ndarray:
+    """The 2-bit digits of a read, int64.  A symbol other than A, C, G, T
+    raises ValueError (``parse_sequence``)."""
+    parse_sequence(x)
+    return _DIGITS[np.frombuffer(x.encode("ascii"), dtype=np.uint8)]
+
 
 # Widest window key, in bits, that the doubling in ``_window_keys`` forms:
 # a pair of keys past it is re-ranked first, so it never reaches the sign.
@@ -346,13 +399,11 @@ def find_secondary_structure(x: str, m: int) -> Optional[Witness]:
     n) time for the sort (and the ``np.unique`` re-ranks past m = 16);
     memory is a few int64 arrays of 2n entries, 16n bytes each.
     """
-    if m < 2:
-        raise ValueError(f"stem length m must be >= 2, got {m}")
-    parse_sequence(x)
+    check_stem(m)
+    digits = _digits_of(x)
     n = len(x)
     if n < 2 * m:
         return None
-    digits = _DIGITS[np.frombuffer(x.encode("ascii"), dtype=np.uint8)]
     keys = _window_keys(np.concatenate((digits, 3 - digits[::-1])), m)
     w = n - m + 1
     both = np.concatenate((keys[:n - 1:-1], keys[:w]))
@@ -381,13 +432,11 @@ def window_multiset(x: str, m: int) -> Counter:
 def is_tc_dominant(x: str, m: int) -> bool:
     """True iff every length-m window has strictly more than m/2 T/C symbols.
     A symbol other than A, C, G, T raises ValueError."""
-    if m < 2:
-        raise ValueError(f"m must be >= 2, got {m}")
-    parse_sequence(x)
+    check_stem(m)
+    tc = _digits_of(x) & 1  # T, C: odd
     n = len(x)
     if n < m:
         raise ValueError(f"sequence of length {n} is shorter than m={m}")
-    tc = _DIGITS[np.frombuffer(x.encode("ascii"), dtype=np.uint8)] & 1  # T, C: odd
     before = np.concatenate(([0], np.cumsum(tc)))  # T/C symbols in x[:k]
     return bool((2 * (before[m:] - before[:-m]) > m).all())
 
@@ -399,8 +448,7 @@ def count_all_ssa(n: int, m: int) -> int:
     its prefix already contains a secondary structure (every extension then
     contains it too).  Desk-scale oracle; enumeration is budget-capped.
     """
-    if m < 2:
-        raise ValueError(f"m must be >= 2, got {m}")
+    check_stem(m)
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     check_budget(4, f"4^{n} sequences", exp=n)

@@ -666,6 +666,7 @@ class TestMaskQuotient:
         expected = perron_bracket(build_digraph(s), by_mask[masks])
         assert capacity._lifted_bracket(m, kept, by_mask) == expected
 
+    @pytest.mark.memory
     def test_certified_rate_in_little_memory(self):
         # the digraph's two bin arrays, the lifted vector, the product and
         # the ratios would each take 16 MB at m=11; on the masks the
@@ -682,6 +683,7 @@ class TestMaskQuotient:
         assert rep.method == "mask-quotient"
         assert peak < 2 ** 20
 
+    @pytest.mark.memory
     def test_first_certified_rate_in_little_memory(self):
         # the first call finds the kept masks a block of words at a time
         # and keeps only them, 8 KiB at m=11, not each word's int32 mask

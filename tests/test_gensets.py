@@ -98,9 +98,22 @@ class TestFromCodesDedup:
             TransitionDigraph(2, codes)
 
     def test_code_past_int64_keeps_its_message(self):
-        for codes in ([2 ** 70], np.array([2 ** 70, 1], dtype=object)):
+        # 2 ** 63 reads as uint64, and is not wrapped to a negative code
+        for codes in ([2 ** 70], np.array([2 ** 70, 1], dtype=object),
+                      [2 ** 63], [2 ** 64 - 1]):
             with pytest.raises(ValueError, match="^word code out of range for m=3$"):
                 GeneratingSet.from_codes(3, codes)
+            with pytest.raises(ValueError, match="^word code out of range for m=3$"):
+                TransitionDigraph(3, codes)
+
+    @pytest.mark.parametrize("m, code", [(3, -1), (3, 64), (3, 100), (1, 7)])
+    def test_out_of_range_code_named_by_the_set_and_the_digraph(self, m, code):
+        # the digraph refuses what from_codes refuses: no vertex -1 or 100
+        message = f"^word code {code} out of range for m={m}$"
+        with pytest.raises(ValueError, match=message):
+            GeneratingSet.from_codes(m, [0, code, 3])
+        with pytest.raises(ValueError, match=message):
+            TransitionDigraph(m, [0, code, 3])
 
 
 class TestWordLength:
@@ -475,6 +488,7 @@ class TestTcDominantSet:
         weights = sum((codes >> 2 * i) & 1 for i in range(m))  # T and C: odd digits
         assert np.array_equal(s.codes, codes[weights > m // 2])
 
+    @pytest.mark.memory
     def test_codes_built_once_and_held_by_the_set_alone(self):
         # the builder hands its fresh code array to the set without a copy:
         # the peak is that 16 MB array, the 4 MB membership table and the
@@ -494,6 +508,7 @@ class TestTcDominantSet:
         assert [sys.getrefcount(chain[i]) for i in range(len(chain))] == [3] * len(chain)
         assert not s.codes.flags.writeable
 
+    @pytest.mark.memory
     def test_built_from_masks_in_little_memory(self):
         # all 4^11 int64 codes and their weights would need 96 MB
         tracemalloc.start()
@@ -596,6 +611,16 @@ class TestSetFiles:
         assert loaded == s
         text = path.read_text()
         assert text.startswith("# tc-dominant m=3\n")
+
+    def test_multiline_comment_roundtrip(self, tmp_path):
+        # no comment line reads back as a word: AAA would make the set
+        # hold both AAA and TTT
+        s = tc_dominant_set(3)
+        path = tmp_path / "set.txt"
+        write_set_file(s, path, comment="best set\nAAA\n\nrate 1.55")
+        assert path.read_text().startswith("# best set\n# AAA\n# \n# rate 1.55\nACC\n")
+        loaded = read_set_file(path)
+        assert loaded == s and validate(loaded).valid
 
     def test_comments_and_blanks(self, tmp_path):
         path = tmp_path / "set.txt"

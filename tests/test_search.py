@@ -81,6 +81,7 @@ class TestExhaustiveOrbits:
         # every candidate lies in one of the rated orbits
         assert len(set().union(*orbits)) == 64
 
+    @pytest.mark.memory
     def test_m3_candidates_in_bounded_memory(self):
         # 2^32 candidates at m=3: the first canonical sets come one
         # candidate at a time, not from an array over all of them

@@ -18,10 +18,12 @@ from ssacode import (
     count_all_ssa,
     find_secondary_structure,
     is_tc_dominant,
+    local_search,
     parse_sequence,
     rc_classes,
     reverse_complement,
     tc_dominant_set,
+    trivial_upper_bound,
     validate,
     window_multiset,
 )
@@ -400,6 +402,24 @@ class TestRcPairs:
             rc_pairs(1)
 
 
+class TestStemLength:
+    """Every entry that takes a stem length refuses m < 2 with the one
+    message of ``sequences.check_stem``."""
+
+    @pytest.mark.parametrize("entry", [
+        rc_pairs, tc_dominant_set, binary_reduction_rate, trivial_upper_bound,
+        lambda m: find_secondary_structure("ACGTACGT", m),
+        lambda m: is_tc_dominant("TCTC", m),
+        lambda m: count_all_ssa(3, m),
+        lambda m: local_search(m, restarts=1, iterations=0),
+    ], ids=["rc_pairs", "tc_dominant_set", "binary_reduction_rate", "trivial_upper_bound",
+            "find_secondary_structure", "is_tc_dominant", "count_all_ssa", "local_search"])
+    @pytest.mark.parametrize("m", [1, 0])
+    def test_refused_with_one_message(self, entry, m):
+        with pytest.raises(ValueError, match=f"^m must be >= 2, got {m}$"):
+            entry(m)
+
+
 class TestSymmetryImages:
     """``symmetry_images``: the 8 symbol maps that commute with complement,
     without and with reversal."""
@@ -471,8 +491,22 @@ class TestWordCodeRange:
             symmetry_images(np.array([code, 1], dtype=np.int64), m)
 
     def test_code_past_int64_raises(self):
-        with pytest.raises(ValueError, match="out of range for m=2"):
-            codes_to_words([2 ** 70], 2)
+        # a ValueError, as cli.main catches, not OverflowError; the bit
+        # helpers check no range, but no code past int64 is wrapped either
+        for codes in ([2 ** 70], np.array([3, 2 ** 70], dtype=object), [2 ** 63]):
+            for helper in (codes_to_words, rc_codes, sequences.tc_masks):
+                with pytest.raises(ValueError, match="^word code out of range for m=2$"):
+                    helper(codes, 2)
+            # masks are spread to words first; the message names the longest mask
+            for helper in (sequences.spread, lambda c: sequences.rc_masks(c, 2)):
+                with pytest.raises(ValueError, match="^word code out of range for m=31$"):
+                    helper(codes)
+
+    def test_bit_parallel_helpers_check_no_range(self):
+        # they are handed a set's codes, in range already; code 16 at m=2
+        # is not refused, as code_to_word refuses it
+        assert rc_codes([16], 2).tolist() == [rc_code(16, 2)]
+        assert sequences.tc_masks([16], 2).shape == (1,)
 
     @pytest.mark.parametrize("codes", [np.array([1.5]), [1.0, 2.0], ["5"], [True]],
                              ids=repr)
@@ -597,6 +631,7 @@ class TestBudgetGuard:
         with pytest.raises(BudgetExceededError, match="budget 0$"):
             all_codes(2)
 
+    @pytest.mark.memory
     def test_nothing_allocated(self, monkeypatch):
         monkeypatch.setenv("SSA_BUDGET", "1024")
         tracemalloc.start()
