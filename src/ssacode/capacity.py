@@ -20,7 +20,7 @@ import numpy as np
 
 from . import sequences
 from .gensets import GeneratingSet
-from .sequences import check_stem, sorted_unique, tc_dominant_masks
+from .sequences import check_stem, check_word_length, sorted_unique, tc_dominant_masks
 
 DEFAULT_TOL = 1e-10  # the relative tolerance of a rate, unless one is given
 # The least tol a rate can be asked for: below it the quotient's target
@@ -71,13 +71,16 @@ class TransitionDigraph:
 
     ``codes`` may come in any order and with repeats; the stored vertex codes
     are sorted and duplicate-free.  A strictly increasing int64 array, such
-    as ``GeneratingSet.codes``, is kept as it is, without a copy.
+    as ``GeneratingSet.codes``, is kept as it is, without a copy.  The word
+    length and the codes pass the gates ``GeneratingSet.from_codes`` uses
+    (``sequences.check_word_length`` and ``sorted_unique``).
     """
 
     m: int
     codes: np.ndarray  # sorted, duplicate-free vertex codes
 
     def __post_init__(self):
+        check_word_length(self.m)
         self.codes = codes = sorted_unique(self.codes, self.m)
         self._nbins, binned = _overlap_bins(self.m, codes)
         self._pre = binned(codes >> 2)  # of the (m-1)-prefixes, codes // 4
@@ -150,7 +153,8 @@ class CapacityReport:
     is the size of the set, and its ``arc_count`` is 2^(m+1) times the
     quotient's, since every word has two successors per quotient arc of
     its mask.  That is exact for a union whose kept masks
-    ``GeneratingSet.mask_classes`` found in the codes.
+    ``GeneratingSet.mask_classes`` found in the codes, or that the builder
+    which made the codes from them handed over.
     """
 
     m: int
@@ -265,8 +269,9 @@ def mask_quotient(s: GeneratingSet) -> Optional[TransitionDigraph]:
     masks' words over {A, C} (``sequences.spread``): A and C are the digits
     0 and 1, and spreading keeps order, so its i-th vertex is the i-th kept
     mask.  Returns that quotient digraph, or None when S is not such a
-    union.  The kept masks are ``s.mask_classes``, found once per set and
-    shared with ``validate``.
+    union.  The kept masks are ``s.mask_classes``, found once per set in
+    its codes, or handed over by the builder that made the codes from
+    them, and shared with ``validate``.
     """
     kept = s.mask_classes
     return None if kept is None else TransitionDigraph(m=s.m, codes=sequences.spread(kept))
@@ -303,7 +308,7 @@ def _lifted_bracket(m: int, kept: np.ndarray,
     ``TransitionDigraph.matvec`` sums it.  So every word's ratio is that
     of the word-level product to the bit, and the least and greatest
     over the kept masks are those over the words.  Only ``by_mask`` at
-    ``kept``, the classes found in the codes, is read, whatever it holds
+    ``kept``, the set's own classes, is read, whatever it holds
     elsewhere.  None if an entry of x is not a positive normal float.
     """
     x = by_mask[kept]
@@ -359,8 +364,9 @@ def rate_of_set(s: GeneratingSet, tol: float = DEFAULT_TOL) -> CapacityReport:
     (Collatz-Wielandt, see ``_lifted_bracket``).  Every word's ratio in
     that product is a function of its mask, so it is taken on the 2^m
     masks, bit for bit the word-level one, and no digraph is built.  The
-    classes it reads are those found in the codes, so the bracket does not
-    rest on the quotient being right.  If it is at most ``tol`` wide
+    classes it reads are ``s.mask_classes``: found in the codes, or handed
+    over by the builder that made the codes from them, so the bracket does
+    not rest on the quotient being right.  If it is at most ``tol`` wide
     relative to the root, the report's method is "mask-quotient" and it
     carries the bracket; its ``arc_count`` is read off the quotient (see
     ``CapacityReport``).  In every other case the rate is

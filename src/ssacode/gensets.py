@@ -16,10 +16,11 @@ import numpy as np
 
 from .sequences import (
     DIGIT,
-    MAX_WORD_LENGTH,
+    MAX_WORD_LENGTH,  # noqa: F401  (gensets.MAX_WORD_LENGTH still resolves)
     all_codes,
     check_budget,
     check_stem,
+    check_word_length,
     code_to_word,
     codes_to_words,
     parse_sequence,
@@ -60,14 +61,13 @@ class GeneratingSet:
                    _owned: bool = False) -> "GeneratingSet":
         """Codes in [0, 4^m), in any order and with repeats, for a word
         length 1 <= m <= 31; other codes or lengths raise ValueError
-        (``sequences.sorted_unique``).
+        (``sequences.check_word_length`` and ``sorted_unique``).
 
         A caller's array is never kept: if it is already sorted, it is
         copied.  ``_owned`` is for this module's builders, which hand over
         a fresh array that nothing else holds; it is kept without a copy.
         """
-        if not 1 <= m <= MAX_WORD_LENGTH:
-            raise ValueError(f"word length m must be in 1..{MAX_WORD_LENGTH}, got {m}")
+        check_word_length(m)
         arr = sorted_unique(codes, m)
         if not _owned and (arr is codes or (isinstance(codes, np.ndarray)
                                             and np.may_share_memory(arr, codes))):
@@ -89,17 +89,20 @@ class GeneratingSet:
 
     @cached_property
     def mask_classes(self) -> Optional[np.ndarray]:
-        """The kept masks, ascending int64, if S is a union of whole TC-mask
-        classes (T,C -> 1; A,G -> 0), that is, every mask present has all
-        2^m words; None otherwise.
+        """The kept masks, ascending read-only int64, if S is a union of
+        whole TC-mask classes (T,C -> 1; A,G -> 0), that is, every mask
+        present has all 2^m words; None otherwise.
 
-        A set whose size is not a positive multiple of 2^m is no union
-        and computes no mask.  Any other set takes one pass over its codes,
-        ``_MASK_BLOCK`` words at a time: each block's ``tc_masks`` are
-        counted into 2^m bins and dropped, so no word's mask is kept, and
-        the counts decide alone.  Made on first use and kept (``codes`` is
-        read-only): ``validate`` and ``capacity.mask_quotient`` both read
-        it.
+        A builder that makes the codes from a keep table (``_mask_union``:
+        ``tc_dominant_set``, ``heuristic_set_m6_stage``) hands its kept
+        masks over, and no word is read.  For any other set they are found
+        in the codes.  A set whose size is not a positive multiple of 2^m
+        is no union and computes no mask.  The rest take one pass over
+        their codes, ``_MASK_BLOCK`` words at a time: each block's
+        ``tc_masks`` are counted into 2^m bins and dropped, so no word's
+        mask is kept, and the counts decide alone.  Made on first use and
+        kept (``codes`` is read-only): ``validate`` and
+        ``capacity.mask_quotient`` both read it.
         """
         codes, classes = self.codes, 2 ** self.m
         if len(codes) == 0 or len(codes) % classes:
@@ -219,10 +222,20 @@ def rc_classes(m: int) -> RcClasses:
 
 def _mask_union(m: int, keep: np.ndarray, words: Tuple[str, ...] = ()) -> GeneratingSet:
     """The words whose TC mask is kept (``keep``, a boolean table over the
-    2^m masks), plus the listed ``words``; sorted as built, never re-sorted."""
+    2^m masks), plus the listed ``words``; sorted as built, never re-sorted.
+
+    With no listed words and at least one kept mask the set is a union of
+    whole mask classes, and it is handed its kept masks as
+    ``mask_classes``, so no word is read to find them again.
+    """
     member = tc_mask_members(m, keep)
     member[[word_to_code(w) for w in words]] = True
-    return GeneratingSet.from_codes(m, np.flatnonzero(member), _owned=True)
+    s = GeneratingSet.from_codes(m, np.flatnonzero(member), _owned=True)
+    kept = np.flatnonzero(keep)
+    if not words and len(kept):
+        kept.setflags(write=False)
+        s.__dict__["mask_classes"] = kept  # the cached_property's own slot
+    return s
 
 
 def tc_dominant_set(m: int) -> GeneratingSet:
@@ -230,7 +243,9 @@ def tc_dominant_set(m: int) -> GeneratingSet:
 
     The union of the mask classes with more than m/2 ones, built from the
     2^m masks (``sequences.tc_mask_members``): no int64 pass over all 4^m
-    codes and their weights.
+    codes and their weights.  The set is handed those kept masks
+    (``GeneratingSet.mask_classes``), so its validation, quotient, count
+    and certified rate read no word to find them.
     """
     check_stem(m)
     check_budget(4, f"4^{m} words", exp=m)  # before the 2^m mask table too

@@ -7,7 +7,8 @@ helpers and their vectorized forms on int64 code arrays sit side by side,
 and every array over all 4^m words passes the ``SSA_BUDGET`` guard first.
 Each input rule has one gate here, which every entry taking that input
 goes through: ``code_array`` and ``sorted_unique`` for word codes,
-``check_stem`` for a stem length, and ``parse_sequence`` for a read
+``check_word_length`` for a word length, ``check_stem`` for a stem
+length, and ``parse_sequence`` for a read
 (``_digits_of`` adds the digit lookup for the vectorized checks).
 All indices reported to callers (e.g. in :class:`Witness`) are 1-based.
 """
@@ -98,6 +99,13 @@ def check_stem(m: int) -> None:
         raise ValueError(f"m must be >= 2, got {m}")
 
 
+def check_word_length(m: int) -> None:
+    """Raise ValueError unless ``m`` is a word length the 64-bit word
+    helpers take, 1 <= m <= MAX_WORD_LENGTH."""
+    if not 1 <= m <= MAX_WORD_LENGTH:
+        raise ValueError(f"word length m must be in 1..{MAX_WORD_LENGTH}, got {m}")
+
+
 def _check_range(low: int, high: int, m: int) -> None:
     """Raise ValueError if the least code ``low`` or the greatest code
     ``high`` lies outside [0, 4^m), naming it."""
@@ -154,7 +162,9 @@ def sorted_unique(codes, m: int) -> np.ndarray:
 def _digits(codes, m: int) -> Tuple[np.ndarray, np.ndarray]:
     """The base-4 digits of integer codes, most significant first, on a new
     last axis of length m (int64), and the shift that places each digit.
-    A code outside [0, 4^m) or not an integer raises ValueError."""
+    A word length outside 1..MAX_WORD_LENGTH, or a code outside [0, 4^m)
+    or not an integer, raises ValueError."""
+    check_word_length(m)
     codes = code_array(codes, m)
     if codes.size:
         _check_range(int(codes.min()), int(codes.max()), m)
@@ -191,8 +201,10 @@ _LOW_BITS = _RUNS[0]  # low bit of every digit: set for C and T
 
 
 def _as_words(codes, m: int) -> np.ndarray:
-    """A fresh uint64 copy of integer codes of length-m words
-    (``code_array``, so no range check), so that shifts are logical."""
+    """A fresh uint64 copy of integer codes of length-m words, so that
+    shifts are logical.  The word length is checked
+    (``check_word_length``), the codes' range is not (``code_array``)."""
+    check_word_length(m)
     return code_array(codes, m).astype(np.uint64)
 
 
@@ -314,7 +326,8 @@ def tc_mask_members(m: int, keep: np.ndarray) -> np.ndarray:
     check_budget(4, f"4^{m} words", exp=m)
     low = m // 2
     hi = tc_masks(np.arange(4 ** (m - low), dtype=np.int64), m - low)
-    lo = tc_masks(np.arange(4 ** low, dtype=np.int64), low)
+    # at m=1 the low half is the empty word, code 0: mask 0 at any length
+    lo = tc_masks(np.arange(4 ** low, dtype=np.int64), max(low, 1))
     by_low = keep.reshape(2 ** (m - low), 2 ** low)[:, lo]
     return np.take(by_low, hi, axis=0).ravel()  # whole rows: C order
 

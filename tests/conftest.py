@@ -141,6 +141,16 @@ def mask_unions(draw, ms=(2, 3, 4, 5)):
             if tc_pattern(w) in kept]
 
 
+@st.composite
+def keep_tables(draw, ms=range(2, 9)):
+    """A random keep table over the 2^m TC masks, m in ``ms``, as a
+    boolean array, from sparse to full."""
+    m = draw(st.sampled_from(ms))
+    density = draw(st.sampled_from([0.1, 0.5, 0.9, 1.0]))
+    rng = random.Random(draw(st.integers(0, 2 ** 32 - 1)))
+    return np.array([rng.random() < density for _ in range(2 ** m)])
+
+
 def ref_mask_classes(words):
     """The TC masks of a word set as ascending ints if it is a union of
     whole TC-mask classes, else None (also for no words).  The words are

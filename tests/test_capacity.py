@@ -42,6 +42,7 @@ from conftest import (
     adjacency_matrix,
     dense_spectral_radius,
     dense_strong_components,
+    keep_tables,
     mask_unions,
     perron_bracket,
     random_valid_set,
@@ -380,16 +381,6 @@ class TestRateOfSet:
         assert rep.bracket is None or all(type(v) is float for v in rep.bracket)
 
 
-@st.composite
-def keep_tables(draw, ms=range(2, 9)):
-    """A random keep table over the 2^m TC masks, m in ``ms``, as a
-    boolean array, from sparse to full."""
-    m = draw(st.sampled_from(ms))
-    density = draw(st.sampled_from([0.1, 0.5, 0.9, 1.0]))
-    rng = random.Random(draw(st.integers(0, 2 ** 32 - 1)))
-    return np.array([rng.random() < density for _ in range(2 ** m)])
-
-
 def exact_ratios(g, x):
     """(Ax)_i / x_i for every vertex, in exact rational arithmetic."""
     adj = adjacency_matrix(g)
@@ -555,7 +546,9 @@ class TestMaskQuotient:
     @pytest.mark.parametrize("build", [lambda: tc_dominant_set(7),
                                        heuristic_set_m6_stage])
     def test_masks_computed_once(self, monkeypatch, build):
-        # one pass over the codes, a block at a time, whoever reads first
+        # the builder hands its kept masks to the set, so the mask pass
+        # makes no tc_masks call; a from_codes copy finds the same masks in
+        # one pass over its codes, a block at a time, whoever reads first
         from ssacode import gensets
         calls = []
 
@@ -564,15 +557,23 @@ class TestMaskQuotient:
             return tc_masks(codes, m)
 
         s = build()
+        found = GeneratingSet.from_codes(s.m, s.codes)
         monkeypatch.setattr(gensets, "tc_masks", counted)
-        kept = s.mask_classes
-        assert validate(s).valid
-        rate_of_set(s)
-        assert mask_quotient(s).vertex_count == len(kept)
-        # views of the codes whose lengths sum to |S|, each word read once
-        assert all(np.shares_memory(block, s.codes) for block in calls)
-        assert np.array_equal(np.concatenate(calls), s.codes)
-        assert s.mask_classes is kept
+        passes = []
+        for t in (s, found):
+            calls.clear()
+            kept = t.mask_classes
+            assert validate(t).valid
+            rate_of_set(t)
+            assert mask_quotient(t).vertex_count == len(kept)
+            count_constrained(t, t.m + 2)
+            assert t.mask_classes is kept
+            passes.append(list(calls))
+        assert passes[0] == []
+        assert np.array_equal(found.mask_classes, s.mask_classes)
+        # views of the copy's codes whose lengths sum to |S|, each word read once
+        assert all(np.shares_memory(block, found.codes) for block in passes[1])
+        assert np.array_equal(np.concatenate(passes[1]), found.codes)
 
     def test_certificate_is_taken_on_the_full_operator(self, monkeypatch):
         # a wrong quotient (all 32 masks) gives a Perron vector that is not
@@ -684,12 +685,16 @@ class TestMaskQuotient:
         assert peak < 2 ** 20
 
     @pytest.mark.memory
-    def test_first_certified_rate_in_little_memory(self):
-        # the first call finds the kept masks a block of words at a time
-        # and keeps only them, 8 KiB at m=11, not each word's int32 mask
-        # (8 MiB); scipy is imported before, so its modules are not counted
+    @pytest.mark.parametrize("copied", [False, True], ids=["builder", "from_codes"])
+    def test_first_certified_rate_in_little_memory(self, copied):
+        # the builder hands the set its kept masks, 8 KiB at m=11; in a
+        # from_codes copy the first call finds them a block of words at a
+        # time and keeps only them, not each word's int32 mask (8 MiB);
+        # scipy is imported before, so its modules are not counted
         import scipy.sparse.csgraph  # noqa: F401
         s = tc_dominant_set(11)
+        if copied:
+            s = GeneratingSet.from_codes(11, s.codes)
         tracemalloc.start()
         try:
             rep = rate_of_set(s)

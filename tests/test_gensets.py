@@ -23,12 +23,14 @@ from ssacode import (
     window_multiset,
     write_set_file,
 )
-from ssacode.gensets import _validate_words, num_rc_pairs, num_self_rc
+from ssacode.gensets import _mask_union, _validate_words, num_rc_pairs, num_self_rc
 from ssacode.sequences import (
     _LOW_BITS, all_codes, code_to_word, codes_to_words, mask_weights, parse_sequence, rc_code,
-    rc_codes, rc_masks, rc_pairs, spread, tc_dominant_masks, tc_mask_members, tc_masks)
+    rc_codes, rc_masks, rc_pairs, spread, symmetry_images, tc_dominant_masks, tc_mask_members,
+    tc_masks)
 from conftest import (
-    mask_rc, mask_unions, random_valid_set, rc_free_words, ref_mask_classes, ref_rc, tc_pattern)
+    keep_tables, mask_rc, mask_unions, random_valid_set, rc_free_words, ref_mask_classes, ref_rc,
+    tc_pattern)
 
 
 def codes_for_some_m(max_m, max_size=60):
@@ -120,7 +122,7 @@ class TestWordLength:
     """A set's words have length 1 <= m <= 31, the range of the 64-bit word
     code helpers; one ValueError names the range for any other m."""
 
-    @pytest.mark.parametrize("m", [0, 32])
+    @pytest.mark.parametrize("m", [0, 32, 40])
     def test_refused(self, m, tmp_path):
         message = f"word length m must be in 1..31, got {m}"
         with pytest.raises(ValueError, match=message):
@@ -134,11 +136,30 @@ class TestWordLength:
             with pytest.raises(ValueError, match=message):
                 read_set_file(path)
 
+    @pytest.mark.parametrize("entry", [
+        lambda m: TransitionDigraph(m, [0]),
+        lambda m: rc_codes([5], m),
+        lambda m: tc_masks([5], m),
+        lambda m: rc_masks([1], m),
+        lambda m: codes_to_words([0], m),
+        lambda m: symmetry_images([0], m),
+    ], ids=["TransitionDigraph", "rc_codes", "tc_masks", "rc_masks", "codes_to_words",
+            "symmetry_images"])
+    @pytest.mark.parametrize("m", [0, 32, 40])
+    def test_refused_by_the_digraph_and_the_word_helpers(self, entry, m):
+        # the gate from_codes uses (sequences.check_word_length): no numpy
+        # TypeError, OverflowError or IndexError, and no answer at m=32
+        with pytest.raises(ValueError, match=f"^word length m must be in 1..31, got {m}$"):
+            entry(m)
+
     @pytest.mark.parametrize("m", [1, 31])
     def test_edges_accepted(self, m):
         s = GeneratingSet.from_words(["A" * m, "C" * m])
         assert s.m == m and s.words() == ["A" * m, "C" * m]
         assert repr(s)
+        assert TransitionDigraph(m, s.codes).vertex_count == 2
+        assert rc_codes(s.codes, m).tolist() == [4 ** m - 1, 4 ** m - 1 - s.codes[1]]
+        assert tc_masks(s.codes, m).tolist() == [0, 2 ** m - 1]
 
 
 class TestVectorWordHelpers:
@@ -400,6 +421,7 @@ class TestMaskLevelValidate:
         masks = tc_masks(s.codes, m)
         assert masks.dtype == np.int32
         assert np.array_equal(np.unique(masks), kept)
+        assert len(s) == 2 ** m * len(kept)  # whole classes
         result = validate(s)
         assert result.valid and result.maximal == (m % 2 == 1) and not result.violations
 
@@ -432,6 +454,26 @@ class TestMaskClassesOracle:
     @given(st.sampled_from([3, 5, 7]), st.integers(0, 2 ** 32 - 1))
     def test_random_maximal_sets_at_odd_m(self, m, seed):
         self.check(random_valid_set(random.Random(seed), m).words())
+
+    @settings(max_examples=60, deadline=None)
+    @given(keep_tables(ms=range(1, 9)), st.lists(st.integers(0, 2 ** 62), max_size=2))
+    @example(np.zeros(8, dtype=bool), [])  # no kept mask: the empty set
+    @example(tc_dominant_masks(4), [0])  # AAAA listed beside the union
+    def test_masks_handed_over_by_the_builder(self, keep, picks):
+        # a builder's union carries its kept masks before any read, read-only,
+        # and they are the masks found in the words and in a from_codes copy;
+        # a union with listed words carries none
+        m = len(keep).bit_length() - 1
+        words = tuple(code_to_word(p % 4 ** m, m) for p in picks)
+        s = _mask_union(m, keep, words)
+        assert ("mask_classes" in vars(s)) == (not words and keep.any())
+        got = s.mask_classes
+        if got is not None:
+            assert got.dtype == np.int64 and not got.flags.writeable
+        want = ref_mask_classes(s.words())
+        assert (None if got is None else got.tolist()) == want
+        found = GeneratingSet.from_codes(m, s.codes).mask_classes
+        assert (None if found is None else found.tolist()) == want
 
 
 class TestBadSymbols:
@@ -552,6 +594,13 @@ class TestHeuristicSets:
         assert heuristic_set_m6_stage().codes.tobytes() == m6.codes.tobytes()
         assert heuristic_set_m6_stage().mask_classes is not None
         assert heuristic_set_m4().mask_classes is None
+
+    def test_m6_stage_hands_over_the_masks_of_its_codes(self):
+        s = heuristic_set_m6_stage()
+        kept = s.mask_classes
+        assert kept.dtype == np.int64 and not kept.flags.writeable
+        assert np.array_equal(kept, np.unique(tc_masks(s.codes, 6)))
+        assert len(s) == 2 ** 6 * len(kept)  # whole classes
 
     def test_m6_mask_census(self):
         s = heuristic_set_m6_stage()
