@@ -148,13 +148,15 @@ class CapacityReport:
     ``bracket``, the certified interval (lo, hi) that holds the root, and
     ``spectral_radius`` is its midpoint.  ``bracket`` is None for the other
     methods and is left out of ``to_dict``.  A "mask-quotient" report comes
-    with no word-level digraph built: its bracket is the word-level
-    Collatz-Wielandt product taken on the kept masks, its ``vertex_count``
-    is the size of the set, and its ``arc_count`` is 2^(m+1) times the
+    with no word-level digraph built: its bracket is [max lo, max hi] over
+    the quotient's cyclic components of the word-level Collatz-Wielandt
+    product, each taken on its component's kept masks, and its
+    ``iterations`` are summed over the components.  Its ``vertex_count`` is
+    the size of the set, and its ``arc_count`` is 2^(m+1) times the
     quotient's, since every word has two successors per quotient arc of
-    its mask.  That is exact for a union whose kept masks
-    ``GeneratingSet.mask_classes`` found in the codes, or that the builder
-    which made the codes from them handed over.
+    its mask, on a cycle or not.  That is exact for a union whose kept
+    masks ``GeneratingSet.mask_classes`` found in the codes, or that the
+    builder which made the codes from them handed over.
     """
 
     m: int
@@ -216,6 +218,16 @@ def _shifted_power(matvec, size: int, tol: float):
     return shifted - 1.0, iterations, residual, converged, x
 
 
+def _cyclic_powers(g: TransitionDigraph, tol: float):
+    """Each cyclic component of ``g`` as its own overlap digraph (``g``
+    itself when one component spans every vertex), with ``_shifted_power``
+    of it to ``tol``."""
+    for idx in g.cyclic_components():
+        sub = (g if len(idx) == g.vertex_count
+               else TransitionDigraph(m=g.m, codes=g.codes[idx]))
+        yield sub, _shifted_power(sub.matvec, len(idx), tol)
+
+
 def spectral_radius(g: TransitionDigraph, tol: float = DEFAULT_TOL) -> CapacityReport:
     """Dominant eigenvalue of the adjacency operator by power iteration.
 
@@ -229,16 +241,15 @@ def spectral_radius(g: TransitionDigraph, tol: float = DEFAULT_TOL) -> CapacityR
     subset of an overlap digraph is the overlap digraph of that subset, so
     every component iterates with the same O(|V|) group-sum product and no
     adjacency matrix is formed; a component that spans every vertex
-    iterates ``g`` itself.  Each component's root depends only on its own
-    codes, so equal components in two sets give bit-identical roots.
-    Convergence is judged by the eigenpair residual.
+    iterates ``g`` itself.  That loop, ``_cyclic_powers``, is the one the
+    certificate in ``rate_of_set`` runs on a mask quotient.  Each
+    component's root depends only on its own codes, so equal components
+    in two sets give bit-identical roots.  Convergence is judged by the
+    eigenpair residual.
     """
     check_tol(tol)
     rho, iterations, residual, converged = 0.0, 0, 0.0, True
-    for idx in g.cyclic_components():
-        sub = (g if len(idx) == g.vertex_count
-               else TransitionDigraph(m=g.m, codes=g.codes[idx]))
-        r, it, res, conv, _ = _shifted_power(sub.matvec, len(idx), tol)
+    for _, (r, it, res, conv, _) in _cyclic_powers(g, tol):
         iterations += it
         residual = max(residual, res)
         converged = converged and conv
@@ -268,10 +279,12 @@ def mask_quotient(s: GeneratingSet) -> Optional[TransitionDigraph]:
     digraph.  The binary window digraph is the overlap digraph of the kept
     masks' words over {A, C} (``sequences.spread``): A and C are the digits
     0 and 1, and spreading keeps order, so its i-th vertex is the i-th kept
-    mask.  Returns that quotient digraph, or None when S is not such a
-    union.  The kept masks are ``s.mask_classes``, found once per set in
-    its codes, or handed over by the builder that made the codes from
-    them, and shared with ``validate``.
+    mask.  The masks of each cyclic component of it form a union of their
+    own, whose quotient is that component, so ``rate_of_set`` brackets the
+    components one at a time.  Returns that quotient digraph, or None when
+    S is not such a union.  The kept masks are ``s.mask_classes``, found
+    once per set in its codes, or handed over by the builder that made the
+    codes from them, and shared with ``validate``.
     """
     kept = s.mask_classes
     return None if kept is None else TransitionDigraph(m=s.m, codes=sequences.spread(kept))
@@ -325,19 +338,32 @@ def _lifted_bracket(m: int, kept: np.ndarray,
 
 def _lifted_rate(s: GeneratingSet, quotient: TransitionDigraph,
                  tol: float) -> Optional[CapacityReport]:
-    """The root of S's digraph bracketed by the quotient's lifted Perron
-    vector, or None if the bracket is not certified to ``tol``."""
-    cyclic = quotient.cyclic_components()
-    if len(cyclic) != 1 or len(cyclic[0]) != quotient.vertex_count:
-        return None  # reducible: its Perron vector need not be positive
-    _, iterations, _, _, y = _shifted_power(
-        quotient.matvec, quotient.vertex_count, tol * _QUOTIENT_TOL_FACTOR)
-    by_mask = np.zeros(2 ** s.m)
-    by_mask[sequences.tc_masks(quotient.codes, s.m)] = y  # at the quotient's masks
-    bracket = _lifted_bracket(s.m, s.mask_classes, by_mask)
-    if bracket is None:
+    """The root of S's digraph bracketed one cyclic component of the
+    quotient at a time, or None if that is not certified to ``tol``.
+
+    A nonnegative matrix's root is the largest root of its cyclic
+    components, and the masks of each component of the quotient form a
+    union of their own, whose quotient is that component: strongly
+    connected, so its Perron vector is positive.  Each component's vector
+    is lifted to the words of its masks among S's classes and bracketed
+    there (``_lifted_bracket``); the root lies in [max lo, max hi] over
+    the components.  Each bracket holds for any positive vector, but which
+    masks form a component is read off the quotient, which
+    ``mask_quotient`` builds from those same classes.  None when the
+    quotient has no cycle, when a bracket is refused, or when that
+    interval is wider than ``tol`` relative to its lower end.  The
+    iterations are summed over the components.
+    """
+    brackets, iterations = [], 0
+    for sub, (_, it, _, _, y) in _cyclic_powers(quotient, tol * _QUOTIENT_TOL_FACTOR):
+        masks = sequences.tc_masks(sub.codes, s.m)
+        by_mask = np.zeros(2 ** s.m)
+        by_mask[masks] = y  # at the component's masks
+        brackets.append(_lifted_bracket(s.m, np.intersect1d(s.mask_classes, masks), by_mask))
+        iterations += it
+    if not brackets or None in brackets:
         return None
-    lo, hi = bracket
+    lo, hi = bracket = tuple(map(max, zip(*brackets)))
     if not hi - lo <= tol * lo:
         return None
     rho = (lo + hi) / 2
@@ -358,18 +384,23 @@ def rate_of_set(s: GeneratingSet, tol: float = DEFAULT_TOL) -> CapacityReport:
     """Asymptotic rate of C_n(S) in bits/nt: log2 of the digraph Perron root.
 
     If S is a union of whole TC-mask classes whose quotient (see
-    ``mask_quotient``) is strongly connected, the quotient, at most 2^m
-    vertices, is iterated, its Perron vector is lifted to every word by
-    mask, and one product with the full 4^m-word operator brackets the root
-    (Collatz-Wielandt, see ``_lifted_bracket``).  Every word's ratio in
-    that product is a function of its mask, so it is taken on the 2^m
-    masks, bit for bit the word-level one, and no digraph is built.  The
-    classes it reads are ``s.mask_classes``: found in the codes, or handed
-    over by the builder that made the codes from them, so the bracket does
-    not rest on the quotient being right.  If it is at most ``tol`` wide
-    relative to the root, the report's method is "mask-quotient" and it
-    carries the bracket; its ``arc_count`` is read off the quotient (see
-    ``CapacityReport``).  In every other case the rate is
+    ``mask_quotient``, at most 2^m vertices) has a cycle, each cyclic
+    component of the quotient is iterated, its Perron vector is lifted to
+    the words of its masks, and one product with that part of the 4^m-word
+    operator brackets its root (Collatz-Wielandt, see ``_lifted_bracket``);
+    the root of S is in [max lo, max hi] over the components (see
+    ``_lifted_rate``).  Every word's ratio in that product is a function
+    of its mask, so it is taken on the 2^m masks, bit for bit the
+    word-level one, and no digraph is built.  The classes it reads are
+    those of ``s.mask_classes`` in the component: found in the codes, or
+    handed over by the builder that made the codes from them, so a
+    bracket does not rest on the quotient's vector being right.  If the
+    interval is at most ``tol`` wide relative to its lower end, the
+    report's method is "mask-quotient" and it carries the bracket; its
+    ``arc_count`` is read off the quotient (see ``CapacityReport``).  A
+    strongly connected quotient is its own one component, bracketed on all
+    of ``s.mask_classes``.  In every other case (no union, a quotient with
+    no cycle, a refused or too wide bracket) the rate is
     ``spectral_radius`` of the full digraph, as for any set.  S is
     validated once either way: after the certificate, or by
     ``build_digraph``.  A ``tol`` that ``check_tol`` turns away is refused

@@ -16,7 +16,6 @@ import numpy as np
 
 from .sequences import (
     DIGIT,
-    MAX_WORD_LENGTH,  # noqa: F401  (gensets.MAX_WORD_LENGTH still resolves)
     all_codes,
     check_budget,
     check_stem,

@@ -85,6 +85,33 @@ ONE_CLASS = [w for w in map("".join, itertools.product("ACGT", repeat=5))
              if tc_pattern(w) == "11100"]
 
 
+def union_words(m, masks):
+    """The words of the TC-mask classes ``masks``, given as bit strings."""
+    masks = set(masks)
+    return [w for w in map("".join, itertools.product("ACGT", repeat=m))
+            if tc_pattern(w) in masks]
+
+
+def heavy_masks(m, weight):
+    """The length-m masks with at least ``weight`` ones."""
+    return [a for a in map("".join, itertools.product("01", repeat=m))
+            if a.count("1") >= weight]
+
+
+def cyclic_windows(cycle, m):
+    """The m-windows of the binary string ``cycle`` read cyclically."""
+    return [(cycle + cycle)[i:i + m] for i in range(len(cycle))]
+
+
+# RC-free unions whose quotients have two cyclic components of different
+# roots.  At m=5 the six masks of weight >= 4 (binary root 1.3247) and the
+# five rotations of 00011 (a 5-cycle, root 1); at m=6 the larger component
+# has the smaller root: the eleven 6-windows of the cyclic 00010100011
+# (1.1347) and the seven masks of weight >= 5 (1.2852).
+TWO_ROOTS_M5 = union_words(5, heavy_masks(5, 4) + cyclic_windows("00011", 5))
+LARGER_LOWER_M6 = union_words(6, heavy_masks(6, 5) + cyclic_windows("00010100011", 6))
+
+
 class TestDigraph:
     def test_worked_example_counts(self):
         g = build_digraph(WORKED_SET)
@@ -506,13 +533,63 @@ class TestMaskQuotient:
         slack = plain.residual * plain.spectral_radius
         assert lo - slack <= plain.spectral_radius <= hi + slack
 
-    def test_reducible_quotient_falls_back(self):
-        # the m6-stage quotient is not strongly connected
+    def test_reducible_quotient_certified(self):
+        # two of the m6-stage set's 28 kept masks lie on no cycle of its
+        # quotient; the one cyclic component, 26 masks, is bracketed alone
         s = heuristic_set_m6_stage()
-        assert mask_quotient(s) is not None
+        quotient = mask_quotient(s)
+        assert quotient.vertex_count == 28
+        assert [len(c) for c in quotient.cyclic_components()] == [26]
         rep = rate_of_set(s)
-        assert rep.method == "power-iteration" and rep.bracket is None
-        assert rep.to_dict() == spectral_radius(build_digraph(s)).to_dict()
+        assert rep.method == "mask-quotient" and rep.converged
+        lo, hi = rep.bracket
+        dense = dense_spectral_radius(adjacency_matrix(build_digraph(s)))
+        assert lo * (1 - 1e-12) <= dense <= hi * (1 + 1e-12)
+        assert hi - lo <= 1e-10 * lo
+        assert rep.vertex_count == len(s)
+        assert rep.arc_count == build_digraph(s).arc_count
+
+    def test_m6_stage_rate_is_m5_rate(self):
+        # the m6-stage set's cyclic masks are the 6-masks whose two
+        # 5-windows are both TC-dominant, so its root is m=5's: the two
+        # certified brackets overlap
+        lo6, hi6 = rate_of_set(heuristic_set_m6_stage()).bracket
+        lo5, hi5 = rate_of_set(tc_dominant_set(5)).bracket
+        assert lo6 <= hi5 and lo5 <= hi6
+
+    @pytest.mark.parametrize("words, sizes, binary_roots", [
+        (TWO_ROOTS_M5, [5, 6], [1.0, 1.3247179572]),
+        (LARGER_LOWER_M6, [7, 11], [1.1347241384, 1.2851990332]),
+    ], ids=["m5", "m6"])
+    def test_pinned_reducible_unions(self, words, sizes, binary_roots):
+        # the unions the bracket test pins: RC-free, with two cyclic
+        # components of the stated sizes and binary roots each
+        s = GeneratingSet.from_words(words)
+        s.require_valid()
+        quotient = mask_quotient(s)
+        cyclic = quotient.cyclic_components()
+        assert sorted(map(len, cyclic)) == sizes
+        adj = adjacency_matrix(quotient)
+        roots = sorted(dense_spectral_radius(adj[np.ix_(c, c)]) for c in cyclic)
+        assert roots == pytest.approx(binary_roots, abs=1e-9)
+
+    @settings(max_examples=40, deadline=None)
+    @given(mask_unions())
+    @example(TWO_ROOTS_M5)  # roots 2 and 2.649435914
+    @example(LARGER_LOWER_M6)  # the larger component has the lower root
+    def test_reducible_bracket_contains_dense_root(self, words):
+        # a quotient with a cycle that is not strongly connected: each
+        # cyclic component is bracketed on its own masks
+        assume(words)
+        s = GeneratingSet.from_words(words)
+        cyclic = mask_quotient(s).cyclic_components()
+        assume(cyclic and [len(c) for c in cyclic] != [len(s.mask_classes)])
+        rep = rate_of_set(s)
+        assert rep.method == "mask-quotient" and rep.converged
+        lo, hi = rep.bracket
+        dense = dense_spectral_radius(adjacency_matrix(build_digraph(s)))
+        assert lo * (1 - 1e-12) <= dense <= hi * (1 + 1e-12)
+        assert hi - lo <= 1e-10 * lo
 
     @pytest.mark.parametrize("m", range(2, 10))
     def test_quotient_arc_count_tc_dominant(self, m):
@@ -528,16 +605,11 @@ class TestMaskQuotient:
     @example([w for w in tc_dominant_set(3).words()  # a 3-cycle of masks
               if w.count("T") + w.count("C") == 2])
     def test_quotient_arc_count_unions(self, words):
-        # kept: the classes of the quotient's largest strong component, whose
-        # induced quotient is strongly connected (random unions seldom are)
+        # every union whose quotient has a cycle is certified, reducible or
+        # not, and counts the arcs of the masks on no cycle too
         assume(words)
         s = GeneratingSet.from_words(words)
-        cyclic = mask_quotient(s).cyclic_components()
-        assume(cyclic)
-        core = s.mask_classes[max(cyclic, key=len)]  # vertex i: kept mask i
-        s = GeneratingSet.from_codes(s.m, s.codes[np.isin(tc_masks(s.codes, s.m), core)])
-        quotient = mask_quotient(s)
-        assert [len(c) for c in quotient.cyclic_components()] == [quotient.vertex_count]
+        assume(mask_quotient(s).cyclic_components())
         rep = rate_of_set(s)
         assert rep.method == "mask-quotient"
         assert rep.arc_count == build_digraph(s).arc_count
@@ -589,7 +661,7 @@ class TestMaskQuotient:
 
     @pytest.mark.parametrize("build, method", [
         (lambda: tc_dominant_set(5), "mask-quotient"),  # certified union
-        (heuristic_set_m6_stage, "power-iteration"),  # reducible quotient
+        (heuristic_set_m6_stage, "mask-quotient"),  # reducible quotient
         (heuristic_set_m4, "power-iteration"),  # no union
     ])
     def test_validated_once_digraph_only_on_fallback(self, monkeypatch, build, method):
