@@ -23,11 +23,20 @@ from .gensets import GeneratingSet
 from .sequences import check_stem, check_word_length, sorted_unique, tc_dominant_masks
 
 DEFAULT_TOL = 1e-10  # the relative tolerance of a rate, unless one is given
-# The least tol a rate can be asked for: below it the quotient's target
-# tol * _QUOTIENT_TOL_FACTOR is under the rounding of its power step, which
-# then runs all _MAX_ITER steps and does not converge.
+# The least tol a rate can be asked for.  A bracket is never narrower than
+# its two margins (16 eps, 3.6e-15 relative) plus the rounding spread of
+# its ratios, so a tol near that is never met and the power step runs all
+# _MAX_ITER steps.  1e-13 stays well clear: the tc-dominant m=5 quotient
+# and the m4 digraph still meet 5e-15.
 MIN_TOL = 1e-13
 _MAX_ITER = 100000  # the iteration cap of every power iteration
+
+# A ratio (Ax)_i / x_i is a sum of at most 4 positive terms (one per
+# symbol that extends the overlap) and one division, so in floating point
+# it is within a relative gamma_4 = 4u / (1 - 4u) of its exact value
+# (u = eps / 2).  Widening each end by 8 eps = 16u covers that and the
+# rounding of the widening product itself.
+_BRACKET_MARGIN = 8 * sys.float_info.epsilon  # a Python float, as the bracket is
 
 
 def check_tol(tol: float) -> None:
@@ -143,15 +152,17 @@ class CapacityReport:
 
     ``method`` is "power-iteration" (``spectral_radius``), "mask-quotient"
     (``rate_of_set`` on a union of TC-mask classes) or "binary-reduction"
-    (``binary_reduction_rate``).  For power iteration ``residual`` is the
-    eigenpair residual; for "mask-quotient" it is the relative width of
-    ``bracket``, the certified interval (lo, hi) that holds the root, and
-    ``spectral_radius`` is its midpoint.  ``bracket`` is None for the other
-    methods and is left out of ``to_dict``.  A "mask-quotient" report comes
-    with no word-level digraph built: its bracket is [max lo, max hi] over
-    the quotient's cyclic components of the word-level Collatz-Wielandt
-    product, each taken on its component's kept masks, and its
-    ``iterations`` are summed over the components.  Its ``vertex_count`` is
+    (``binary_reduction_rate``).  Each method brackets the root the same
+    way: ``bracket`` is the certified interval (lo, hi) that holds it,
+    [max lo, max hi] over the cyclic components of Collatz-Wielandt bounds
+    (see ``_shifted_power``), ``spectral_radius`` is its midpoint,
+    ``residual`` its relative width (hi - lo) / spectral_radius, and
+    ``converged`` says whether hi - lo <= tol * lo.  ``iterations`` are
+    summed over the components.  A digraph with no cycle has root 0,
+    residual 0 and no bracket (None).  ``bracket`` is left out of
+    ``to_dict``.  A "mask-quotient" report comes with no word-level
+    digraph built: each component's bounds are those of the word-level
+    product, taken on its component's kept masks.  Its ``vertex_count`` is
     the size of the set, and its ``arc_count`` is 2^(m+1) times the
     quotient's, since every word has two successors per quotient arc of
     its mask, on a cycle or not.  That is exact for a union whose kept
@@ -183,52 +194,77 @@ class CapacityReport:
         }
 
 
-def _shifted_power(matvec, size: int, tol: float):
-    """Power iteration on A + I from the all-ones vector.
+def _shifted_power(matvec, x: np.ndarray, tol: float, stop_below: float):
+    """Power iteration on A + I from the positive vector x, stopped on its
+    Collatz-Wielandt bracket.
 
-    The shift leaves the Perron vector fixed, moves the Perron root up by
-    exactly 1, and makes periodic digraphs aperiodic so the norm ratio
-    converges.  The digraph is strongly connected with a cycle, so its
-    root is at least 1.  Returns (rho, iterations, residual, converged,
-    x), with x the unit vector whose residual was last measured.
+    Each step takes y = Ax, and the least and greatest ratio y_i / x_i
+    bound the root of A (Collatz-Wielandt: for a nonnegative A and a
+    positive x, min_i (Ax)_i / x_i <= rho(A) <= max_i (Ax)_i / x_i); each
+    end is widened by ``_BRACKET_MARGIN``.  A min and a max do not depend
+    on the order of a sum, so every step is the same to the bit on every
+    CPU and thread count.  The iteration stops once hi - lo <= tol * lo,
+    once hi < ``stop_below`` (the root is below it), when a bound is nan,
+    or after ``_MAX_ITER`` steps; otherwise x becomes y + x scaled by
+    1 / (1 + hi), which keeps it near unit size.  The shift leaves the
+    Perron vector fixed and makes a periodic digraph aperiodic, so x tends
+    to it, and on a strongly connected digraph x stays positive.  Returns
+    (lo, hi, iterations, x), with x the vector last bracketed (one step on
+    if the steps ran out).
     """
-    x = np.ones(size)
-    x /= math.sqrt(x.dot(x))
-    shifted = 1.0
-    residual = math.inf
-    converged = False
-    iterations = 0
-    check_every = 1 if size <= 100000 else 5
     for iterations in range(1, _MAX_ITER + 1):
         y = matvec(x)
+        ratio = y / x
+        # the least and greatest ratio by index: on short arrays argmin
+        # and argmax cost half what a min and a max reduction do
+        lo = ratio.item(ratio.argmin()) * (1.0 - _BRACKET_MARGIN)
+        hi = ratio.item(ratio.argmax()) * (1.0 + _BRACKET_MARGIN)
+        if not (hi - lo > tol * lo and hi >= stop_below):
+            break
         y += x
-        norm = math.sqrt(y.dot(y))  # np.linalg.norm of a real vector, to the bit
-        if iterations % check_every == 0 or iterations == _MAX_ITER:
-            # true eigenpair residual; norm ratios can agree by accident
-            r = x * norm
-            np.subtract(y, r, out=r)
-            residual = math.sqrt(r.dot(r)) / norm
-            if residual < tol:
-                shifted = norm
-                converged = True
-                break
-        shifted = norm
-        y /= norm
+        y *= 1.0 / (1.0 + hi)
         x = y
-    return shifted - 1.0, iterations, residual, converged, x
+    return lo, hi, iterations, x
 
 
-def _cyclic_powers(g: TransitionDigraph, tol: float):
+def _cyclic_powers(g: TransitionDigraph, tol: float, stop_below: float):
     """Each cyclic component of ``g`` as its own overlap digraph (``g``
     itself when one component spans every vertex), with ``_shifted_power``
-    of it to ``tol``."""
+    of it from the all-ones vector."""
     for idx in g.cyclic_components():
         sub = (g if len(idx) == g.vertex_count
                else TransitionDigraph(m=g.m, codes=g.codes[idx]))
-        yield sub, _shifted_power(sub.matvec, len(idx), tol)
+        yield sub, _shifted_power(sub.matvec, np.ones(len(idx)), tol, stop_below)
 
 
-def spectral_radius(g: TransitionDigraph, tol: float = DEFAULT_TOL) -> CapacityReport:
+def _bracket_report(m: int, vertex_count: int, arc_count: int, method: str,
+                    powers: List[Tuple[float, float, int]], tol: float) -> CapacityReport:
+    """The report on a root bracketed one cyclic component at a time,
+    ``powers`` holding each component's (lo, hi, iterations).  A
+    nonnegative matrix's root is the largest root of its cyclic
+    components, so it lies in [max lo, max hi]; with no component there is
+    no cycle, and the root is 0."""
+    if not powers:
+        return CapacityReport(m, vertex_count, arc_count, 0.0, 0.0, method, 0.0, 0)
+    los, his, steps = zip(*powers)
+    lo, hi = max(los), max(his)
+    rho = (lo + hi) / 2
+    return CapacityReport(
+        m=m,
+        vertex_count=vertex_count,
+        arc_count=arc_count,
+        spectral_radius=rho,
+        rate_bits_per_nt=math.log2(rho),
+        method=method,
+        residual=(hi - lo) / rho,
+        iterations=sum(steps),
+        converged=hi - lo <= tol * lo,
+        bracket=(lo, hi),
+    )
+
+
+def spectral_radius(g: TransitionDigraph, tol: float = DEFAULT_TOL, *,
+                    floor: Optional[float] = None) -> CapacityReport:
     """Dominant eigenvalue of the adjacency operator by power iteration.
 
     The Perron root of a nonnegative matrix is the max over its irreducible
@@ -244,27 +280,22 @@ def spectral_radius(g: TransitionDigraph, tol: float = DEFAULT_TOL) -> CapacityR
     iterates ``g`` itself.  That loop, ``_cyclic_powers``, is the one the
     certificate in ``rate_of_set`` runs on a mask quotient.  Each
     component's root depends only on its own codes, so equal components
-    in two sets give bit-identical roots.  Convergence is judged by the
-    eigenpair residual.
+    in two sets give bit-identical roots.  Each component stops on its own
+    Collatz-Wielandt bracket (``_shifted_power``), and the report carries
+    [max lo, max hi] over them (``CapacityReport``).
+
+    ``floor`` (bits/nt) stops a component as soon as its bracket's upper
+    end is below 2^floor, before the bracket meets ``tol``.  The report's
+    bracket still holds the root, and ``converged`` still says whether it
+    is within ``tol``: False when such a component decides it.
     """
     check_tol(tol)
-    rho, iterations, residual, converged = 0.0, 0, 0.0, True
-    for _, (r, it, res, conv, _) in _cyclic_powers(g, tol):
-        iterations += it
-        residual = max(residual, res)
-        converged = converged and conv
-        rho = max(rho, r)
-    return CapacityReport(
-        m=g.m,
-        vertex_count=g.vertex_count,
-        arc_count=g.arc_count,
-        spectral_radius=rho,
-        rate_bits_per_nt=math.log2(rho) if rho > 0 else 0.0,
-        method="power-iteration",
-        residual=residual,
-        iterations=iterations,
-        converged=converged,
-    )
+    # a root is at most 4, so a floor above 3 bits stops as 3 does, and
+    # the power stays finite
+    stop_below = 0.0 if floor is None else 2.0 ** min(floor, 3.0)
+    powers = [p[:3] for _, p in _cyclic_powers(g, tol, stop_below)]
+    return _bracket_report(g.m, g.vertex_count, g.arc_count, "power-iteration",
+                           powers, tol)
 
 
 def mask_quotient(s: GeneratingSet) -> Optional[TransitionDigraph]:
@@ -290,18 +321,6 @@ def mask_quotient(s: GeneratingSet) -> Optional[TransitionDigraph]:
     return None if kept is None else TransitionDigraph(m=s.m, codes=sequences.spread(kept))
 
 
-# A ratio (Ax)_i / x_i is a sum of at most 4 positive terms (one per
-# symbol that extends the overlap) and one division, so in floating point
-# it is within a relative gamma_4 = 4u / (1 - 4u) of its exact value
-# (u = eps / 2).  Widening each end by 8 eps = 16u covers that and the
-# rounding of the widening product itself.
-_BRACKET_MARGIN = 8 * sys.float_info.epsilon  # a Python float, as the bracket is
-
-# The quotient is iterated this much below tol: the lifted bracket came out
-# about ten times wider than the quotient's eigenpair residual.
-_QUOTIENT_TOL_FACTOR = 1e-3
-
-
 def _lifted_bracket(m: int, kept: np.ndarray,
                     by_mask: np.ndarray) -> Optional[Tuple[float, float]]:
     """Certified bounds lo <= rho(A) <= hi on the overlap digraph A of the
@@ -309,11 +328,10 @@ def _lifted_bracket(m: int, kept: np.ndarray,
     product with the vector x that reads each word's value at its mask in
     ``by_mask``.
 
-    Collatz-Wielandt: for a nonnegative A and a positive x,
-    min_i (Ax)_i / x_i <= rho(A) <= max_i (Ax)_i / x_i, and both ends are
-    widened by ``_BRACKET_MARGIN``.  The product is taken on the 2^m
-    masks, with no word read.  A word of mask a ends in an (m-1)-word of
-    mask b = a mod 2^(m-1), whose four successors, that word followed by
+    The bracket is that of one step of ``_shifted_power`` (an infinite tol
+    stops it there), whose product is taken on the 2^m masks, with no word
+    read.  A word of mask a ends in an (m-1)-word of mask
+    b = a mod 2^(m-1), whose four successors, that word followed by
     A, C, G and T, have the masks 2b, 2b+1, 2b and 2b+1; each is in S iff
     its mask is kept.  With v = x at the kept masks and an exact 0.0 at
     the others, (Ax)_u is f[b] = ((v[2b] + v[2b+1]) + v[2b]) + v[2b+1]:
@@ -328,12 +346,15 @@ def _lifted_bracket(m: int, kept: np.ndarray,
     if not x.min() >= np.finfo(float).tiny:
         return None
     v = np.zeros(2 ** m)
-    v[kept] = x
-    even, odd = v[0::2], v[1::2]  # v at the masks 2b and 2b+1
-    f = ((even + odd) + even) + odd
-    ratio = f[kept & (2 ** (m - 1) - 1)] / x
-    return (float(ratio.min()) * (1.0 - _BRACKET_MARGIN),
-            float(ratio.max()) * (1.0 + _BRACKET_MARGIN))
+    low = kept & (2 ** (m - 1) - 1)
+
+    def product(u):
+        v[kept] = u
+        even, odd = v[0::2], v[1::2]  # v at the masks 2b and 2b+1
+        return (((even + odd) + even) + odd)[low]
+
+    lo, hi, _, _ = _shifted_power(product, x, math.inf, 0.0)
+    return lo, hi
 
 
 def _lifted_rate(s: GeneratingSet, quotient: TransitionDigraph,
@@ -351,36 +372,27 @@ def _lifted_rate(s: GeneratingSet, quotient: TransitionDigraph,
     masks form a component is read off the quotient, which
     ``mask_quotient`` builds from those same classes.  None when the
     quotient has no cycle, when a bracket is refused, or when that
-    interval is wider than ``tol`` relative to its lower end.  The
-    iterations are summed over the components.
+    interval is wider than ``tol`` relative to its lower end.  Each
+    component is iterated to ``tol`` on its own bracket, which the lifted
+    one matches to a few eps, since every word's ratio is twice its
+    mask's there, up to rounding.
     """
-    brackets, iterations = [], 0
-    for sub, (_, it, _, _, y) in _cyclic_powers(quotient, tol * _QUOTIENT_TOL_FACTOR):
+    powers = []
+    for sub, (_, _, it, x) in _cyclic_powers(quotient, tol, 0.0):
         masks = sequences.tc_masks(sub.codes, s.m)
         by_mask = np.zeros(2 ** s.m)
-        by_mask[masks] = y  # at the component's masks
-        brackets.append(_lifted_bracket(s.m, np.intersect1d(s.mask_classes, masks), by_mask))
-        iterations += it
-    if not brackets or None in brackets:
-        return None
-    lo, hi = bracket = tuple(map(max, zip(*brackets)))
-    if not hi - lo <= tol * lo:
-        return None
-    rho = (lo + hi) / 2
-    return CapacityReport(
-        m=s.m,
-        vertex_count=len(s),
-        arc_count=2 ** (s.m + 1) * quotient.arc_count,
-        spectral_radius=rho,
-        rate_bits_per_nt=math.log2(rho),
-        method="mask-quotient",
-        residual=(hi - lo) / rho,
-        iterations=iterations,
-        bracket=bracket,
-    )
+        by_mask[masks] = x  # at the component's masks
+        bracket = _lifted_bracket(s.m, np.intersect1d(s.mask_classes, masks), by_mask)
+        if bracket is None:
+            return None
+        powers.append((*bracket, it))
+    report = _bracket_report(s.m, len(s), 2 ** (s.m + 1) * quotient.arc_count,
+                             "mask-quotient", powers, tol)
+    return report if powers and report.converged else None
 
 
-def rate_of_set(s: GeneratingSet, tol: float = DEFAULT_TOL) -> CapacityReport:
+def rate_of_set(s: GeneratingSet, tol: float = DEFAULT_TOL, *,
+                floor: Optional[float] = None) -> CapacityReport:
     """Asymptotic rate of C_n(S) in bits/nt: log2 of the digraph Perron root.
 
     If S is a union of whole TC-mask classes whose quotient (see
@@ -404,7 +416,9 @@ def rate_of_set(s: GeneratingSet, tol: float = DEFAULT_TOL) -> CapacityReport:
     ``spectral_radius`` of the full digraph, as for any set.  S is
     validated once either way: after the certificate, or by
     ``build_digraph``.  A ``tol`` that ``check_tol`` turns away is refused
-    before any work.
+    before any work.  ``floor`` (bits/nt) is passed to ``spectral_radius``,
+    which stops a component early once its root is certified below
+    2^floor; the certificate does not read it.
     """
     check_tol(tol)
     quotient = mask_quotient(s)
@@ -413,7 +427,7 @@ def rate_of_set(s: GeneratingSet, tol: float = DEFAULT_TOL) -> CapacityReport:
         if report is not None:
             s.require_valid()
             return report
-    return spectral_radius(build_digraph(s), tol=tol)
+    return spectral_radius(build_digraph(s), tol=tol, floor=floor)
 
 
 class SiblingTrie:
@@ -526,18 +540,18 @@ def binary_reduction_rate(m: int) -> CapacityReport:
     m-windows have weight > m/2, so the quaternary rate is 1 + log2(rho_bin).
     The binary window digraph on the weight > m/2 masks, the overlap
     digraph of their words over {A, C}, is the ``mask_quotient`` of
-    ``tc_dominant_set(m)``, built here without the 4^m words.  The
-    reported spectral radius is the quaternary-equivalent 2 * rho_bin,
-    iterated to ``DEFAULT_TOL``.
+    ``tc_dominant_set(m)``, built here without the 4^m words.  It is
+    iterated to ``DEFAULT_TOL``, and the reported bracket, and so the
+    spectral radius, is the quaternary-equivalent one, twice the binary
+    digraph's (an exact doubling).  The all-ones mask is its own
+    successor, so there is always a cycle.
     """
     check_stem(m)
-    report = spectral_radius(TransitionDigraph(
+    binary = spectral_radius(TransitionDigraph(
         m=m, codes=sequences.spread(np.flatnonzero(tc_dominant_masks(m)))))
-    rho_bin = report.spectral_radius
-    report.method = "binary-reduction"
-    report.spectral_radius = 2.0 * rho_bin
-    report.rate_bits_per_nt = 1.0 + math.log2(rho_bin) if rho_bin > 0 else 0.0
-    return report
+    lo, hi = binary.bracket
+    return _bracket_report(m, binary.vertex_count, binary.arc_count, "binary-reduction",
+                           [(2.0 * lo, 2.0 * hi, binary.iterations)], DEFAULT_TOL)
 
 
 @dataclass(frozen=True)

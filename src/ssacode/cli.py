@@ -192,9 +192,12 @@ def cmd_capacity(args) -> int:
 
 
 def _not_converged(report: cap.CapacityReport, tol: float) -> None:
+    bracket = ("" if report.bracket is None else
+               "; the residual is the relative width of the bracket "
+               f"[{report.bracket[0]!r}, {report.bracket[1]!r}] that holds the root")
     print(f"error: power iteration did not converge: residual "
           f"{report.residual:.3g} after {report.iterations} iterations "
-          f"(tol {tol:g})", file=sys.stderr)
+          f"(tol {tol:g}){bracket}", file=sys.stderr)
 
 
 def cmd_count(args) -> int:

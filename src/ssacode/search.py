@@ -42,8 +42,8 @@ class SearchResult:
     seed: Optional[int] = None
 
 
-def _rate(s: GeneratingSet) -> float:
-    return rate_of_set(s, tol=LOCAL_TOL).rate_bits_per_nt
+def _rate(s: GeneratingSet, floor: Optional[float] = None) -> float:
+    return rate_of_set(s, tol=LOCAL_TOL, floor=floor).rate_bits_per_nt
 
 
 def _word_key(s: GeneratingSet) -> Tuple[int, ...]:
@@ -142,7 +142,12 @@ def local_search(m: int, restarts: int = 20, iterations: int = 200,
     The first restart starts from the greedy TC choice, the rest from random
     states.  Candidates are rated at ``LOCAL_TOL``.  Moves that do not
     decrease the rate are accepted; sideways moves are allowed for up to
-    ``_PLATEAU_LIMIT`` consecutive steps.  The winner is rated again at
+    ``_PLATEAU_LIMIT`` consecutive steps.  A candidate's power iteration
+    stops as soon as its bracket puts it below the current rate (the
+    ``floor`` of ``rate_of_set``).  The bracket's upper end does not grow
+    from step to step, so a candidate that is accepted is never stopped
+    that way and gets the rate a full iteration gives it; every decision
+    is the one the full iteration makes.  The winner is rated again at
     ``DEFAULT_TOL``.  Deterministic for fixed (m, restarts, iterations,
     seed).  A KeyboardInterrupt stops the search early and reports the best
     result found so far.  Needs ``restarts >= 1`` and ``iterations >= 0``.
@@ -173,9 +178,10 @@ def local_search(m: int, restarts: int = 20, iterations: int = 200,
                 idx = rng.randrange(n_pairs)
                 pick_a[idx] = not pick_a[idx]
                 cand = GeneratingSet.from_codes(m, np.where(pick_a, a, b))
-                rate = _rate(cand)
+                floor = cur - 1e-12
+                rate = _rate(cand, floor)
                 examined += 1
-                if rate >= cur - 1e-12:
+                if rate >= floor:
                     plateau = 0 if rate > cur + _RATE_EPS else plateau + 1
                     state, cur = cand, rate
                     if plateau > _PLATEAU_LIMIT:

@@ -1,7 +1,11 @@
 import copy
 import itertools
 import math
+import os
+import platform
 import random
+import subprocess
+import sys
 import tracemalloc
 import warnings
 from collections import deque
@@ -34,7 +38,7 @@ from ssacode import (
     trivial_upper_bound,
     validate,
 )
-from ssacode.capacity import BLOCK_CONCAT_WORDS, MIN_TOL, SiblingTrie
+from ssacode.capacity import BLOCK_CONCAT_WORDS, DEFAULT_TOL, MIN_TOL, SiblingTrie
 from ssacode.sequences import (
     codes_to_words, rc_code, rc_masks, spread, tc_mask_members, tc_masks, word_to_code)
 from conftest import (
@@ -373,6 +377,18 @@ class TestSpectralRadius:
     def test_rejects_bad_tol(self):
         with pytest.raises(ValueError):
             spectral_radius(build_digraph(WORKED_SET), tol=0.0)
+
+    def test_floor(self):
+        # root 2.247: a floor below its rate never stops it, one above
+        # stops it early with a bracket that still holds the root
+        g = build_digraph(WORKED_SET)
+        full = spectral_radius(g)
+        assert spectral_radius(g, floor=1.1).to_dict() == full.to_dict()
+        for floor in (1.2, 2.0, 1e6, math.inf):
+            rep = spectral_radius(g, floor=floor)
+            lo, hi = rep.bracket
+            assert not rep.converged and rep.iterations < full.iterations
+            assert lo <= full.spectral_radius <= hi < 2 ** min(floor, 3)
 
     def test_report_serialization(self):
         d = spectral_radius(build_digraph(WORKED_SET)).to_dict()
@@ -904,6 +920,79 @@ class TestBinaryReduction:
         assert rep.method == "binary-reduction"
         assert rep.rate_bits_per_nt == pytest.approx(
             math.log2(rep.spectral_radius), abs=1e-12)
+
+
+class TestEveryBracket:
+    """Every report with a cycle carries a bracket that holds the dense
+    root, at most tol wide when it converged; each component's bracket
+    holds the exact Collatz-Wielandt ratios of the vector it was taken on."""
+
+    @staticmethod
+    def check(rep, dense, tol):
+        lo, hi = rep.bracket
+        # LAPACK's root has rounding of its own, a few eps
+        assert lo * (1 - 1e-12) <= dense <= hi * (1 + 1e-12)
+        assert rep.converged and hi - lo <= tol * lo
+        assert rep.spectral_radius == (lo + hi) / 2
+        assert rep.residual == (hi - lo) / rep.spectral_radius
+
+    @settings(max_examples=60, deadline=None)
+    @given(rc_free_words(), st.sampled_from([1e-6, 1e-10, MIN_TOL]))
+    @example(TWO_EQUAL_CYCLES, 1e-10)
+    @example(BRIDGED_SELF_LOOPS, 1e-10)
+    @example(NO_CYCLE, 1e-10)
+    @example(CHAINED_UNIT_CYCLES, 1e-10)
+    @example(TWO_ROOTS_M5, 1e-10)  # component roots 2 and 2.649435914
+    @example(LARGER_LOWER_M6, 1e-10)  # the larger component has the lower root
+    def test_spectral_radius(self, words, tol):
+        from ssacode import capacity
+        g = build_digraph(GeneratingSet.from_words(words))
+        rep = spectral_radius(g, tol=tol)
+        dense = dense_spectral_radius(adjacency_matrix(g))
+        if dense == 0:
+            assert rep.bracket is None and not g.cyclic_components()
+            return
+        self.check(rep, dense, tol)
+        for sub, (lo, hi, _, x) in capacity._cyclic_powers(g, tol, 0.0):
+            exact = exact_ratios(sub, x)
+            assert lo <= min(exact) and max(exact) <= hi
+
+    @pytest.mark.parametrize("m", range(2, 10))
+    def test_binary_reduction_rate(self, m):
+        keep = [2 * bin(a).count("1") > m for a in range(2 ** m)]
+        dense = 2 * dense_spectral_radius(ref_binary_window_digraph(keep))
+        self.check(binary_reduction_rate(m), dense, DEFAULT_TOL)
+
+
+# Rates of the guard below, printed as float.hex by a fresh process.
+_SAME_BITS_SCRIPT = """
+from ssacode import heuristic_set_m4, heuristic_set_m6_stage, rate_of_set
+from ssacode.search import greedy_tc_choice, local_search
+result = local_search(6, 6, 5, seed=0)
+reports = [rate_of_set(heuristic_set_m4()), rate_of_set(heuristic_set_m6_stage()),
+           rate_of_set(greedy_tc_choice(8)), result.report]
+values = [result.best_rate]
+for r in reports:
+    values += [r.spectral_radius, r.rate_bits_per_nt, r.residual, *(r.bracket or ())]
+print(" ".join(float(v).hex() for v in values), [r.iterations for r in reports])
+"""
+
+
+@pytest.mark.skipif(not (sys.platform == "linux" and platform.machine() == "x86_64"),
+                    reason="the OpenBLAS core types named are x86-64 ones")
+def test_same_bits_on_every_blas_kernel_and_thread_count():
+    # numpy's OpenBLAS picks a kernel for the CPU, and each sums a dot in
+    # its own order, split across threads above about 10,000 entries; no
+    # rate goes through it.  Prescott and Nehalem run on any x86-64 CPU
+    # (a kernel the CPU lacks would die on an illegal instruction), and
+    # greedy m=8 has 32,640 words.
+    outputs = set()
+    for core, threads in itertools.product(("Prescott", "Nehalem"), ("1", "2")):
+        env = dict(os.environ, OPENBLAS_CORETYPE=core, OPENBLAS_NUM_THREADS=threads)
+        proc = subprocess.run([sys.executable, "-c", _SAME_BITS_SCRIPT], env=env,
+                              capture_output=True, text=True, check=True)
+        outputs.add(proc.stdout)
+    assert len(outputs) == 1, outputs
 
 
 class TestRecurrences:

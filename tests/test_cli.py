@@ -412,7 +412,7 @@ class TestSearch:
     def test_not_converged_exits_1(self, monkeypatch, capsys, options, tol):
         from ssacode import capacity, cli, search
 
-        def unconverged(s, tol=1e-10):
+        def unconverged(s, tol=1e-10, **kwargs):
             return capacity.CapacityReport(
                 m=s.m, vertex_count=len(s), arc_count=0, spectral_radius=2.0,
                 rate_bits_per_nt=1.0, method="power-iteration", residual=3e-4,
