@@ -118,8 +118,10 @@ class TransitionDigraph:
         vertex lies on a cycle exactly when both of its keys are in one strong
         component of H, and two such vertices share a component of this
         digraph exactly when they share that component of H.  So the split
-        costs O(|V| + keys) and never forms the adjacency matrix.  Each index
-        array is ascending; components come in no particular order.
+        costs O(|V| + keys) and never forms the adjacency matrix; when one
+        component holds every vertex, its indices are returned with no
+        sort.  Each index array is ascending; components come in no
+        particular order.
 
         H is built as ``connected_components`` reads it, float64 data with
         int32 indices and row pointers, so scipy converts nothing again.
@@ -137,6 +139,8 @@ class TransitionDigraph:
         on_cycle = np.flatnonzero(label == key_labels[self._suf])
         if len(on_cycle) == 0:
             return []
+        if len(on_cycle) == self.vertex_count and label.min() == label.max():
+            return [on_cycle]  # one component spans every vertex: nothing to split
         order = on_cycle[np.argsort(label[on_cycle], kind="stable")]
         return np.split(order, np.flatnonzero(np.diff(label[order])) + 1)
 
@@ -167,7 +171,7 @@ class CapacityReport:
     quotient's, since every word has two successors per quotient arc of
     its mask, on a cycle or not.  That is exact for a union whose kept
     masks ``GeneratingSet.mask_classes`` found in the codes, or that the
-    builder which made the codes from them handed over.
+    set was made from by its builder.
     """
 
     m: int
@@ -314,8 +318,8 @@ def mask_quotient(s: GeneratingSet) -> Optional[TransitionDigraph]:
     own, whose quotient is that component, so ``rate_of_set`` brackets the
     components one at a time.  Returns that quotient digraph, or None when
     S is not such a union.  The kept masks are ``s.mask_classes``, found
-    once per set in its codes, or handed over by the builder that made the
-    codes from them, and shared with ``validate``.
+    once per set in its codes, or held from the start by a set its builder
+    made from them, and shared with ``validate``.
     """
     kept = s.mask_classes
     return None if kept is None else TransitionDigraph(m=s.m, codes=sequences.spread(kept))
@@ -405,7 +409,7 @@ def rate_of_set(s: GeneratingSet, tol: float = DEFAULT_TOL, *,
     of its mask, so it is taken on the 2^m masks, bit for bit the
     word-level one, and no digraph is built.  The classes it reads are
     those of ``s.mask_classes`` in the component: found in the codes, or
-    handed over by the builder that made the codes from them, so a
+    held by a set its builder made from them, so a
     bracket does not rest on the quotient's vector being right.  If the
     interval is at most ``tol`` wide relative to its lower end, the
     report's method is "mask-quotient" and it carries the bracket; its

@@ -85,8 +85,11 @@ def _usage_error(args) -> Optional[str]:
 
 
 def _resolve_set(args) -> gs.GeneratingSet:
-    """The set of --set or --set-file.  A --m other than its word length,
-    or an --n below it, is a usage error (exit 2)."""
+    """The set of --set or --set-file.  Both at once, a --m other than its
+    word length, or an --n below it, is a usage error (exit 2)."""
+    if args.set_file and args.set is not None:
+        args.usage_error(f"--set {args.set} and --set-file {args.set_file} "
+                         f"name two sets; give one")
     if args.set_file:
         s, source = gs.read_set_file(args.set_file), f"--set-file {args.set_file}"
     elif args.set is None:

@@ -44,16 +44,25 @@ class InvalidGeneratingSetError(ValueError):
     """The generating set violates RC-freeness (or is otherwise malformed)."""
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class GeneratingSet:
-    """A set of length-m words, stored as a sorted array of integer codes.
+    """A set of length-m words, with two views of it: ``codes``, its words
+    as a sorted array of integer codes, and ``mask_classes``, its kept
+    TC masks when it is a union of whole mask classes.
 
-    The array is int64, duplicate-free and read-only; the digraph and the
-    codec take it as it is and never deduplicate it again.
+    Each constructor fills in the view it already has, and the other is
+    made on first read and kept.  ``from_codes`` (and ``from_words``)
+    holds the codes.  A builder that makes a union from its keep table
+    (``_mask_union``: ``tc_dominant_set``, ``heuristic_set_m6_stage``)
+    holds only the kept masks: its size, ``validate``, membership, the
+    certified rate and the count read no word, and its codes are built on
+    their first read, through ``GeneratingSet.from_codes`` like every
+    other code array.  The codes are int64, duplicate-free and read-only;
+    the digraph and the codec take them as they are and never deduplicate
+    them again.
     """
 
     m: int
-    codes: np.ndarray
 
     @classmethod
     def from_codes(cls, m: int, codes: Iterable[int], *,
@@ -72,7 +81,17 @@ class GeneratingSet:
                                             and np.may_share_memory(arr, codes))):
             arr = arr.copy()  # sorted already: the caller's array stays theirs
         arr.setflags(write=False)
-        return cls(m=m, codes=arr)
+        return cls._holding(m, codes=arr)
+
+    @classmethod
+    def _holding(cls, m: int, **views) -> "GeneratingSet":
+        """A set that holds the given views (``codes`` or ``mask_classes``)
+        in their cached properties' own slots.  Every set is made here, so
+        each holds a view to make the other from; ``GeneratingSet(...)``
+        itself takes no arguments."""
+        s = cls.__new__(cls)
+        vars(s).update(m=m, **views)
+        return s
 
     @classmethod
     def from_words(cls, words: Iterable[str]) -> "GeneratingSet":
@@ -87,20 +106,30 @@ class GeneratingSet:
         return codes_to_words(self.codes, self.m)
 
     @cached_property
+    def codes(self) -> np.ndarray:
+        """The words' codes, ascending read-only int64.  Held from the start
+        by a set made from codes; a union made from its kept masks builds
+        them here, on first read, from its keep table
+        (``sequences.tc_mask_members``), as its builder would have."""
+        keep = np.zeros(2 ** self.m, dtype=bool)
+        keep[self.mask_classes] = True
+        return _member_set(self.m, keep).codes
+
+    @cached_property
     def mask_classes(self) -> Optional[np.ndarray]:
         """The kept masks, ascending read-only int64, if S is a union of
         whole TC-mask classes (T,C -> 1; A,G -> 0), that is, every mask
         present has all 2^m words; None otherwise.
 
-        A builder that makes the codes from a keep table (``_mask_union``:
-        ``tc_dominant_set``, ``heuristic_set_m6_stage``) hands its kept
-        masks over, and no word is read.  For any other set they are found
-        in the codes.  A set whose size is not a positive multiple of 2^m
-        is no union and computes no mask.  The rest take one pass over
-        their codes, ``_MASK_BLOCK`` words at a time: each block's
-        ``tc_masks`` are counted into 2^m bins and dropped, so no word's
-        mask is kept, and the counts decide alone.  Made on first use and
-        kept (``codes`` is read-only): ``validate`` and
+        A builder that makes a union from its keep table (``_mask_union``:
+        ``tc_dominant_set``, ``heuristic_set_m6_stage``) holds its kept
+        masks from the start, and no word is read.  For any other set they
+        are found in the codes.  A set whose size is not a positive
+        multiple of 2^m is no union and computes no mask.  The rest take
+        one pass over their codes, ``_MASK_BLOCK`` words at a time: each
+        block's ``tc_masks`` are counted into 2^m bins and dropped, so no
+        word's mask is kept, and the counts decide alone.  Made on first
+        use and kept (``codes`` is read-only): ``validate`` and
         ``capacity.mask_quotient`` both read it.
         """
         codes, classes = self.codes, 2 ** self.m
@@ -116,15 +145,23 @@ class GeneratingSet:
         return kept
 
     def __len__(self) -> int:
-        return len(self.codes)
+        """Read off the codes if they are held, else 2^m words per kept mask."""
+        codes = vars(self).get("codes")
+        return len(self.mask_classes) << self.m if codes is None else len(codes)
 
     def __contains__(self, word: str) -> bool:
-        """False for a word of another length or with a non-ACGT symbol."""
+        """False for a word of another length or with a non-ACGT symbol.
+        The word's TC mask is looked up in the kept masks if they are
+        known, else its code in the codes."""
         if len(word) != self.m or not set(word) <= DIGIT.keys():
             return False
-        c = word_to_code(word)
-        i = int(np.searchsorted(self.codes, c))
-        return i < len(self.codes) and self.codes[i] == c
+        arr, key = vars(self).get("mask_classes"), word_to_code(word)
+        if arr is None:
+            arr = self.codes
+        else:
+            key = int(tc_masks(np.array([key]), self.m)[0])
+        i = int(np.searchsorted(arr, key))
+        return i < len(arr) and arr[i] == key
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, GeneratingSet) and self.m == other.m
@@ -219,32 +256,40 @@ def rc_classes(m: int) -> RcClasses:
     return RcClasses(m=m, pairs=pairs, self_rc=self_rc)
 
 
-def _mask_union(m: int, keep: np.ndarray, words: Tuple[str, ...] = ()) -> GeneratingSet:
-    """The words whose TC mask is kept (``keep``, a boolean table over the
-    2^m masks), plus the listed ``words``; sorted as built, never re-sorted.
-
-    With no listed words and at least one kept mask the set is a union of
-    whole mask classes, and it is handed its kept masks as
-    ``mask_classes``, so no word is read to find them again.
-    """
+def _member_set(m: int, keep: np.ndarray, words: Tuple[str, ...] = ()) -> GeneratingSet:
+    """The set, made from its codes, of the words whose TC mask is kept
+    (``keep``, a boolean table over the 2^m masks), plus the listed
+    ``words``; sorted as built, never re-sorted."""
     member = tc_mask_members(m, keep)
     member[[word_to_code(w) for w in words]] = True
-    s = GeneratingSet.from_codes(m, np.flatnonzero(member), _owned=True)
+    return GeneratingSet.from_codes(m, np.flatnonzero(member), _owned=True)
+
+
+def _mask_union(m: int, keep: np.ndarray, words: Tuple[str, ...] = ()) -> GeneratingSet:
+    """The words whose TC mask is kept (``keep``, a boolean table over the
+    2^m masks), plus the listed ``words``.
+
+    With no listed words and at least one kept mask the set is a union of
+    whole mask classes: it holds its kept masks as ``mask_classes`` and
+    builds its codes only when they are first read.  Any other set is
+    made from its codes (``_member_set``).
+    """
     kept = np.flatnonzero(keep)
-    if not words and len(kept):
-        kept.setflags(write=False)
-        s.__dict__["mask_classes"] = kept  # the cached_property's own slot
-    return s
+    if words or not len(kept):
+        return _member_set(m, keep, words)
+    kept.setflags(write=False)
+    return GeneratingSet._holding(m, mask_classes=kept)
 
 
 def tc_dominant_set(m: int) -> GeneratingSet:
     """All length-m words with strictly more than m/2 symbols from {T, C}.
 
-    The union of the mask classes with more than m/2 ones, built from the
-    2^m masks (``sequences.tc_mask_members``): no int64 pass over all 4^m
-    codes and their weights.  The set is handed those kept masks
-    (``GeneratingSet.mask_classes``), so its validation, quotient, count
-    and certified rate read no word to find them.
+    The union of the mask classes with more than m/2 ones, made from the
+    2^m masks (``_mask_union``): the set holds those kept masks
+    (``GeneratingSet.mask_classes``), so its size, validation, quotient,
+    count and certified rate read no word, and its 4^m codes are built
+    only when first read.  The budget is charged for those 4^m words all
+    the same, so the same calls are refused.
     """
     check_stem(m)
     check_budget(4, f"4^{m} words", exp=m)  # before the 2^m mask table too

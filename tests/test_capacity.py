@@ -1,4 +1,5 @@
 import copy
+import functools
 import itertools
 import math
 import os
@@ -39,6 +40,7 @@ from ssacode import (
     validate,
 )
 from ssacode.capacity import BLOCK_CONCAT_WORDS, DEFAULT_TOL, MIN_TOL, SiblingTrie
+from ssacode.gensets import _mask_union
 from ssacode.sequences import (
     codes_to_words, rc_code, rc_masks, spread, tc_mask_members, tc_masks, word_to_code)
 from conftest import (
@@ -100,6 +102,25 @@ def heavy_masks(m, weight):
     """The length-m masks with at least ``weight`` ones."""
     return [a for a in map("".join, itertools.product("01", repeat=m))
             if a.count("1") >= weight]
+
+
+def random_union(seed):
+    """A union of whole TC-mask classes made from a random RC-free keep
+    table at m = 3..6: from each pair of masks {a, reverse(~a)} with
+    a != reverse(~a), one of the two or neither, and one if none is."""
+    rng = random.Random(seed)
+    m = 3 + seed % 4
+    masks = np.arange(2 ** m)
+    partner = rc_masks(masks, m)
+    keep = np.zeros(2 ** m, dtype=bool)
+    lower = masks[masks < partner]
+    for a in lower:
+        pick = rng.randrange(3)  # a, its partner or neither
+        if pick < 2:
+            keep[(a, partner[a])[pick]] = True
+    if not keep.any():
+        keep[rng.choice(lower)] = True
+    return _mask_union(m, keep)
 
 
 def cyclic_windows(cycle, m):
@@ -358,6 +379,45 @@ class TestSpectralRadius:
         assert all((np.diff(idx) > 0).all() for idx in got)
         assert {tuple(idx.tolist()) for idx in got} == want
         assert len(got) == len(want)
+
+    @staticmethod
+    def sorted_split(g):
+        """``cyclic_components`` taken the long way on every digraph: the
+        vertices on a cycle, stably sorted by their key-graph label and
+        cut where it changes."""
+        from scipy.sparse import csr_matrix
+        from scipy.sparse.csgraph import connected_components
+
+        key_graph = csr_matrix((np.ones(g.vertex_count), g._suf, g._start),
+                               shape=(g._nbins, g._nbins))
+        _, key_labels = connected_components(key_graph, directed=True, connection="strong")
+        label = key_labels[g._pre]
+        on_cycle = np.flatnonzero(label == key_labels[g._suf])
+        if len(on_cycle) == 0:
+            return []
+        order = on_cycle[np.argsort(label[on_cycle], kind="stable")]
+        return np.split(order, np.flatnonzero(np.diff(label[order])) + 1)
+
+    def same_split(self, g):
+        got, want = g.cyclic_components(), self.sorted_split(g)
+        assert len(got) == len(want)
+        for idx, ref in zip(got, want):
+            assert idx.dtype == ref.dtype and np.array_equal(idx, ref)
+
+    @settings(max_examples=60, deadline=None)
+    @given(rc_free_words(ms=(2, 3, 4, 5, 6)))
+    @example(TWO_EQUAL_CYCLES)
+    @example(NO_CYCLE)
+    def test_split_as_sorted_on_random_sets(self, words):
+        self.same_split(build_digraph(GeneratingSet.from_words(words)))
+
+    @pytest.mark.parametrize("m", range(2, 9))
+    def test_split_as_sorted_on_tc_dominant(self, m):
+        # one component spans every word and every kept mask
+        s = tc_dominant_set(m)
+        for g in (build_digraph(s), mask_quotient(s)):
+            assert len(g.cyclic_components()) == 1
+            self.same_split(g)
 
     def test_chained_full_shifts(self):
         # x + y with x in {A,C}^k and y in {G,T}^(9-k), k = 0..9: two
@@ -631,13 +691,20 @@ class TestMaskQuotient:
         assert rep.arc_count == build_digraph(s).arc_count
         assert rep.arc_count == naive_arc_count(s.codes.tolist(), s.m)
 
-    @pytest.mark.parametrize("build", [lambda: tc_dominant_set(7),
-                                       heuristic_set_m6_stage])
+    @pytest.mark.parametrize("build", [
+        lambda: tc_dominant_set(7),
+        heuristic_set_m6_stage,
+        *(pytest.param(functools.partial(tc_dominant_set, m), id=f"tc_dominant_set-{m}")
+          for m in range(2, 7)),
+        *(pytest.param(functools.partial(random_union, seed), id=f"random_union-{seed}")
+          for seed in range(6)),
+    ])
     def test_masks_computed_once(self, monkeypatch, build):
         # the builder hands its kept masks to the set, so the mask pass
         # makes no tc_masks call; a from_codes copy finds the same masks in
         # one pass over its codes, a block at a time, whoever reads first
         from ssacode import gensets
+        self.same_as_from_codes(build(), GeneratingSet.from_codes(build().m, build().codes))
         calls = []
 
         def counted(codes, m):
@@ -662,6 +729,35 @@ class TestMaskQuotient:
         # views of the copy's codes whose lengths sum to |S|, each word read once
         assert all(np.shares_memory(block, found.codes) for block in passes[1])
         assert np.array_equal(np.concatenate(passes[1]), found.codes)
+
+    @staticmethod
+    def same_as_from_codes(s, found):
+        # a union made from its keep table holds no codes until they are
+        # read, and answers as its from_codes copy does: size, membership,
+        # validation, rate and counts from the masks, with no word read
+        # when the rate is certified, then the same codes, words and codec
+        from ssacode import codec
+        m = s.m
+        assert "codes" not in vars(s) and "codes" in vars(found)
+        assert len(s) == len(found)
+        rng = random.Random(len(s))
+        probes = ["".join(rng.choice("ACGT") for _ in range(m)) for _ in range(200)]
+        probes += [*found.words()[:3], "N" * m, "T" * (m + 1), "t" * m]
+        assert [w in s for w in probes] == [w in found for w in probes]
+        assert validate(s) == validate(found)
+        rep, want = rate_of_set(s), rate_of_set(found)
+        assert rep.to_dict() == want.to_dict() and rep.bracket == want.bracket
+        lengths = (m, m + 1, m + 5)
+        assert ([count_constrained(s, n) for n in lengths]
+                == [count_constrained(found, n) for n in lengths])
+        assert ("codes" in vars(s)) == (rep.method == "power-iteration")
+        assert s.codes.tobytes() == found.codes.tobytes() and not s.codes.flags.writeable
+        assert s.words() == found.words() and s == found and hash(s) == hash(found)
+        t, u = codec.build_codec(s, m + 3), codec.build_codec(found, m + 3)
+        assert t.total == u.total
+        for i in ({0, t.total // 3, t.total - 1} if t.total else ()):  # none with no cycle
+            x = codec.encode(t, i)
+            assert x == codec.encode(u, i) and codec.decode(t, x) == i
 
     def test_certificate_is_taken_on_the_full_operator(self, monkeypatch):
         # a wrong quotient (all 32 masks) gives a Perron vector that is not

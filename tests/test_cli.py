@@ -191,6 +191,21 @@ class TestUsageErrors:
         assert err.endswith(f"--m 5 does not match the word length 3 of --set-file {path}")
         assert cli.main([*argv, "--m", "3", "--set-file", str(path)]) == 0
 
+    @pytest.mark.parametrize("name", ["tc-dominant", "m4-heuristic"])
+    @pytest.mark.parametrize("argv", [
+        ("capacity",),
+        ("count", "--n", "6"),
+        ("encode", "--n", "8", "--payload", "ff"),
+        ("decode", "--n", "8", "--seq", "GCTTCACC"),
+    ], ids=["capacity", "count", "encode", "decode"])
+    def test_set_with_set_file(self, tmp_path, capsys, argv, name):
+        # two sets named at once: neither is taken in silence, even when the
+        # file's word length is the --m given
+        path = tmp_path / "w3.txt"
+        write_set_file(tc_dominant_set(3), path)
+        err = usage_error(capsys, *argv, "--m", "3", "--set", name, "--set-file", str(path))
+        assert err.endswith(f"--set {name} and --set-file {path} name two sets; give one")
+
     @pytest.mark.parametrize("name, m", [
         ("m4-heuristic", 4), ("m6-stage", 6), ("block-concat-baseline", 2)])
     @pytest.mark.parametrize("argv", [

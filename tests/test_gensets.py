@@ -11,10 +11,12 @@ from ssacode import (
     GeneratingSet,
     InvalidGeneratingSetError,
     TransitionDigraph,
+    count_constrained,
     find_secondary_structure,
     heuristic_set_m4,
     heuristic_set_m6_stage,
     in_c_tilde,
+    rate_of_set,
     rc_classes,
     read_set_file,
     reverse_complement,
@@ -54,6 +56,14 @@ class TestFromCodesDedup:
             assert not s.codes.flags.writeable
         # the caller's array is neither reordered nor frozen
         assert source.tolist() == codes and source.flags.writeable
+
+    def test_no_bare_construction(self):
+        # a set holds its codes or its kept masks, and makes the other view
+        # from it; one with neither would have nothing to read
+        with pytest.raises(TypeError):
+            GeneratingSet(m=3)
+        with pytest.raises(TypeError):
+            GeneratingSet(m=3, codes=np.arange(4))
 
     def test_sorted_caller_array_stays_the_callers(self):
         source = np.arange(5, 40, 3, dtype=np.int64)  # strictly increasing
@@ -532,12 +542,14 @@ class TestTcDominantSet:
 
     @pytest.mark.memory
     def test_codes_built_once_and_held_by_the_set_alone(self):
-        # the builder hands its fresh code array to the set without a copy:
-        # the peak is that 16 MB array, the 4 MB membership table and the
-        # small mask tables, where a copy would add 16 MB more
+        # the first read of the codes builds them and hands the fresh array
+        # to the set without a copy: the peak is that 16 MB array, the 4 MB
+        # membership table and the small mask tables, where a copy would
+        # add 16 MB more
+        s = tc_dominant_set(11)
         tracemalloc.start()
         try:
-            s = tc_dominant_set(11)
+            s.codes
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -560,6 +572,27 @@ class TestTcDominantSet:
         finally:
             tracemalloc.stop()
         assert peak < 48 * 2 ** 20
+
+
+    @pytest.mark.memory
+    def test_union_read_without_its_codes_in_little_memory(self):
+        # size, validation, the certified rate, a count and membership are
+        # all taken on the 2^11 kept masks: the 4^11 codes (16 MB) are never
+        # built.  scipy, which the rate imports, is imported first.
+        import scipy.sparse.csgraph  # noqa: F401
+        s = tc_dominant_set(11)
+        tracemalloc.start()
+        try:
+            size, result = len(s), validate(s)
+            rep, count = rate_of_set(s), count_constrained(s, 40)
+            member = "T" * 11 in s
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert size == 2 ** 21 and result.valid and result.maximal
+        assert rep.method == "mask-quotient" and count > 0 and member
+        assert "codes" not in vars(s)
+        assert peak < 2 ** 20
 
 
 class TestHeuristicSets:
