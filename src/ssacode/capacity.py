@@ -114,35 +114,108 @@ class TransitionDigraph:
         """Vertex indices of each strongly connected component that has a cycle.
 
         The digraph is the line graph of the key graph H, whose nodes are the
-        overlap words and which has one arc pre(v) -> suf(v) per vertex v.  A
-        vertex lies on a cycle exactly when both of its keys are in one strong
-        component of H, and two such vertices share a component of this
-        digraph exactly when they share that component of H.  So the split
-        costs O(|V| + keys) and never forms the adjacency matrix; when one
-        component holds every vertex, its indices are returned with no
-        sort.  Each index array is ascending; components come in no
-        particular order.
+        overlap bins and which has one arc ``_pre[v] -> _suf[v]`` per vertex
+        v.  A vertex lies on a cycle exactly when both of its bins are in one
+        strong component of H, and two such vertices share a component of
+        this digraph exactly when they share that component of H.  So the
+        split never forms the adjacency matrix.  Each index array is
+        ascending; components come in no particular order.
 
-        H is built as ``connected_components`` reads it, float64 data with
-        int32 indices and row pointers, so scipy converts nothing again.
+        H is split forward-backward (Fleischer, Hendrickson & Pinar, 2000):
+        from the bin with the most in-arcs times out-arcs, its strong
+        component is the bins it reaches and that reach it, both reaches
+        advanced one arc a round in the same loop.  That component's arcs
+        are dropped, the rest are trimmed to the arcs whose tail has an
+        in-arc and whose head has an out-arc (no other arc is on a cycle),
+        and the next bin is taken until none has both.  Up to
+        ``_SLOT_BINS`` bins, a round expands only the newly reached bins,
+        through a table of each bin's at most four out- and in-neighbours
+        (``_reach_by_slots``); beyond, where that table would outweigh the
+        digraph, a round sweeps ``_pre`` and ``_suf`` with a bool mask per
+        direction (``_reach_on_arcs``).
         """
-        from scipy.sparse import csr_matrix
-        from scipy.sparse.csgraph import connected_components
+        nb, pre, suf = self._nbins, self._pre, self._suf
+        table = self._slot_table() if nb <= _SLOT_BINS else None
+        found = []
+        p, s = pre, suf  # the arcs of H still in play
+        while len(p):
+            into, out = np.bincount(s, minlength=nb), np.bincount(p, minlength=nb)
+            score = into * out
+            pivot = score.argmax()
+            if score[pivot] == 0:
+                break  # no bin has an in-arc and an out-arc: no cycle is left
+            if table is None:
+                del into, out, score  # three int64 arrays over the bins: 24 MB at m=11
+                comp = _reach_on_arcs(p, s, nb, pivot)
+            else:
+                comp = _reach_by_slots(table, (into + out) > 0, pivot)
+            inside = comp.take(pre) & comp.take(suf)  # a single bin has one only by a self-loop
+            if inside.any():
+                found.append(np.flatnonzero(inside))
+            keep = ~(comp.take(p) | comp.take(s))
+            while not keep.all():
+                p, s = p.compress(keep), s.compress(keep)
+                keep = _marked(s, nb).take(p) & _marked(p, nb).take(s)
+        return found
 
-        key_graph = csr_matrix(
-            (np.ones(self.vertex_count), self._suf.astype(np.int32),
-             self._start.astype(np.int32)), shape=(self._nbins, self._nbins))
-        _, key_labels = connected_components(
-            key_graph, directed=True, connection="strong")
-        del key_graph  # freed before the per-vertex arrays below
-        label = key_labels[self._pre]
-        on_cycle = np.flatnonzero(label == key_labels[self._suf])
-        if len(on_cycle) == 0:
-            return []
-        if len(on_cycle) == self.vertex_count and label.min() == label.max():
-            return [on_cycle]  # one component spans every vertex: nothing to split
-        order = on_cycle[np.argsort(label[on_cycle], kind="stable")]
-        return np.split(order, np.flatnonzero(np.diff(label[order])) + 1)
+    def _slot_table(self) -> np.ndarray:
+        """Row b < nb of the key graph's slot table holds the heads of b's
+        out-arcs, one slot per last symbol; row nb + b holds nb plus the
+        tails of b's in-arcs, one slot per first symbol.  Empty slots, and
+        the last row, hold the sentinel 2 nb."""
+        nb, codes = self._nbins, self.codes
+        table = np.full(4 * (2 * nb + 1), 2 * nb)  # filled flat: 1-d scatters are faster
+        table[4 * self._pre + (codes & 3)] = self._suf
+        table[4 * (nb + self._suf) + (codes >> 2 * (self.m - 1))] = nb + self._pre
+        return table.reshape(-1, 4)
+
+
+# Key graphs up to this many bins are reached through their slot table
+# (64 bytes a bin); a larger one sweeps its arc arrays instead.
+_SLOT_BINS = 1 << 16
+
+
+def _reach_by_slots(table: np.ndarray, in_play: np.ndarray, pivot) -> np.ndarray:
+    """The bins in ``in_play`` that ``pivot`` reaches and that reach it, over
+    the arcs between bins in play.  Every arc that is out of play has an
+    end out of play, so the table's arcs need no other filter.  Both
+    reaches advance in one frontier over [reached | reaching | sentinel];
+    ``unseen`` holds the bins in play that neither has reached yet.
+    ``take`` and ``compress`` are used for their lower per-call cost on
+    these small arrays: a round is a few microseconds."""
+    nb = len(in_play)
+    unseen = np.concatenate([in_play, in_play, [False]])
+    front = np.array([pivot, nb + pivot])
+    unseen[front] = False
+    while len(front):
+        front = table.take(front, axis=0).ravel()
+        front = front.compress(unseen.take(front))
+        unseen[front] = False
+    return in_play & ~(unseen[:nb] | unseen[nb:2 * nb])
+
+
+def _reach_on_arcs(p: np.ndarray, s: np.ndarray, nb: int, pivot) -> np.ndarray:
+    """The bins that ``pivot`` reaches and that reach it over the arcs
+    p -> s.  Each reach is a bool mask over the bins, advanced over the arc
+    arrays themselves, so a round holds no per-arc array wider than a bool
+    mask and the heads (or tails) it reaches."""
+    ahead, behind = np.zeros(nb, dtype=bool), np.zeros(nb, dtype=bool)
+    ahead[pivot] = behind[pivot] = True
+    sizes = (1, 1)
+    while True:
+        ahead[s[ahead[p]]] = True
+        behind[p[behind[s]]] = True
+        grown = (np.count_nonzero(ahead), np.count_nonzero(behind))
+        if grown == sizes:
+            return ahead & behind
+        sizes = grown
+
+
+def _marked(idx: np.ndarray, n: int) -> np.ndarray:
+    """A bool mask of length n, set at ``idx``."""
+    mask = np.zeros(n, dtype=bool)
+    mask[idx] = True
+    return mask
 
 
 def build_digraph(s: GeneratingSet) -> TransitionDigraph:

@@ -7,6 +7,7 @@ to a maximal one without losing rate.
 
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass
 from typing import Iterator, Optional, Tuple
@@ -168,8 +169,9 @@ def local_search(m: int, restarts: int = 20, iterations: int = 200,
             if restart == 0:
                 pick_a = _greedy_bits(m, a, b)
             else:
-                pick_a = np.array([rng.random() < 0.5 for _ in range(n_pairs)],
-                                  dtype=bool)
+                # n_pairs calls of rng.random(), in order, as a list would make
+                draws = itertools.starmap(rng.random, itertools.repeat((), n_pairs))
+                pick_a = np.fromiter(draws, float, n_pairs) < 0.5
             state = GeneratingSet.from_codes(m, np.where(pick_a, a, b))
             cur = _rate(state)
             examined += 1

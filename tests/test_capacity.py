@@ -11,6 +11,7 @@ import tracemalloc
 import warnings
 from collections import deque
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -81,6 +82,8 @@ WORKED_MATRIX = [
 TWO_EQUAL_CYCLES = ["AAA", "AAC", "ACA", "CAA", "CCC", "CCG", "CGC", "GCC"]
 BRIDGED_SELF_LOOPS = ["AA", "AC", "CC"]
 NO_CYCLE = ["AC", "CT"]
+# the self-loop AAA, the 2-cycle ACA/CAC, and AAC from the one to the other
+SELF_LOOP_BESIDE_CYCLE = ["AAA", "AAC", "ACA", "CAC"]
 CHAINED_UNIT_CYCLES = [
     "AAGA", "ACAG", "AGAC", "CAGA", "CGCT", "CGTT", "CTTG", "GAAG", "GACA",
     "GCTT", "GGCT", "GTTC", "TCGC", "TCGT", "TGAA", "TGCT", "TTCG", "TTGA",
@@ -364,21 +367,27 @@ class TestSpectralRadius:
         assert rep.converged
         assert rep.spectral_radius == pytest.approx(dense, abs=1e-7)
 
-    @settings(max_examples=60, deadline=None)
-    @given(rc_free_words())
+    @settings(max_examples=100, deadline=None)
+    @given(rc_free_words(ms=(2, 3, 4, 5)))
     @example(TWO_EQUAL_CYCLES)
     @example(BRIDGED_SELF_LOOPS)
+    @example(SELF_LOOP_BESIDE_CYCLE)
     @example(NO_CYCLE)
     @example(CHAINED_UNIT_CYCLES)
     def test_cyclic_components_match_dense_scc(self, words):
+        # both reaches: through the slot table, and over the arc arrays,
+        # which the split takes only beyond _SLOT_BINS bins
+        from ssacode import capacity
         g = build_digraph(GeneratingSet.from_words(words))
         adj = adjacency_matrix(g)
         want = {tuple(idx.tolist()) for idx in dense_strong_components(adj)
                 if len(idx) > 1 or adj[idx[0], idx[0]]}
-        got = g.cyclic_components()
-        assert all((np.diff(idx) > 0).all() for idx in got)
-        assert {tuple(idx.tolist()) for idx in got} == want
-        assert len(got) == len(want)
+        for slot_bins in (capacity._SLOT_BINS, 0):
+            with mock.patch.object(capacity, "_SLOT_BINS", slot_bins):
+                got = g.cyclic_components()
+            assert all(idx.dtype == np.intp and (np.diff(idx) > 0).all() for idx in got)
+            assert {tuple(idx.tolist()) for idx in got} == want
+            assert len(got) == len(want)
 
     @staticmethod
     def sorted_split(g):
@@ -399,10 +408,16 @@ class TestSpectralRadius:
         return np.split(order, np.flatnonzero(np.diff(label[order])) + 1)
 
     def same_split(self, g):
-        got, want = g.cyclic_components(), self.sorted_split(g)
-        assert len(got) == len(want)
-        for idx, ref in zip(got, want):
-            assert idx.dtype == ref.dtype and np.array_equal(idx, ref)
+        # the components in order of their first vertex: the split may
+        # find them in any order; both reaches, as in the test above
+        from ssacode import capacity
+        want = sorted(self.sorted_split(g), key=lambda idx: idx[0])
+        for slot_bins in (capacity._SLOT_BINS, 0):
+            with mock.patch.object(capacity, "_SLOT_BINS", slot_bins):
+                got = sorted(g.cyclic_components(), key=lambda idx: idx[0])
+            assert len(got) == len(want)
+            for idx, ref in zip(got, want):
+                assert idx.dtype == ref.dtype and np.array_equal(idx, ref)
 
     @settings(max_examples=60, deadline=None)
     @given(rc_free_words(ms=(2, 3, 4, 5, 6)))
@@ -856,7 +871,7 @@ class TestMaskQuotient:
         # the digraph's two bin arrays, the lifted vector, the product and
         # the ratios would each take 16 MB at m=11; on the masks the
         # certificate holds a few arrays of 2^11 entries.  A first call
-        # finds the kept masks and imports scipy.
+        # finds the kept masks.
         s = tc_dominant_set(11)
         assert rate_of_set(s).method == "mask-quotient"
         tracemalloc.start()
@@ -874,8 +889,9 @@ class TestMaskQuotient:
         # the builder hands the set its kept masks, 8 KiB at m=11; in a
         # from_codes copy the first call finds them a block of words at a
         # time and keeps only them, not each word's int32 mask (8 MiB);
-        # scipy is imported before, so its modules are not counted
-        import scipy.sparse.csgraph  # noqa: F401
+        # numpy.ma, which np.unique and np.intersect1d import on first use,
+        # is imported before, so its modules are not counted
+        import numpy.ma  # noqa: F401
         s = tc_dominant_set(11)
         if copied:
             s = GeneratingSet.from_codes(11, s.codes)

@@ -627,3 +627,25 @@ class TestAnyCommandLine:
         capsys.readouterr()
         assert code in (0, 1, 2), argv
         assert elapsed < WALL_BOUND_S, argv
+
+
+# Rates, counts, the table and a local search, in one process; prints the
+# scipy modules it imported.
+NO_SCIPY_SCRIPT = """
+import contextlib, io, sys
+from ssacode import cli, search
+for argv in (["capacity", "--m", "11", "--set", "tc-dominant"], ["table"],
+             ["count", "--m", "6", "--set", "m6-stage", "--n", "60"]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(argv) == 0, argv
+search.local_search(6, 2, 3, 0)
+print(sorted(name for name in sys.modules if name.partition(".")[0] == "scipy"))
+"""
+
+
+def test_no_scipy_import_to_rate_count_tabulate_or_search():
+    # numpy is the only runtime dependency: the SCC split does not need scipy
+    proc = subprocess.run([sys.executable, "-c", NO_SCIPY_SCRIPT],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
