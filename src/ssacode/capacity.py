@@ -459,7 +459,9 @@ def _lifted_rate(s: GeneratingSet, quotient: TransitionDigraph,
         masks = sequences.tc_masks(sub.codes, s.m)
         by_mask = np.zeros(2 ** s.m)
         by_mask[masks] = x  # at the component's masks
-        bracket = _lifted_bracket(s.m, np.intersect1d(s.mask_classes, masks), by_mask)
+        # both are duplicate-free: np.unique, and with it numpy.ma, is skipped
+        kept = np.intersect1d(s.mask_classes, masks, assume_unique=True)
+        bracket = _lifted_bracket(s.m, kept, by_mask)
         if bracket is None:
             return None
         powers.append((*bracket, it))

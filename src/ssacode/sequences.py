@@ -352,45 +352,56 @@ class Witness:
     m: int
 
 
-_DIGITS = np.zeros(128, dtype=np.int64)  # code point -> 2-bit digit
+# byte -> 2-bit digit; every byte but A, C, G, T holds the sentinel 4
+_DIGITS = np.full(256, 4, dtype=np.int64)
 _DIGITS[_SYMBOL_POINTS] = np.arange(4)
 
 
 def _digits_of(x: str) -> np.ndarray:
-    """The 2-bit digits of a read, int64.  A symbol other than A, C, G, T
-    raises ValueError (``parse_sequence``)."""
-    parse_sequence(x)
-    return _DIGITS[np.frombuffer(x.encode("ascii"), dtype=np.uint8)]
+    """The 2-bit digits of a read, int64, read from the byte table
+    ``_DIGITS``.  A symbol other than A, C, G, T (a non-ASCII one is
+    encoded as ``?``) meets the sentinel, and then ``parse_sequence``
+    raises its ValueError."""
+    digits = _DIGITS[np.frombuffer(x.encode("ascii", "replace"), dtype=np.uint8)]
+    if digits.max(initial=0) > 3:
+        parse_sequence(x)
+    return digits
 
 
-# Widest window key, in bits, that the doubling in ``_window_keys`` forms:
-# a pair of keys past it is re-ranked first, so it never reaches the sign.
+# Widest window key, in bits, with the caller's spare bits below it, that
+# ``_window_keys`` forms: a key past it is re-ranked first, so it never
+# reaches the sign.
 _KEY_BITS = 62
 
 
-def _window_keys(digits: np.ndarray, m: int) -> np.ndarray:
-    """An int64 key for every length-m window of ``digits`` (m >= 1): two
-    windows have equal keys iff they are equal.
+def _window_keys(digits: np.ndarray, m: int, spare: int) -> np.ndarray:
+    """An int64 key below 2^(62 - spare) for every length-m window of
+    ``digits`` (m >= 1): two windows have equal keys iff they are equal.
+    The caller packs ``spare`` bits below each key, so key and packing
+    fit an int64.
 
     Prefix doubling (Manber & Myers, "Suffix arrays", SIAM J. Comput.,
     1993): from exact keys of the length-L windows, the pair of keys at p
     and p + s, s <= L, is an exact key of the length-(L + s) window at p,
     as the two windows cover it.  A pair of b-bit keys takes 2b bits; when
-    that would pass ``_KEY_BITS`` the keys are first re-ranked to their
-    index among the distinct keys (``np.unique``), at most log2 of the
-    window count bits, so the keys stay exact up to 2^31 windows.
-    ceil(log2 m) steps; no re-rank while m <= 16.
+    that, or the final key, would pass 62 - spare bits, the keys are first
+    re-ranked to their index among the distinct keys (``np.unique``), at
+    most log2 of the window count bits, so the keys stay exact up to 2^31
+    windows with up to 31 spare bits.  ceil(log2 m) steps; no re-rank
+    while m <= 16 and 2^(62 - spare) holds a 32-bit key.
     """
     keys, length, bits = digits, 1, 2
-    while length < m:
+    while True:
         step = min(length, m - length)
-        if 2 * bits > _KEY_BITS:
+        width = 2 * bits if step else bits  # of the next pair, or of the result
+        if width > _KEY_BITS - spare:
             keys = np.unique(keys, return_inverse=True)[1].astype(np.int64)
             bits = max(int(keys.max()).bit_length(), 1)
-        keys = keys[:-step] << bits | keys[step:]
-        length += step
-        bits *= 2
-    return keys
+        if not step:
+            return keys
+        pair = keys[:-step] << bits
+        pair |= keys[step:]
+        keys, length, bits = pair, length + step, 2 * bits
 
 
 def find_secondary_structure(x: str, m: int) -> Optional[Witness]:
@@ -403,30 +414,38 @@ def find_secondary_structure(x: str, m: int) -> Optional[Witness]:
     reverse complement, whose window at n - m - i is the reverse complement
     of x[i:i+m], the target of i.  Both get exact window keys
     (``_window_keys``, on x's digits followed by those of its reverse
-    complement), the targets by i first, then x's windows by start j, so a
-    key's index k is i, or w + j with w = n - m + 1.  One argsort of the
-    keys makes each key's entries a run, and a segmented max of k over each
-    run (``np.maximum.reduceat``) is w plus the key's last start in x, or
-    below w if x lacks it.  The witness is the first i whose run max is at
-    least w + i + m, and its j is the target's first start there.  O(n log
-    n) time for the sort (and the ``np.unique`` re-ranks past m = 16);
-    memory is a few int64 arrays of 2n entries, 16n bytes each.
+    complement), the targets by i first, then x's windows by start j, so an
+    entry's index k is i, or w + j with w = n - m + 1.  Each entry is
+    packed as key << shift | k, with 2w <= 2^shift, and the packed array is
+    sorted once in place: each key's entries become a run, ordered by k.
+    So a run's first entry holds its least target i and its last entry the
+    greatest start j of its window in x, if the key has both.  The witness
+    is the least first i whose run's last k is at least w + i + m (never
+    true of a run whose first entry is a window of x, or whose last is a
+    target), and its j is the target's first start from i + m.  O(n log n)
+    time for the sort (and the ``np.unique`` re-ranks past m = 16); memory
+    is a few int64 arrays of 2n entries, 16n bytes each.
     """
     check_stem(m)
     digits = _digits_of(x)
     n = len(x)
     if n < 2 * m:
         return None
-    keys = _window_keys(np.concatenate((digits, 3 - digits[::-1])), m)
     w = n - m + 1
-    both = np.concatenate((keys[:n - 1:-1], keys[:w]))
-    order = np.argsort(both)
-    runs = np.flatnonzero(np.diff(both[order], prepend=-1))  # keys are >= 0
-    last = np.repeat(np.maximum.reduceat(order, runs), np.diff(runs, append=len(order)))
-    hits = order[last >= order + (w + m)]  # never true of an entry k >= w
+    shift = (2 * w - 1).bit_length()
+    keys = _window_keys(np.concatenate((digits, 3 - digits[::-1])), m, shift)
+    packed = np.concatenate((keys[:n - 1:-1], keys[:w]))
+    packed <<= shift
+    packed |= np.arange(2 * w)
+    packed.sort()
+    key = packed >> shift
+    edge = np.ones(len(packed) + 1, dtype=bool)  # edge[t]: a run ends before entry t
+    np.not_equal(key[1:], key[:-1], out=edge[1:-1])
+    first, last = packed[edge[:-1]], packed[edge[1:]]
+    hits = first[last - first >= w + m]
     if len(hits) == 0:
         return None
-    i = int(hits.min())
+    i = int((hits & (2 ** shift - 1)).min())
     target = reverse_complement(x[i:i + m])
     return Witness(i=i + 1, j=x.find(target, i + m) + 1, m=m)
 

@@ -635,16 +635,19 @@ NO_SCIPY_SCRIPT = """
 import contextlib, io, sys
 from ssacode import cli, search
 for argv in (["capacity", "--m", "11", "--set", "tc-dominant"], ["table"],
-             ["count", "--m", "6", "--set", "m6-stage", "--n", "60"]):
+             ["count", "--m", "6", "--set", "m6-stage", "--n", "60"],
+             ["check", "--m", "3", "--seq", "TCTCCTTCTC"]):
     with contextlib.redirect_stdout(io.StringIO()):
         assert cli.main(argv) == 0, argv
 search.local_search(6, 2, 3, 0)
-print(sorted(name for name in sys.modules if name.partition(".")[0] == "scipy"))
+print(sorted(name for name in sys.modules
+             if name.partition(".")[0] == "scipy" or name == "numpy.ma"))
 """
 
 
 def test_no_scipy_import_to_rate_count_tabulate_or_search():
-    # numpy is the only runtime dependency: the SCC split does not need scipy
+    # numpy is the only runtime dependency: the SCC split does not need
+    # scipy, and no set operation reaches np.unique's import of numpy.ma
     proc = subprocess.run([sys.executable, "-c", NO_SCIPY_SCRIPT],
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr

@@ -234,12 +234,13 @@ class TestFindSecondaryStructure:
         w = find_secondary_structure(x, m)
         assert (None if w is None else (w.i, w.j)) == ref_first_witness(x, m)
 
-    def test_long_tc_read_scans_in_linear_time(self):
+    @pytest.mark.parametrize("m", [13, 20])  # past m = 16 the keys are re-ranked
+    def test_long_tc_read_scans_in_linear_time(self, m):
         # the reverse complement of a T/C window is all A/G: SSA, full scan
         rng = random.Random(13)
         x = "".join(rng.choice("TC") for _ in range(100_000))
         start = time.perf_counter()
-        assert find_secondary_structure(x, 13) is None
+        assert find_secondary_structure(x, m) is None
         assert time.perf_counter() - start < 2.0
 
     @pytest.mark.parametrize("m", [32, 40])
@@ -264,6 +265,9 @@ class TestFindSecondaryStructure:
         ("NACGT", 2),
         ("TaC", 2),  # shorter than 2m
         ("AC GT", 3),
+        ("AC\u00c7GT", 2),  # not ASCII: no byte of its own
+        ("AC\x00GTACGT", 2),  # NUL, byte 0
+        ("\x7f", 2),  # the last ASCII byte
     ])
     def test_invalid_symbol_raises(self, x, m):
         with pytest.raises(ValueError) as expected:
@@ -287,6 +291,25 @@ class TestFindSecondaryStructure:
                 assert w.j + m - 1 <= n
                 for t in range(m):
                     assert x[w.i - 1 + t] == complement(x[w.j - 1 + m - 1 - t])
+
+
+class TestWindowKeys:
+    # 52 spare bits leave 10 for a key: the last doubling's keys are
+    # re-ranked once more, after the loop
+    @pytest.mark.parametrize("spare", [0, 13, 30, 52])
+    @settings(max_examples=60, deadline=None)
+    @given(m=st.integers(1, 70), alphabet=st.sampled_from(["AT", "TC", "ACG", "ACGT"]),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_keys_fit_below_the_spare_bits(self, spare, m, alphabet, seed):
+        rng = random.Random(seed)
+        x = "".join(rng.choice(alphabet) for _ in range(rng.randint(m, 4 * m + 20)))
+        keys = sequences._window_keys(sequences._digits_of(x), m, spare)
+        windows = [x[p:p + m] for p in range(len(x) - m + 1)]
+        assert keys.dtype == np.int64 and len(keys) == len(windows)
+        assert 0 <= keys.min() and keys.max() < 2 ** (62 - spare)
+        # equal keys iff equal windows
+        pairs = set(zip(keys.tolist(), windows))
+        assert len(pairs) == len(set(keys.tolist())) == len(set(windows))
 
 
 class TestWindowMultiset:
@@ -333,7 +356,8 @@ class TestTcDominant:
                    for i in range(len(x) - m + 1))
         assert is_tc_dominant(x, m) is want
 
-    @pytest.mark.parametrize("x, m", [("TTTTX", 3), ("tct", 3), ("TCN", 2), ("TN", 3)])
+    @pytest.mark.parametrize("x, m", [("TTTTX", 3), ("tct", 3), ("TCN", 2), ("TN", 3),
+                                      ("AC\u00c7GT", 2), ("AC\x00GT", 2), ("\x7f", 2)])
     def test_invalid_symbol_raises(self, x, m):
         with pytest.raises(ValueError) as expected:
             parse_sequence(x)
