@@ -19,8 +19,8 @@ from typing import Callable, Iterator, List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import sequences
-from .gensets import GeneratingSet
-from .sequences import check_stem, check_word_length, sorted_unique, tc_dominant_masks
+from .gensets import GeneratingSet, tc_dominant_set
+from .sequences import check_stem, check_word_length, sorted_unique
 
 DEFAULT_TOL = 1e-10  # the relative tolerance of a rate, unless one is given
 # The least tol a rate can be asked for.  A bracket is never narrower than
@@ -619,15 +619,13 @@ def binary_reduction_rate(m: int) -> CapacityReport:
     m-windows have weight > m/2, so the quaternary rate is 1 + log2(rho_bin).
     The binary window digraph on the weight > m/2 masks, the overlap
     digraph of their words over {A, C}, is the ``mask_quotient`` of
-    ``tc_dominant_set(m)``, built here without the 4^m words.  It is
-    iterated to ``DEFAULT_TOL``, and the reported bracket, and so the
-    spectral radius, is the quaternary-equivalent one, twice the binary
-    digraph's (an exact doubling).  The all-ones mask is its own
-    successor, so there is always a cycle.
+    ``tc_dominant_set(m)``, which holds those 2^m masks and builds no
+    word.  It is iterated to ``DEFAULT_TOL``, and the reported bracket,
+    and so the spectral radius, is the quaternary-equivalent one, twice
+    the binary digraph's (an exact doubling).  The all-ones mask is its
+    own successor, so there is always a cycle.
     """
-    check_stem(m)
-    binary = spectral_radius(TransitionDigraph(
-        m=m, codes=sequences.spread(np.flatnonzero(tc_dominant_masks(m)))))
+    binary = spectral_radius(mask_quotient(tc_dominant_set(m)))
     lo, hi = binary.bracket
     return _bracket_report(m, binary.vertex_count, binary.arc_count, "binary-reduction",
                            [(2.0 * lo, 2.0 * hi, binary.iterations)], DEFAULT_TOL)

@@ -17,7 +17,6 @@ import numpy as np
 from .sequences import (
     DIGIT,
     all_codes,
-    check_budget,
     check_stem,
     check_word_length,
     code_to_word,
@@ -110,7 +109,11 @@ class GeneratingSet:
         """The words' codes, ascending read-only int64.  Held from the start
         by a set made from codes; a union made from its kept masks builds
         them here, on first read, from its keep table
-        (``sequences.tc_mask_members``), as its builder would have."""
+        (``sequences.tc_mask_members``), as its builder would have.  That
+        first read is where its 4^m words are charged to the budget, so
+        ``words()``, ``==`` and ``hash`` of a union past the budget raise
+        ``BudgetExceededError``, as does every digraph or codec built on
+        its words."""
         keep = np.zeros(2 ** self.m, dtype=bool)
         keep[self.mask_classes] = True
         return _member_set(self.m, keep).codes
@@ -285,14 +288,12 @@ def tc_dominant_set(m: int) -> GeneratingSet:
     """All length-m words with strictly more than m/2 symbols from {T, C}.
 
     The union of the mask classes with more than m/2 ones, made from the
-    2^m masks (``_mask_union``): the set holds those kept masks
-    (``GeneratingSet.mask_classes``), so its size, validation, quotient,
-    count and certified rate read no word, and its 4^m codes are built
-    only when first read.  The budget is charged for those 4^m words all
-    the same, so the same calls are refused.
+    2^m masks (``_mask_union``), which are charged to the budget: the set
+    holds those kept masks (``GeneratingSet.mask_classes``), so its size,
+    validation, quotient, count and certified rate read no word, and its
+    4^m codes are built, and charged, only when first read.
     """
     check_stem(m)
-    check_budget(4, f"4^{m} words", exp=m)  # before the 2^m mask table too
     return _mask_union(m, tc_dominant_masks(m))
 
 

@@ -978,18 +978,33 @@ class TestCountConstrained:
                               .walk(n - s.m), maxlen=1)
             assert count_constrained(s, n) == sum(row)
 
-    def test_union_budget_charged_on_the_quotient(self, monkeypatch):
-        # 33 rows of the 1,024 kept masks; the 2,097,152 words would need
-        # 33 rows of 2^21 counts, past the default budget of 4^13
-        monkeypatch.delenv("SSA_BUDGET", raising=False)
-        m, n = 11, 43
+    @staticmethod
+    def tc_dominant_binary_count(m, n):
+        """Length-n binary strings whose m-windows all have more than m/2
+        ones, mask by mask in Python."""
         kept = [2 * bin(a).count("1") > m for a in range(2 ** m)]
         # binary strings by last m-window, one symbol at a time
         binary = [int(k) for k in kept]
         for _ in range(n - m):
             binary = [binary[a >> 1] + binary[a >> 1 | 2 ** (m - 1)] if kept[a] else 0
                       for a in range(2 ** m)]
-        assert count_constrained(tc_dominant_set(m), n) == 2 ** n * sum(binary)
+        return sum(binary)
+
+    def test_union_budget_charged_on_the_quotient(self, monkeypatch):
+        # 33 rows of the 1,024 kept masks; the 2,097,152 words would need
+        # 33 rows of 2^21 counts, past the default budget of 4^13
+        monkeypatch.delenv("SSA_BUDGET", raising=False)
+        m, n = 11, 43
+        assert count_constrained(tc_dominant_set(m), n) == (
+            2 ** n * self.tc_dominant_binary_count(m, n))
+
+    def test_union_counted_past_the_word_budget(self, monkeypatch):
+        # 4^15 words are past the default budget of 4^13; the set, its
+        # 2^15 masks and 26 rows of its 16,384 kept ones are not
+        monkeypatch.delenv("SSA_BUDGET", raising=False)
+        s = tc_dominant_set(15)
+        assert count_constrained(s, 40) == 2 ** 40 * self.tc_dominant_binary_count(15, 40)
+        assert "codes" not in vars(s)
 
     def test_mask_union_not_rc_free(self):
         # every TC mask of m=2: 01 and 10 are each other's reverse complement
@@ -1026,6 +1041,18 @@ class TestBinaryReduction:
         assert adjacency_matrix(g).tolist() == want.tolist()
         assert (rep.vertex_count, rep.arc_count) == (len(want), want.sum())
         assert rep.spectral_radius == pytest.approx(2 * dense_spectral_radius(want), rel=1e-9)
+
+    @pytest.mark.parametrize("m", [13, 15, 17])
+    def test_tc_dominant_set_rated_on_its_masks(self, monkeypatch, m):
+        # past m = 13 the 4^m words exceed the default budget; the rate
+        # reads the 2^m masks only, as the binary reduction does
+        monkeypatch.delenv("SSA_BUDGET", raising=False)
+        s = tc_dominant_set(m)
+        rep = rate_of_set(s)
+        assert rep.method == "mask-quotient" and rep.converged
+        assert "codes" not in vars(s)
+        binary = binary_reduction_rate(m)
+        assert (rep.rate_bits_per_nt, rep.bracket) == (binary.rate_bits_per_nt, binary.bracket)
 
     def test_report_method(self):
         rep = binary_reduction_rate(3)

@@ -299,10 +299,18 @@ class TestCapacity:
         assert err == "error: word length m must be in 1..31, got 32\n"
 
     def test_capacity_budget_env(self):
-        proc = run_cli("capacity", "--set", "tc-dominant", "--m", "6",
+        # the certified rate is charged for the 2^m masks it reads
+        proc = run_cli("capacity", "--set", "tc-dominant", "--m", "11",
                        env={"SSA_BUDGET": "1024"})
         assert proc.returncode == 1
-        assert "budget" in proc.stderr
+        assert "2^11 binary words exceed" in proc.stderr
+        assert proc.stdout == ""
+        # the codec's walk (one row of 1,408 words) is admitted; its read
+        # of the set's 4^6 word codes is not
+        proc = run_cli("encode", "--m", "6", "--n", "6", "--set", "tc-dominant",
+                       "--payload", "1", env={"SSA_BUDGET": "3000"})
+        assert proc.returncode == 1
+        assert "4^6 words exceed" in proc.stderr
         assert proc.stdout == ""
 
     def test_not_converged_exits_1(self, monkeypatch, capsys):

@@ -585,8 +585,10 @@ def no_arange(monkeypatch):
 
 
 class TestBudgetGuard:
-    """Arrays over all 4^m words (2^m for the binary reduction) are
-    refused before anything is allocated once they exceed the budget."""
+    """Arrays over all 4^m words are refused before anything is allocated
+    once they exceed the budget.  A mask union is charged 2^m for its kept
+    masks when it is made (``tc_dominant_set``, the binary reduction), and
+    4^m on the first read of its ``codes``, which builds its words."""
 
     def test_all_codes_explicit_budget(self, monkeypatch, no_arange):
         monkeypatch.setenv("SSA_BUDGET", "1024")
@@ -603,7 +605,7 @@ class TestBudgetGuard:
 
     def test_env_budget(self, monkeypatch, no_arange):
         monkeypatch.setenv("SSA_BUDGET", "1024")
-        for build in (all_codes, rc_classes, rc_pairs, tc_dominant_set,
+        for build in (all_codes, rc_classes, rc_pairs, lambda m: tc_dominant_set(m).codes,
                       lambda m: tc_mask_members(m, np.ones(2 ** m, dtype=bool))):
             with pytest.raises(BudgetExceededError):
                 build(6)
@@ -614,9 +616,15 @@ class TestBudgetGuard:
         monkeypatch.delenv("SSA_BUDGET", raising=False)
         monkeypatch.setattr(sequences, "DEFAULT_ENUMERATION_BUDGET", 4 ** 4)
         with pytest.raises(BudgetExceededError):
-            tc_dominant_set(5)
+            tc_dominant_set(5).codes
         with pytest.raises(BudgetExceededError):
             binary_reduction_rate(9)
+
+    def test_union_codes_charged_on_first_read(self, monkeypatch, no_arange):
+        monkeypatch.delenv("SSA_BUDGET", raising=False)
+        s = tc_dominant_set(14)  # its 2^14 masks are within 4^13
+        with pytest.raises(BudgetExceededError, match="^4\\^14 words exceed"):
+            s.codes
 
     @pytest.mark.parametrize("budget", ["abc", "-5", "1.5"])
     def test_bad_env_budget(self, monkeypatch, budget):
@@ -645,8 +653,10 @@ class TestBudgetGuard:
                                        lambda m: count_all_ssa(m, 2)])
     def test_huge_m_refused_at_once(self, monkeypatch, build):
         monkeypatch.setenv("SSA_BUDGET", "4096")
+        # a mask union is charged for its 2^m masks, the rest for 4^m words
+        what = "2\\^1000000000 binary words" if build is tc_dominant_set else "4\\^1000000000 "
         start = time.perf_counter()
-        with pytest.raises(BudgetExceededError, match="^4\\^1000000000 "):
+        with pytest.raises(BudgetExceededError, match=f"^{what}"):
             build(10 ** 9)
         assert time.perf_counter() - start < 1.0
 
@@ -661,7 +671,7 @@ class TestBudgetGuard:
         tracemalloc.start()
         try:
             with pytest.raises(BudgetExceededError):
-                tc_dominant_set(9)  # 4^9 int64 codes would be 2 MB
+                tc_dominant_set(9).codes  # 4^9 int64 codes would be 2 MB
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
