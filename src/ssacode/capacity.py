@@ -77,6 +77,10 @@ class TransitionDigraph:
     product, count and walk is the same to the bit.  ``_start`` is the row
     pointer over the bins: the vertices with prefix bin k, the successors of
     every vertex with suffix bin k, are the run ``_start[k]:_start[k + 1]``.
+    The power iteration (``_cyclic_powers``) runs on the bins of each
+    cyclic component, not on the vertices: vertices with one suffix bin
+    have one row, so the partition by suffix bin is equitable.
+    ``matvec`` is the product on the vertices.
 
     ``codes`` may come in any order and with repeats; the stored vertex codes
     are sorted and duplicate-free.  A strictly increasing int64 array, such
@@ -103,7 +107,11 @@ class TransitionDigraph:
 
     @property
     def arc_count(self) -> int:
-        return int((self._start[self._suf + 1] - self._start[self._suf]).sum())
+        """The sum over the bins b of in(b) * out(b): every vertex with
+        suffix bin b has an arc to every vertex with prefix bin b.  An
+        integer dot, exact and not through BLAS."""
+        into = np.bincount(self._suf, minlength=self._nbins)
+        return int(into.dot(np.diff(self._start)))
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
         """y = A x with A[u, v] = 1 iff u -> v."""
@@ -304,14 +312,51 @@ def _shifted_power(matvec, x: np.ndarray, tol: float, stop_below: float):
     return lo, hi, iterations, x
 
 
+def _component_bins(g: TransitionDigraph, idx: np.ndarray):
+    """(bin count K, prefix bins, suffix bins) of the vertices ``idx`` of a
+    cyclic component of ``g``, numbered 0..K-1 in order over the bins
+    they use.  A component that spans a digraph binned by rank uses every
+    bin, so it reads ``g._pre`` and ``g._suf`` as they are; any other is
+    relabelled."""
+    if len(idx) == g.vertex_count and g._nbins < 4 ** (g.m - 1):
+        return g._nbins, g._pre, g._suf
+    pre = g._pre.take(idx)
+    label = np.cumsum(_marked(pre, g._nbins)) - 1
+    return int(label[-1]) + 1, label.take(pre), label.take(g._suf.take(idx))
+
+
 def _cyclic_powers(g: TransitionDigraph, tol: float, stop_below: float):
-    """Each cyclic component of ``g`` as its own overlap digraph (``g``
-    itself when one component spans every vertex), with ``_shifted_power``
-    of it from the all-ones vector."""
+    """Each cyclic component of ``g``, as its ascending vertex indices, with
+    ``_shifted_power`` of its overlap digraph from the all-ones vector,
+    run on the component's overlap bins.
+
+    The partition of the vertices by suffix bin is equitable: a vertex's
+    successors are the vertices whose prefix bin is its suffix bin.  So
+    from the all-ones vector every iterate x is z read at each vertex's
+    suffix bin, and (Ax)_v is the sum of x over the vertices whose prefix
+    bin is v's suffix bin: one entry of the ``bincount`` of x by prefix
+    bin, the same sum in the same code order that
+    ``TransitionDigraph.matvec`` takes.  The step is that ``bincount``
+    over the component's K bins.  In a cyclic component every vertex has
+    a successor and a predecessor, so each bin is the prefix bin of one of
+    its vertices and the suffix bin of another: the ratios over the bins
+    are the vertices' ratios, and each update is the same float.  The
+    bracket, the iterations and the vector, lifted back to the vertices
+    as z read at their suffix bins, are those of the iteration on the
+    vertices to the bit, and no digraph is built per component.
+    """
     for idx in g.cyclic_components():
-        sub = (g if len(idx) == g.vertex_count
-               else TransitionDigraph(m=g.m, codes=g.codes[idx]))
-        yield sub, _shifted_power(sub.matvec, np.ones(len(idx)), tol, stop_below)
+        nbins, pre, suf = _component_bins(g, idx)
+
+        # every bin is a prefix bin, so the count has nbins entries with no
+        # minlength, a keyword that costs a fifth of a local-search step
+        def step(z):
+            return np.bincount(pre, weights=z.take(suf))
+
+        lo, hi, iterations, z = _shifted_power(step, np.ones(nbins), tol, stop_below)
+        x = z.take(suf)
+        del z  # the caller may hold x a while: at m = 21, 5 MB of bins less
+        yield idx, (lo, hi, iterations, x)
 
 
 def _bracket_report(m: int, vertex_count: int, arc_count: int, method: str,
@@ -352,9 +397,9 @@ def spectral_radius(g: TransitionDigraph, tol: float = DEFAULT_TOL, *,
     components come from the key graph (see
     ``TransitionDigraph.cyclic_components``), and the subgraph induced on a
     subset of an overlap digraph is the overlap digraph of that subset, so
-    every component iterates with the same O(|V|) group-sum product and no
-    adjacency matrix is formed; a component that spans every vertex
-    iterates ``g`` itself.  That loop, ``_cyclic_powers``, is the one the
+    every component iterates with one O(|V|) group-sum per step, taken on
+    the component's overlap bins, and no adjacency matrix or per-component
+    digraph is formed.  That loop, ``_cyclic_powers``, is the one the
     certificate in ``rate_of_set`` runs on a mask quotient.  Each
     component's root depends only on its own codes, so equal components
     in two sets give bit-identical roots.  Each component stops on its own
@@ -455,8 +500,9 @@ def _lifted_rate(s: GeneratingSet, quotient: TransitionDigraph,
     mask's there, up to rounding.
     """
     powers = []
-    for sub, (_, _, it, x) in _cyclic_powers(quotient, tol, 0.0):
-        masks = sequences.tc_masks(sub.codes, s.m)
+    for idx, (_, _, it, x) in _cyclic_powers(quotient, tol, 0.0):
+        codes = quotient.codes if len(idx) == quotient.vertex_count else quotient.codes.take(idx)
+        masks = sequences.tc_masks(codes, s.m)
         by_mask = np.zeros(2 ** s.m)
         by_mask[masks] = x  # at the component's masks
         # both are duplicate-free: np.unique, and with it numpy.ma, is skipped

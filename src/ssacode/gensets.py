@@ -58,7 +58,8 @@ class GeneratingSet:
     their first read, through ``GeneratingSet.from_codes`` like every
     other code array.  The codes are int64, duplicate-free and read-only;
     the digraph and the codec take them as they are and never deduplicate
-    them again.
+    them again.  A set also holds its ``validate`` result once made, or
+    from the start when its builder knows it (``_one_word_per_pair``).
     """
 
     m: int
@@ -147,6 +148,17 @@ class GeneratingSet:
         kept.setflags(write=False)
         return kept
 
+    @cached_property
+    def _validation(self) -> "ValidationResult":
+        """What ``validate`` returns (see there): made on its first call and
+        kept, as the set is read-only, or handed over by the builder that
+        knows it (``_one_word_per_pair``)."""
+        kept = self.mask_classes
+        if kept is not None and not np.isin(rc_masks(kept, self.m), kept).any():
+            return ValidationResult(valid=True, maximal=len(self) == num_rc_pairs(self.m),
+                                    violations=[])
+        return _validate_words(self)
+
     def __len__(self) -> int:
         """Read off the codes if they are held, else 2^m words per kept mask."""
         codes = vars(self).get("codes")
@@ -212,13 +224,12 @@ def validate(s: GeneratingSet) -> ValidationResult:
     (``GeneratingSet.mask_classes``) is RC-free iff no kept mask has its
     partner kept, itself included: 2^m work, with no word touched.  Every
     other set, and a union that fails this test, is checked word by word,
-    which also lists the violations.
+    which also lists the violations.  The set holds the result: it is made
+    on the first call and returned as it is after that, and a set that
+    ``_one_word_per_pair`` made holds "valid, maximal" from the start, so
+    no check runs for it at all.
     """
-    kept = s.mask_classes
-    if kept is not None and not np.isin(rc_masks(kept, s.m), kept).any():
-        return ValidationResult(valid=True, maximal=len(s) == num_rc_pairs(s.m),
-                                violations=[])
-    return _validate_words(s)
+    return s._validation
 
 
 def _validate_words(s: GeneratingSet) -> ValidationResult:
@@ -282,6 +293,18 @@ def _mask_union(m: int, keep: np.ndarray, words: Tuple[str, ...] = ()) -> Genera
         return _member_set(m, keep, words)
     kept.setflags(write=False)
     return GeneratingSet._holding(m, mask_classes=kept)
+
+
+def _one_word_per_pair(m: int, codes: np.ndarray) -> GeneratingSet:
+    """The set of ``codes``, a fresh array (kept without a copy) that holds
+    one word of every RC pair of ``sequences.rc_pairs(m)`` and no other
+    word, in any order.  Such a set is RC-free and maximal by
+    construction, so it holds that result of ``validate`` from the start
+    and no check reads its words.  Its codes pass the gate of
+    ``GeneratingSet.from_codes`` like every code array."""
+    s = GeneratingSet.from_codes(m, codes, _owned=True)
+    vars(s)["_validation"] = ValidationResult(valid=True, maximal=True, violations=[])
+    return s
 
 
 def tc_dominant_set(m: int) -> GeneratingSet:

@@ -15,7 +15,7 @@ from typing import Iterator, Optional, Tuple
 import numpy as np
 
 from .capacity import DEFAULT_TOL, CapacityReport, check_tol, rate_of_set
-from .gensets import GeneratingSet
+from .gensets import GeneratingSet, _one_word_per_pair
 from .sequences import (check_budget, check_stem, mask_weights, rc_pairs, symmetry_images,
                         tc_masks)
 
@@ -110,7 +110,7 @@ def _canonical_candidates(m: int, a: np.ndarray,
         pick_a = np.array([(mask >> i) & 1 for i in range(n_pairs)], dtype=bool)
         images = np.sort(np.where(pick_a, images_a, images_b), axis=1)
         if min(map(tuple, images.tolist())) == tuple(images[0].tolist()):
-            yield GeneratingSet.from_codes(m, images[0])  # image 0: the identity
+            yield _one_word_per_pair(m, images[0].copy())  # image 0: the identity
 
 
 def greedy_tc_choice(m: int) -> GeneratingSet:
@@ -118,7 +118,7 @@ def greedy_tc_choice(m: int) -> GeneratingSet:
     TC weight, breaking ties toward centrally-placed T/C symbols (those words
     connect better to the TC-dominant core), then toward the smaller word."""
     a, b = rc_pairs(m)
-    return GeneratingSet.from_codes(m, np.where(_greedy_bits(m, a, b), a, b))
+    return _one_word_per_pair(m, np.where(_greedy_bits(m, a, b), a, b))
 
 
 def _centrality(masks: np.ndarray, m: int) -> np.ndarray:
@@ -136,6 +136,21 @@ def _greedy_bits(m: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (wa > wb) | ((wa == wb) & (ca > cb)) | ((wa == wb) & (ca == cb) & (a < b))
 
 
+def _swapped(codes: np.ndarray, old: int, new: int) -> np.ndarray:
+    """A fresh ascending copy of the ascending ``codes`` with ``old`` (in
+    them) replaced by ``new`` (not in them): the entries between the two
+    places move up or down by one."""
+    i, j = codes.searchsorted([old, new])
+    out = codes.copy()
+    if new < old:
+        out[j + 1:i + 1] = codes[j:i]
+        out[j] = new
+    else:
+        out[i:j - 1] = codes[i + 1:j]
+        out[j - 1] = new
+    return out
+
+
 def local_search(m: int, restarts: int = 20, iterations: int = 200,
                  seed: int = 0, on_restart=None) -> SearchResult:
     """Seeded hill climbing over maximal sets; moves flip one RC pair's choice.
@@ -148,10 +163,15 @@ def local_search(m: int, restarts: int = 20, iterations: int = 200,
     ``floor`` of ``rate_of_set``).  The bracket's upper end does not grow
     from step to step, so a candidate that is accepted is never stopped
     that way and gets the rate a full iteration gives it; every decision
-    is the one the full iteration makes.  The winner is rated again at
-    ``DEFAULT_TOL``.  Deterministic for fixed (m, restarts, iterations,
-    seed).  A KeyboardInterrupt stops the search early and reports the best
-    result found so far.  Needs ``restarts >= 1`` and ``iterations >= 0``.
+    is the one the full iteration makes.  A candidate's codes are its
+    parent's with one word swapped for its reverse complement
+    (``_swapped``), so they need no sort.  Every state holds one word per
+    RC pair, so it is made by ``gensets._one_word_per_pair`` and holds its
+    validation ("valid, maximal"): ``rate_of_set`` checks no word of it.
+    The winner is rated again at ``DEFAULT_TOL``.  Deterministic for fixed
+    (m, restarts, iterations, seed).  A KeyboardInterrupt stops the search
+    early and reports the best result found so far.  Needs
+    ``restarts >= 1`` and ``iterations >= 0``.
     """
     check_stem(m)
     if restarts < 1:
@@ -172,24 +192,23 @@ def local_search(m: int, restarts: int = 20, iterations: int = 200,
                 # n_pairs calls of rng.random(), in order, as a list would make
                 draws = itertools.starmap(rng.random, itertools.repeat((), n_pairs))
                 pick_a = np.fromiter(draws, float, n_pairs) < 0.5
-            state = GeneratingSet.from_codes(m, np.where(pick_a, a, b))
+            state = _one_word_per_pair(m, np.where(pick_a, a, b))
             cur = _rate(state)
             examined += 1
             plateau = 0
             for _ in range(iterations):
                 idx = rng.randrange(n_pairs)
-                pick_a[idx] = not pick_a[idx]
-                cand = GeneratingSet.from_codes(m, np.where(pick_a, a, b))
+                old, new = (a[idx], b[idx]) if pick_a[idx] else (b[idx], a[idx])
+                cand = _one_word_per_pair(m, _swapped(state.codes, old, new))
                 floor = cur - 1e-12
                 rate = _rate(cand, floor)
                 examined += 1
                 if rate >= floor:
+                    pick_a[idx] = not pick_a[idx]
                     plateau = 0 if rate > cur + _RATE_EPS else plateau + 1
                     state, cur = cand, rate
                     if plateau > _PLATEAU_LIMIT:
                         break
-                else:
-                    pick_a[idx] = not pick_a[idx]  # revert
             if _beats(cur, state, best_rate, best_set):
                 best_rate, best_set = cur, state
             if on_restart is not None:

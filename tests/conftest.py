@@ -263,6 +263,21 @@ def dense_spectral_radius(adj):
 BRACKET_MARGIN = 8 * np.finfo(float).eps
 
 
+def ref_cyclic_powers(g, tol, stop_below):
+    """The power iteration on the vertices: each cyclic component of ``g``
+    as its own overlap digraph (``g`` itself when one component spans
+    every vertex), with the library's ``_shifted_power`` of its vertex
+    product ``matvec`` from the all-ones vector.  Yields (vertex indices,
+    (lo, hi, iterations, x)), as ``capacity._cyclic_powers``, which runs
+    the same steps on the overlap bins, must to the bit."""
+    from ssacode.capacity import TransitionDigraph, _shifted_power
+
+    for idx in g.cyclic_components():
+        sub = (g if len(idx) == g.vertex_count
+               else TransitionDigraph(m=g.m, codes=g.codes[idx]))
+        yield idx, _shifted_power(sub.matvec, np.ones(len(idx)), tol, stop_below)
+
+
 def perron_bracket(g, x):
     """Certified bounds lo <= rho(A) <= hi from one product with x > 0.
 

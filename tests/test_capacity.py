@@ -57,6 +57,7 @@ from conftest import (
     ref_binary_walk_counts,
     ref_binary_window_digraph,
     ref_count_constrained,
+    ref_cyclic_powers,
     ref_good_binary_count,
     ref_successor_runs,
     tc_pattern,
@@ -1092,8 +1093,8 @@ class TestEveryBracket:
             assert rep.bracket is None and not g.cyclic_components()
             return
         self.check(rep, dense, tol)
-        for sub, (lo, hi, _, x) in capacity._cyclic_powers(g, tol, 0.0):
-            exact = exact_ratios(sub, x)
+        for idx, (lo, hi, _, x) in capacity._cyclic_powers(g, tol, 0.0):
+            exact = exact_ratios(TransitionDigraph(m=g.m, codes=g.codes[idx]), x)
             assert lo <= min(exact) and max(exact) <= hi
 
     @pytest.mark.parametrize("m", range(2, 10))
@@ -1101,6 +1102,91 @@ class TestEveryBracket:
         keep = [2 * bin(a).count("1") > m for a in range(2 ** m)]
         dense = 2 * dense_spectral_radius(ref_binary_window_digraph(keep))
         self.check(binary_reduction_rate(m), dense, DEFAULT_TOL)
+
+
+class TestBinStep:
+    """``_cyclic_powers`` takes each power step on the overlap bins of a
+    cyclic component; its brackets, step counts and lifted vectors must be
+    those of the iteration on the vertices (``ref_cyclic_powers``) to the
+    bit, whether the bins are overlap codes or ranks."""
+
+    @staticmethod
+    def same_as_vertex_loop(g, tol=DEFAULT_TOL, stop_below=0.0):
+        from ssacode import capacity
+        got = list(capacity._cyclic_powers(g, tol, stop_below))
+        want = list(ref_cyclic_powers(g, tol, stop_below))
+        assert len(got) == len(want)
+        for (idx, (lo, hi, steps, x)), (ref_idx, (ref_lo, ref_hi, ref_steps, ref_x)) in zip(
+                got, want):
+            assert np.array_equal(idx, ref_idx)
+            assert (lo.hex(), hi.hex(), steps) == (ref_lo.hex(), ref_hi.hex(), ref_steps)
+            assert x.dtype == ref_x.dtype and x.tobytes() == ref_x.tobytes()
+        return got
+
+    @settings(max_examples=80, deadline=None)
+    @given(rc_free_words(ms=(2, 3, 4, 5, 6)), st.sampled_from([1e-6, 1e-10, MIN_TOL]),
+           st.sampled_from([0.0, 2.5, 3.5]))
+    @example(TWO_EQUAL_CYCLES, 1e-10, 0.0)
+    @example(BRIDGED_SELF_LOOPS, 1e-10, 0.0)
+    @example(SELF_LOOP_BESIDE_CYCLE, 1e-10, 0.0)
+    @example(NO_CYCLE, 1e-10, 0.0)
+    @example(CHAINED_UNIT_CYCLES, 1e-10, 0.0)
+    @example(TWO_ROOTS_M5, 1e-10, 0.0)
+    @example(LARGER_LOWER_M6, 1e-10, 2.5)
+    def test_random_sets(self, words, tol, stop_below):
+        self.same_as_vertex_loop(build_digraph(GeneratingSet.from_words(words)),
+                                 tol, stop_below)
+
+    @pytest.mark.parametrize("m", range(3, 7))
+    @pytest.mark.parametrize("drop_rate", [0.0, 0.7])
+    def test_code_and_rank_bins(self, m, drop_rate):
+        # a maximal set has at least 4^(m-1) words, so its bins are the
+        # overlap codes; one thinned to about 30 % has fewer, and its bins
+        # are the ranks of its overlap words
+        s = random_valid_set(random.Random(m), m, drop_rate=drop_rate)
+        assert (len(s) >= 4 ** (m - 1)) == (drop_rate == 0.0)
+        self.same_as_vertex_loop(build_digraph(s))
+
+    @pytest.mark.parametrize("words", [
+        TWO_EQUAL_CYCLES, SELF_LOOP_BESIDE_CYCLE, CHAINED_UNIT_CYCLES, TWO_ROOTS_M5,
+        LARGER_LOWER_M6])
+    def test_reducible_sets(self, words):
+        g = build_digraph(GeneratingSet.from_words(words))
+        got = self.same_as_vertex_loop(g)
+        assert len(got) >= 2
+        assert all(len(idx) < g.vertex_count for idx, _ in got)
+
+    @pytest.mark.parametrize("s", [heuristic_set_m6_stage(), _mask_union(5, np.isin(
+        np.arange(32), [int(p, 2) for p in {tc_pattern(w) for w in TWO_ROOTS_M5}]))],
+        ids=["m6-stage", "two-roots-m5"])
+    def test_reducible_quotients(self, s):
+        # the m6-stage quotient has one cyclic component and two masks on
+        # no cycle; the m=5 one has two components
+        q = mask_quotient(s)
+        got = self.same_as_vertex_loop(q)
+        assert got and all(len(idx) < q.vertex_count for idx, _ in got)
+
+    @pytest.mark.parametrize("m", range(3, 12))
+    def test_tc_dominant_quotients(self, m):
+        # one component spans the rank-binned quotient: its bins are the
+        # digraph's own, used as they are
+        from ssacode import capacity
+        q = mask_quotient(tc_dominant_set(m))
+        (idx, _), = self.same_as_vertex_loop(q)
+        assert len(idx) == q.vertex_count and q._nbins < 4 ** (m - 1)
+        nbins, pre, suf = capacity._component_bins(q, idx)
+        assert nbins == q._nbins and pre is q._pre and suf is q._suf
+
+    def test_unused_code_bins_relabelled(self):
+        # the worked m=2 set spans its code-binned digraph, where no word
+        # starts or ends in A; the component is iterated on the bins C, G
+        # and T, numbered 0, 1 and 2 (codes CC, CT, GT, TC, TG, TT)
+        from ssacode import capacity
+        g = build_digraph(WORKED_SET)
+        (idx, _), = self.same_as_vertex_loop(g)
+        nbins, pre, suf = capacity._component_bins(g, idx)
+        assert (g._nbins, nbins) == (4, 3)
+        assert pre.tolist() == [0, 0, 1, 2, 2, 2] and suf.tolist() == [0, 2, 2, 0, 1, 2]
 
 
 # Rates of the guard below, printed as float.hex by a fresh process.

@@ -25,7 +25,8 @@ from ssacode import (
     window_multiset,
     write_set_file,
 )
-from ssacode.gensets import _mask_union, _validate_words, num_rc_pairs, num_self_rc
+from ssacode.gensets import (
+    _mask_union, _one_word_per_pair, _validate_words, num_rc_pairs, num_self_rc)
 from ssacode.sequences import (
     _LOW_BITS, all_codes, code_to_word, codes_to_words, mask_weights, parse_sequence, rc_code,
     rc_codes, rc_masks, rc_pairs, spread, symmetry_images, tc_dominant_masks, tc_mask_members,
@@ -341,6 +342,53 @@ class TestValidate:
     def test_mixed_lengths_rejected(self):
         with pytest.raises(ValueError):
             GeneratingSet.from_words(["TT", "TTT"])
+
+
+class TestHeldValidation:
+    """A set holds its ``validate`` result: made on the first call, or
+    handed over by ``_one_word_per_pair``, the one builder of sets that
+    take one word per RC pair."""
+
+    @pytest.mark.parametrize("m", range(2, 7))
+    def test_one_word_per_pair_holds_valid_maximal(self, m):
+        lower, upper = rc_pairs(m)
+        pick = np.random.default_rng(m).random(len(lower)) < 0.5
+        s = _one_word_per_pair(m, np.where(pick, lower, upper))
+        held = vars(s)["_validation"]
+        assert held == _validate_words(s) and held.valid and held.maximal
+        assert validate(s) is held
+
+    @settings(max_examples=40, deadline=None)
+    @given(rc_free_words(ms=(2, 3, 4, 5)), st.integers(0, 2 ** 16))
+    def test_made_on_first_call(self, words, pick):
+        for s in (GeneratingSet.from_words(words),
+                  GeneratingSet.from_words(words + [ref_rc(words[pick % len(words)])])):
+            assert "_validation" not in vars(s)
+            result = validate(s)
+            assert result == _validate_words(s)
+            assert validate(s) is result is vars(s)["_validation"]
+
+    def test_set_file_computes_its_result(self, tmp_path):
+        path = tmp_path / "bad.txt"
+        path.write_text("TT\nAA\nTC\n")
+        s = read_set_file(path)
+        assert "_validation" not in vars(s)
+        with pytest.raises(InvalidGeneratingSetError):
+            s.require_valid()
+        with pytest.raises(InvalidGeneratingSetError):
+            rate_of_set(s)
+        assert validate(s) == _validate_words(s) and ("AA", "TT") in validate(s).violations
+
+    @pytest.mark.parametrize("build", [
+        lambda: tc_dominant_set(7), heuristic_set_m6_stage,
+        lambda: GeneratingSet.from_words(tc_dominant_set(5).words())])
+    def test_union_takes_the_mask_path(self, monkeypatch, build):
+        from ssacode import gensets
+        s = build()
+        monkeypatch.setattr(gensets, "_validate_words", lambda t: pytest.fail("word path"))
+        result = validate(s)
+        assert result.valid and result.maximal == (s.m % 2 == 1) and not result.violations
+        assert validate(s) is result
 
 
 def with_mask_classes(words, masks):

@@ -1,7 +1,9 @@
 import math
 import tracemalloc
 
+import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from ssacode import (
     BudgetExceededError,
@@ -163,6 +165,21 @@ class TestGreedyChoice:
         assert greedy_tc_choice(m).words() == ref_greedy_tc_choice(m)
 
 
+class TestSwapped:
+    @settings(max_examples=100, deadline=None)
+    @given(st.sets(st.integers(0, 255), min_size=1, max_size=40), st.integers(0, 255),
+           st.integers(0, 2 ** 16))
+    def test_one_word_replaced(self, codes, new, pick):
+        assume(new not in codes)
+        codes = sorted(codes)
+        old = codes[pick % len(codes)]
+        source = np.array(codes, dtype=np.int64)
+        out = search._swapped(source, old, new)
+        assert out.dtype == np.int64 and not np.shares_memory(out, source)
+        assert out.tolist() == sorted(set(codes) - {old} | {new})
+        assert source.tolist() == codes
+
+
 class TestLocalSearch:
     def test_m2_finds_optimum(self):
         result = local_search(2, restarts=4, iterations=40, seed=9)
@@ -189,6 +206,28 @@ class TestLocalSearch:
         result = local_search(3, restarts=2, iterations=20, seed=2)
         v = validate(result.best_set)
         assert v.valid and v.maximal
+
+    @pytest.mark.parametrize("seed", [0, 1, 1000])
+    @pytest.mark.parametrize("m", range(3, 7))
+    def test_every_rated_set_holds_its_validation(self, monkeypatch, m, seed):
+        # each start state and candidate holds "valid, maximal" from its
+        # builder, so no word of it is checked; it must be what the word
+        # check finds, and its codes those of sorting its words afresh
+        from ssacode.gensets import _validate_words
+        rated = []
+        rate_ = search.rate_of_set
+
+        def recording(s, *args, **kwargs):
+            held = vars(s).get("_validation")
+            assert held is not None and held == _validate_words(s)
+            assert s.codes.tolist() == sorted(set(s.codes.tolist()))
+            rated.append(s)
+            return rate_(s, *args, **kwargs)
+
+        monkeypatch.setattr(search, "rate_of_set", recording)
+        result = local_search(m, restarts=3, iterations=8, seed=seed)
+        assert len(rated) == result.candidates_examined + 1  # the winner again
+        assert all(len(s) == len(rc_pairs(m)[0]) for s in rated)
 
     # Recorded best rates of local_search(6, restarts=6, iterations=5, seed).
     # Moves are accepted on rate >= current - 1e-12, so a drift in the last
