@@ -315,10 +315,11 @@ def _shifted_power(matvec, x: np.ndarray, tol: float, stop_below: float):
 def _component_bins(g: TransitionDigraph, idx: np.ndarray):
     """(bin count K, prefix bins, suffix bins) of the vertices ``idx`` of a
     cyclic component of ``g``, numbered 0..K-1 in order over the bins
-    they use.  A component that spans a digraph binned by rank uses every
-    bin, so it reads ``g._pre`` and ``g._suf`` as they are; any other is
-    relabelled."""
-    if len(idx) == g.vertex_count and g._nbins < 4 ** (g.m - 1):
+    they use.  A component that spans ``g`` when every bin of ``g`` is a
+    prefix bin reads ``g._pre`` and ``g._suf`` as they are: each of its
+    vertices has a successor, so each suffix bin is a prefix bin too.  Any
+    other is relabelled."""
+    if len(idx) == g.vertex_count and np.diff(g._start).all():
         return g._nbins, g._pre, g._suf
     pre = g._pre.take(idx)
     label = np.cumsum(_marked(pre, g._nbins)) - 1
@@ -354,9 +355,8 @@ def _cyclic_powers(g: TransitionDigraph, tol: float, stop_below: float):
             return np.bincount(pre, weights=z.take(suf))
 
         lo, hi, iterations, z = _shifted_power(step, np.ones(nbins), tol, stop_below)
-        x = z.take(suf)
-        del z  # the caller may hold x a while: at m = 21, 5 MB of bins less
-        yield idx, (lo, hi, iterations, x)
+        # the lifted vector is not bound here, so the caller can let it go
+        yield idx, (lo, hi, iterations, z.take(suf))
 
 
 def _bracket_report(m: int, vertex_count: int, arc_count: int, method: str,
@@ -507,6 +507,7 @@ def _lifted_rate(s: GeneratingSet, quotient: TransitionDigraph,
         by_mask[masks] = x  # at the component's masks
         # both are duplicate-free: np.unique, and with it numpy.ma, is skipped
         kept = np.intersect1d(s.mask_classes, masks, assume_unique=True)
+        del x, masks  # at m = 21, 16 MB less held through the bracket's step
         bracket = _lifted_bracket(s.m, kept, by_mask)
         if bracket is None:
             return None

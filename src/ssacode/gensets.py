@@ -156,7 +156,7 @@ class GeneratingSet:
         kept = self.mask_classes
         if kept is not None and not np.isin(rc_masks(kept, self.m), kept).any():
             return ValidationResult(valid=True, maximal=len(self) == num_rc_pairs(self.m),
-                                    violations=[])
+                                    violations=())
         return _validate_words(self)
 
     def __len__(self) -> int:
@@ -195,7 +195,7 @@ class GeneratingSet:
         if not result.valid:
             raise InvalidGeneratingSetError(
                 f"generating set contains reverse-complement violations: "
-                f"{result.violations[:5]}")
+                f"{list(result.violations[:5])}")
         return self
 
 
@@ -203,7 +203,7 @@ class GeneratingSet:
 class ValidationResult:
     valid: bool
     maximal: bool
-    violations: List[Tuple[str, str]]
+    violations: Tuple[Tuple[str, str], ...]  # a tuple: a set holds its result
 
 
 def num_rc_pairs(m: int) -> int:
@@ -237,11 +237,11 @@ def _validate_words(s: GeneratingSet) -> ValidationResult:
     up in S, and every violating pair is listed once."""
     rcs = rc_codes(s.codes, s.m)
     bad = np.isin(rcs, s.codes)
-    violations = [
+    violations = tuple(
         (code_to_word(int(c), s.m), code_to_word(int(r), s.m))
         for c, r in zip(s.codes[bad], rcs[bad])
         if c <= r  # report each unordered pair once; self-RC words have c == r
-    ]
+    )
     valid = not bad.any()
     maximal = valid and len(s) == num_rc_pairs(s.m)
     return ValidationResult(valid=valid, maximal=maximal, violations=violations)
@@ -303,7 +303,7 @@ def _one_word_per_pair(m: int, codes: np.ndarray) -> GeneratingSet:
     and no check reads its words.  Its codes pass the gate of
     ``GeneratingSet.from_codes`` like every code array."""
     s = GeneratingSet.from_codes(m, codes, _owned=True)
-    vars(s)["_validation"] = ValidationResult(valid=True, maximal=True, violations=[])
+    vars(s)["_validation"] = ValidationResult(valid=True, maximal=True, violations=())
     return s
 
 

@@ -1168,14 +1168,23 @@ class TestBinStep:
 
     @pytest.mark.parametrize("m", range(3, 12))
     def test_tc_dominant_quotients(self, m):
-        # one component spans the rank-binned quotient: its bins are the
-        # digraph's own, used as they are
+        # one component spans the rank-binned quotient, where every bin is
+        # a prefix bin: its bins are the digraph's own, used as they are
         from ssacode import capacity
         q = mask_quotient(tc_dominant_set(m))
         (idx, _), = self.same_as_vertex_loop(q)
         assert len(idx) == q.vertex_count and q._nbins < 4 ** (m - 1)
         nbins, pre, suf = capacity._component_bins(q, idx)
         assert nbins == q._nbins and pre is q._pre and suf is q._suf
+
+    def test_spanning_component_on_every_code_bin(self):
+        # all 16 words of length 2: one component, whose bins are the four
+        # overlap codes, each a prefix bin, used as they are
+        from ssacode import capacity
+        g = TransitionDigraph(2, np.arange(16))
+        (idx, _), = self.same_as_vertex_loop(g)
+        nbins, pre, suf = capacity._component_bins(g, idx)
+        assert nbins == g._nbins == 4 and pre is g._pre and suf is g._suf
 
     def test_unused_code_bins_relabelled(self):
         # the worked m=2 set spans its code-binned digraph, where no word

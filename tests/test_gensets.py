@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import random
 import sys
@@ -378,6 +379,17 @@ class TestHeldValidation:
         with pytest.raises(InvalidGeneratingSetError):
             rate_of_set(s)
         assert validate(s) == _validate_words(s) and ("AA", "TT") in validate(s).violations
+
+    def test_held_result_cannot_be_edited(self):
+        # every call returns the one held result, so it is immutable
+        s = GeneratingSet.from_words(["AA", "TT", "TC"])
+        result = validate(s)
+        assert result.violations == (("AA", "TT"),)
+        with pytest.raises(AttributeError):
+            result.violations.append(("AC", "GT"))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            result.violations = ()
+        assert validate(s).violations == (("AA", "TT"),)
 
     @pytest.mark.parametrize("build", [
         lambda: tc_dominant_set(7), heuristic_set_m6_stage,

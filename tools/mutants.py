@@ -1,26 +1,27 @@
 """Re-run the recorded mutants: each must make every test it names fail.
 
-Usage: python tools/mutants.py [--table PATH] [NAME ...]
+Usage: python tools/mutants.py
 
-    python tools/mutants.py                    # every mutant in tests/mutants.json
-    python tools/mutants.py bin-sum-by-suffix  # the named ones only
-
-The table is a JSON list.  Each entry has ``name``; ``file``, a path under
-``src/``; ``snippet``, text that occurs exactly once in that file;
-``replacement``, the text it becomes; ``tests``, the pytest ids that must
-fail with the mutant in place; and ``source``, the CHANGES.md entry that
-recorded it.  Each mutant is applied alone to a fresh copy of ``src/`` in a
-temporary directory, and the named tests run against that copy
-(``PYTHONPATH``), from the repository root, so the tests themselves are
-the repository's.  Prints one line per mutant.
+The table, ``tests/mutants.json``, is a JSON list.  Each entry has
+``name``; ``file``, a path under ``src/``; ``snippet``, text that occurs
+exactly once in that file; ``replacement``, the text it becomes; ``tests``,
+the pytest ids that must fail with the mutant in place; and ``source``,
+the CHANGES.md entry that recorded it.  Every named test is first looked
+up in the unmutated tree.  Then each mutant is applied alone to a fresh
+copy of ``src/`` in a temporary directory, and its named tests run against
+that copy (``PYTHONPATH``), from the repository root, so the tests
+themselves are the repository's.  A test that fails or errors kills the
+mutant, and so does a run that stops before its tests (a mutant that
+breaks the import of ``ssacode`` makes collection fail).  A test that
+passes or is skipped leaves the mutant alive.  Prints one line per mutant.
 
 Exits 0 if every named test of every mutant failed, 1 if some mutant left
-a named test passing (it survives, in full or in part), and 2 if the table
-is malformed or a snippet does not occur exactly once: a change that moves
-mutated code must port its mutants.
+a named test passing or skipped (it survives, in full or in part), and 2
+if the table is malformed, a snippet does not occur exactly once or a
+named test is not found: a change that moves mutated code or renames a
+test must port its mutants.
 """
 
-import argparse
 import json
 import os
 import re
@@ -31,72 +32,75 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+TABLE = ROOT / "tests" / "mutants.json"
 KEYS = {"name", "file", "snippet", "replacement", "tests", "source"}
-# the short test summary line of a failed or erroring test: "FAILED <id> - ..."
-SUMMARY = re.compile(r"^(?:FAILED|ERROR) (\S+)")
+# a test's line in pytest -v output: "<id> PASSED  [ 50%]"
+OUTCOME = re.compile(r"^(\S+) (PASSED|FAILED|ERROR|SKIPPED|XFAIL|XPASS)\b")
 
 
 class TableError(Exception):
     pass
 
 
-def load(path: Path, names) -> list:
-    table = json.loads(path.read_text())
+def pytest(src: Path, args) -> subprocess.CompletedProcess:
+    """pytest from the repository root, importing ``ssacode`` from ``src``."""
+    env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
+    return subprocess.run([sys.executable, "-m", "pytest", "-p", "no:cacheprovider", *args],
+                          env=env, cwd=ROOT, capture_output=True, text=True)
+
+
+def load() -> list:
+    """The table's entries, once every snippet and every test is found."""
+    table = json.loads(TABLE.read_text())
     seen = set()
     for entry in table:
         if not isinstance(entry, dict) or set(entry) != KEYS or not entry["tests"]:
-            raise TableError(f"{path}: an entry needs exactly the keys {sorted(KEYS)} "
+            raise TableError(f"{TABLE}: an entry needs exactly the keys {sorted(KEYS)} "
                              f"and at least one test: {entry!r}")
         if entry["name"] in seen:
-            raise TableError(f"{path}: mutant {entry['name']!r} is listed twice")
+            raise TableError(f"{TABLE}: mutant {entry['name']!r} is listed twice")
         seen.add(entry["name"])
         text = (ROOT / "src" / entry["file"]).read_text()
         if text.count(entry["snippet"]) != 1:
             raise TableError(f"mutant {entry['name']!r}: its snippet occurs "
                              f"{text.count(entry['snippet'])} times in src/{entry['file']}")
-    unknown = set(names) - seen
-    if unknown:
-        raise TableError(f"no mutant named {', '.join(sorted(unknown))}")
-    return [e for e in table if not names or e["name"] in names]
+    tests = sorted({t for entry in table for t in entry["tests"]})
+    proc = pytest(ROOT / "src", ["-q", "--collect-only", *tests])
+    if proc.returncode != 0:  # 4: a test id not found
+        raise TableError(f"the named tests do not all collect (pytest exited "
+                         f"{proc.returncode}):\n{proc.stdout[-2000:]}{proc.stderr[-2000:]}")
+    return table
 
 
 def run(entry: dict) -> list:
-    """The named tests that passed with the mutant in place."""
+    """The named tests that the mutant left alive, each as "<id> <outcome>"."""
     with tempfile.TemporaryDirectory(prefix="mutant-") as tmp:
         src = Path(tmp) / "src"
         shutil.copytree(ROOT / "src", src, ignore=shutil.ignore_patterns("__pycache__"))
         target = src / entry["file"]
         target.write_text(target.read_text().replace(entry["snippet"], entry["replacement"]))
-        env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
         where = subprocess.run(
             [sys.executable, "-c", "import ssacode; print(ssacode.__file__)"],
-            env=env, cwd=ROOT, capture_output=True, text=True).stdout.strip()
-        if not where.startswith(str(src)):
-            raise TableError(f"the tests import ssacode from {where or 'nowhere'}, "
+            env=dict(os.environ, PYTHONPATH=str(src)), cwd=ROOT,
+            capture_output=True, text=True).stdout.strip()
+        if where and not where.startswith(str(src)):
+            raise TableError(f"the tests import ssacode from {where}, "
                              f"not from the mutated copy")
-        proc = subprocess.run(
-            [sys.executable, "-m", "pytest", "-q", "-rfE", "-p", "no:cacheprovider",
-             *entry["tests"]],
-            env=env, cwd=ROOT, capture_output=True, text=True)
-    if proc.returncode not in (0, 1):  # a test id not found, or no test run
-        raise TableError(f"mutant {entry['name']!r}: pytest exited {proc.returncode}:\n"
-                         f"{proc.stdout[-2000:]}{proc.stderr[-2000:]}")
-    failed = {m.group(1) for m in map(SUMMARY.match, proc.stdout.splitlines()) if m}
-    return [t for t in entry["tests"] if t not in failed]
+        proc = pytest(src, ["-v", *entry["tests"]])
+    outcome = dict(m.groups() for m in map(OUTCOME.match, proc.stdout.splitlines()) if m)
+    # a test with no outcome line did not run: collection stopped first
+    return [f"{t} {outcome[t].lower()}" for t in entry["tests"]
+            if outcome.get(t, "FAILED") not in ("FAILED", "ERROR")]
 
 
-def main(argv) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--table", type=Path, default=ROOT / "tests" / "mutants.json")
-    parser.add_argument("names", nargs="*")
-    args = parser.parse_args(argv)
+def main() -> int:
     try:
-        mutants = load(args.table, args.names)
+        mutants = load()
         survivors = 0
         for entry in mutants:
-            passed = run(entry)
-            survivors += bool(passed)
-            verdict = "killed" if not passed else f"SURVIVED: {' '.join(passed)} passed"
+            alive = run(entry)
+            survivors += bool(alive)
+            verdict = "killed" if not alive else f"SURVIVED: {', '.join(alive)}"
             print(f"{entry['name']}: {verdict}", flush=True)
     except TableError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -106,4 +110,4 @@ def main(argv) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())
