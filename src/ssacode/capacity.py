@@ -245,14 +245,16 @@ class CapacityReport:
     ``converged`` says whether hi - lo <= tol * lo.  ``iterations`` are
     summed over the components.  A digraph with no cycle has root 0,
     residual 0 and no bracket (None).  ``bracket`` is left out of
-    ``to_dict``.  A "mask-quotient" report comes with no word-level
-    digraph built: each component's bounds are those of the word-level
-    product, taken on its component's kept masks.  Its ``vertex_count`` is
-    the size of the set, and its ``arc_count`` is 2^(m+1) times the
-    quotient's, since every word has two successors per quotient arc of
-    its mask, on a cycle or not.  That is exact for a union whose kept
-    masks ``GeneratingSet.mask_classes`` found in the codes, or that the
-    set was made from by its builder.
+    ``to_dict``.  A "mask-quotient" or "binary-reduction" report comes
+    with no word-level digraph built: its bracket is twice that of the
+    binary window digraph's power iteration (``_doubled``), an exact
+    doubling.  A "mask-quotient" report's ``vertex_count`` is the size of
+    the set, and its ``arc_count`` is 2^(m+1) times the quotient's, since
+    every word has two successors per quotient arc of its mask, on a cycle
+    or not.  That is exact for a union whose kept masks
+    ``GeneratingSet.mask_classes`` found in the codes, or that the set was
+    made from by its builder.  A "binary-reduction" report counts the
+    binary digraph's own vertices and arcs.
     """
 
     m: int
@@ -355,7 +357,8 @@ def _cyclic_powers(g: TransitionDigraph, tol: float, stop_below: float):
             return np.bincount(pre, weights=z.take(suf))
 
         lo, hi, iterations, z = _shifted_power(step, np.ones(nbins), tol, stop_below)
-        # the lifted vector is not bound here, so the caller can let it go
+        # no rate reads the lifted vector; it is yielded for the tests that
+        # check the bracket against the exact ratios it gives
         yield idx, (lo, hi, iterations, z.take(suf))
 
 
@@ -399,8 +402,9 @@ def spectral_radius(g: TransitionDigraph, tol: float = DEFAULT_TOL, *,
     subset of an overlap digraph is the overlap digraph of that subset, so
     every component iterates with one O(|V|) group-sum per step, taken on
     the component's overlap bins, and no adjacency matrix or per-component
-    digraph is formed.  That loop, ``_cyclic_powers``, is the one the
-    certificate in ``rate_of_set`` runs on a mask quotient.  Each
+    digraph is formed.  ``rate_of_set`` of a union of TC-mask classes
+    and ``binary_reduction_rate`` call it on a mask quotient and double
+    its bracket.  Each
     component's root depends only on its own codes, so equal components
     in two sets give bit-identical roots.  Each component stops on its own
     Collatz-Wielandt bracket (``_shifted_power``), and the report carries
@@ -427,14 +431,16 @@ def mask_quotient(s: GeneratingSet) -> Optional[TransitionDigraph]:
     2^m words), a word u with mask a has exactly two successors in the
     class of each mask b that a -> b in the binary window digraph on the
     kept masks: the two symbols with the TC bit b ends in.  That digraph,
-    times 2, is then the quotient matrix of the partition by mask, and a
-    Perron vector of it read at each word's mask is one of the quaternary
-    digraph.  The binary window digraph is the overlap digraph of the kept
-    masks' words over {A, C} (``sequences.spread``): A and C are the digits
-    0 and 1, and spreading keeps order, so its i-th vertex is the i-th kept
-    mask.  The masks of each cyclic component of it form a union of their
-    own, whose quotient is that component, so ``rate_of_set`` brackets the
-    components one at a time.  Returns that quotient digraph, or None when
+    times 2, is then the quotient matrix of the partition by mask, so a
+    Collatz-Wielandt bracket of the binary digraph, doubled, is one of the
+    quaternary digraph, and its root is twice the binary one
+    (``rate_of_set``).  The binary window digraph is the overlap digraph of
+    the kept masks' words over {A, C} (``sequences.spread``): A and C are
+    the digits 0 and 1, and spreading keeps order, so its i-th vertex is
+    the i-th kept mask.  The masks of each cyclic component of it form a
+    union of their own, whose quotient is that component, so
+    ``spectral_radius`` brackets the components one at a time, as it does
+    for any digraph.  Returns that quotient digraph, or None when
     S is not such a union.  The kept masks are ``s.mask_classes``, found
     once per set in its codes, or held from the start by a set its builder
     made from them, and shared with ``validate``.
@@ -443,116 +449,55 @@ def mask_quotient(s: GeneratingSet) -> Optional[TransitionDigraph]:
     return None if kept is None else TransitionDigraph(m=s.m, codes=sequences.spread(kept))
 
 
-def _lifted_bracket(m: int, kept: np.ndarray,
-                    by_mask: np.ndarray) -> Optional[Tuple[float, float]]:
-    """Certified bounds lo <= rho(A) <= hi on the overlap digraph A of the
-    union of the TC-mask classes ``kept`` (ascending, not empty), from one
-    product with the vector x that reads each word's value at its mask in
-    ``by_mask``.
-
-    The bracket is that of one step of ``_shifted_power`` (an infinite tol
-    stops it there), whose product is taken on the 2^m masks, with no word
-    read.  A word of mask a ends in an (m-1)-word of mask
-    b = a mod 2^(m-1), whose four successors, that word followed by
-    A, C, G and T, have the masks 2b, 2b+1, 2b and 2b+1; each is in S iff
-    its mask is kept.  With v = x at the kept masks and an exact 0.0 at
-    the others, (Ax)_u is f[b] = ((v[2b] + v[2b+1]) + v[2b]) + v[2b+1]:
-    the overlap's bin summed in the order the ``bincount`` of
-    ``TransitionDigraph.matvec`` sums it.  So every word's ratio is that
-    of the word-level product to the bit, and the least and greatest
-    over the kept masks are those over the words.  Only ``by_mask`` at
-    ``kept``, the set's own classes, is read, whatever it holds
-    elsewhere.  None if an entry of x is not a positive normal float.
-    """
-    x = by_mask[kept]
-    if not x.min() >= np.finfo(float).tiny:
-        return None
-    v = np.zeros(2 ** m)
-    low = kept & (2 ** (m - 1) - 1)
-
-    def product(u):
-        v[kept] = u
-        even, odd = v[0::2], v[1::2]  # v at the masks 2b and 2b+1
-        return (((even + odd) + even) + odd)[low]
-
-    lo, hi, _, _ = _shifted_power(product, x, math.inf, 0.0)
-    return lo, hi
-
-
-def _lifted_rate(s: GeneratingSet, quotient: TransitionDigraph,
-                 tol: float) -> Optional[CapacityReport]:
-    """The root of S's digraph bracketed one cyclic component of the
-    quotient at a time, or None if that is not certified to ``tol``.
-
-    A nonnegative matrix's root is the largest root of its cyclic
-    components, and the masks of each component of the quotient form a
-    union of their own, whose quotient is that component: strongly
-    connected, so its Perron vector is positive.  Each component's vector
-    is lifted to the words of its masks among S's classes and bracketed
-    there (``_lifted_bracket``); the root lies in [max lo, max hi] over
-    the components.  Each bracket holds for any positive vector, but which
-    masks form a component is read off the quotient, which
-    ``mask_quotient`` builds from those same classes.  None when the
-    quotient has no cycle, when a bracket is refused, or when that
-    interval is wider than ``tol`` relative to its lower end.  Each
-    component is iterated to ``tol`` on its own bracket, which the lifted
-    one matches to a few eps, since every word's ratio is twice its
-    mask's there, up to rounding.
-    """
-    powers = []
-    for idx, (_, _, it, x) in _cyclic_powers(quotient, tol, 0.0):
-        codes = quotient.codes if len(idx) == quotient.vertex_count else quotient.codes.take(idx)
-        masks = sequences.tc_masks(codes, s.m)
-        by_mask = np.zeros(2 ** s.m)
-        by_mask[masks] = x  # at the component's masks
-        # both are duplicate-free: np.unique, and with it numpy.ma, is skipped
-        kept = np.intersect1d(s.mask_classes, masks, assume_unique=True)
-        del x, masks  # at m = 21, 16 MB less held through the bracket's step
-        bracket = _lifted_bracket(s.m, kept, by_mask)
-        if bracket is None:
-            return None
-        powers.append((*bracket, it))
-    report = _bracket_report(s.m, len(s), 2 ** (s.m + 1) * quotient.arc_count,
-                             "mask-quotient", powers, tol)
-    return report if powers and report.converged else None
+def _doubled(binary: CapacityReport, vertex_count: int, arc_count: int, method: str,
+             tol: float) -> CapacityReport:
+    """The report on a quaternary root that is twice the root of the binary
+    window digraph whose report is ``binary`` (it must have a bracket),
+    with the caller's vertex and arc counts.  Doubling each end of the
+    bracket is exact in floats, so the midpoint, the residual and
+    ``converged`` are those of ``binary``, doubled or as they were."""
+    lo, hi = binary.bracket
+    return _bracket_report(binary.m, vertex_count, arc_count, method,
+                           [(2.0 * lo, 2.0 * hi, binary.iterations)], tol)
 
 
 def rate_of_set(s: GeneratingSet, tol: float = DEFAULT_TOL, *,
                 floor: Optional[float] = None) -> CapacityReport:
     """Asymptotic rate of C_n(S) in bits/nt: log2 of the digraph Perron root.
 
-    If S is a union of whole TC-mask classes whose quotient (see
-    ``mask_quotient``, at most 2^m vertices) has a cycle, each cyclic
-    component of the quotient is iterated, its Perron vector is lifted to
-    the words of its masks, and one product with that part of the 4^m-word
-    operator brackets its root (Collatz-Wielandt, see ``_lifted_bracket``);
-    the root of S is in [max lo, max hi] over the components (see
-    ``_lifted_rate``).  Every word's ratio in that product is a function
-    of its mask, so it is taken on the 2^m masks, bit for bit the
-    word-level one, and no digraph is built.  The classes it reads are
-    those of ``s.mask_classes`` in the component: found in the codes, or
-    held by a set its builder made from them, so a
-    bracket does not rest on the quotient's vector being right.  If the
-    interval is at most ``tol`` wide relative to its lower end, the
-    report's method is "mask-quotient" and it carries the bracket; its
-    ``arc_count`` is read off the quotient (see ``CapacityReport``).  A
-    strongly connected quotient is its own one component, bracketed on all
-    of ``s.mask_classes``.  In every other case (no union, a quotient with
-    no cycle, a refused or too wide bracket) the rate is
-    ``spectral_radius`` of the full digraph, as for any set.  S is
-    validated once either way: after the certificate, or by
-    ``build_digraph``.  A ``tol`` that ``check_tol`` turns away is refused
-    before any work.  ``floor`` (bits/nt) is passed to ``spectral_radius``,
-    which stops a component early once its root is certified below
-    2^floor; the certificate does not read it.
+    If S is a union of whole TC-mask classes (see ``mask_quotient``), its
+    root is twice the root of the quotient, whose 2^m or fewer vertices are
+    iterated by ``spectral_radius``.  The partition by mask is equitable,
+    so for any vector z on the kept masks, and x reading z at each word's
+    mask, a word u of mask a has (Ax)_u = 2 (z_2b + z_2b+1) exactly, with
+    b = a mod 2^(m-1) and an absent mask read as 0: twice its mask's row
+    of the quotient's product.  Every word's exact ratio (Ax)_u / x_u is
+    then twice its mask's, so the quotient's Collatz-Wielandt bracket,
+    doubled (``_doubled``), is one of the 4^m-word operator: its margin
+    covers the rounding of the quotient's ratios, and doubling is exact.
+    The same holds one cyclic component of the quotient at a time, so
+    [max lo, max hi] over them, doubled, holds the root of S, and no word
+    is read and no digraph built.  If the quotient has a cycle and that
+    bracket is at most ``tol`` wide relative to its lower end, the
+    report's method is "mask-quotient" and it carries the doubled
+    bracket; its ``arc_count`` is read off the quotient (see
+    ``CapacityReport``).  In every other case (no union, a quotient with
+    no cycle, a bracket wider than ``tol``) the rate is ``spectral_radius``
+    of the full digraph, as for any set.  S is validated once either way:
+    after the quotient's bracket, or by ``build_digraph``.  A ``tol`` that
+    ``check_tol`` turns away is refused before any work.  ``floor``
+    (bits/nt) is passed to ``spectral_radius`` of the full digraph, which
+    stops a component early once its root is certified below 2^floor; the
+    quotient is iterated without it.
     """
     check_tol(tol)
     quotient = mask_quotient(s)
     if quotient is not None:
-        report = _lifted_rate(s, quotient, tol)
-        if report is not None:
+        binary = spectral_radius(quotient, tol)
+        if binary.bracket is not None and binary.converged:
             s.require_valid()
-            return report
+            return _doubled(binary, len(s), 2 ** (s.m + 1) * binary.arc_count,
+                            "mask-quotient", tol)
     return spectral_radius(build_digraph(s), tol=tol, floor=floor)
 
 
@@ -669,13 +614,14 @@ def binary_reduction_rate(m: int) -> CapacityReport:
     ``tc_dominant_set(m)``, which holds those 2^m masks and builds no
     word.  It is iterated to ``DEFAULT_TOL``, and the reported bracket,
     and so the spectral radius, is the quaternary-equivalent one, twice
-    the binary digraph's (an exact doubling).  The all-ones mask is its
-    own successor, so there is always a cycle.
+    the binary digraph's (``_doubled``, the step ``rate_of_set`` takes on
+    the same quotient); only the vertex and arc counts and the method
+    differ from ``rate_of_set(tc_dominant_set(m))``.  The all-ones mask is
+    its own successor, so there is always a cycle.
     """
     binary = spectral_radius(mask_quotient(tc_dominant_set(m)))
-    lo, hi = binary.bracket
-    return _bracket_report(m, binary.vertex_count, binary.arc_count, "binary-reduction",
-                           [(2.0 * lo, 2.0 * hi, binary.iterations)], DEFAULT_TOL)
+    return _doubled(binary, binary.vertex_count, binary.arc_count, "binary-reduction",
+                    DEFAULT_TOL)
 
 
 @dataclass(frozen=True)

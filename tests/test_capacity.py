@@ -43,7 +43,7 @@ from ssacode import (
 from ssacode.capacity import BLOCK_CONCAT_WORDS, DEFAULT_TOL, MIN_TOL, SiblingTrie
 from ssacode.gensets import _mask_union
 from ssacode.sequences import (
-    codes_to_words, rc_code, rc_masks, spread, tc_mask_members, tc_masks, word_to_code)
+    codes_to_words, rc_code, rc_masks, tc_mask_members, tc_masks, word_to_code)
 from conftest import (
     ac_word,
     adjacency_matrix,
@@ -89,10 +89,6 @@ CHAINED_UNIT_CYCLES = [
     "AAGA", "ACAG", "AGAC", "CAGA", "CGCT", "CGTT", "CTTG", "GAAG", "GACA",
     "GCTT", "GGCT", "GTTC", "TCGC", "TCGT", "TGAA", "TGCT", "TTCG", "TTGA",
     "TTGC"]
-
-# The 32 words of TC mask 11100: a union of 2^m words, sparser than 4^(m-1)
-ONE_CLASS = [w for w in map("".join, itertools.product("ACGT", repeat=5))
-             if tc_pattern(w) == "11100"]
 
 
 def union_words(m, masks):
@@ -683,6 +679,33 @@ class TestMaskQuotient:
         assert lo * (1 - 1e-12) <= dense <= hi * (1 + 1e-12)
         assert hi - lo <= 1e-10 * lo
 
+    @settings(max_examples=40, deadline=None)
+    @given(mask_unions())
+    @example(tc_dominant_set(3).words())
+    @example(TWO_ROOTS_M5)
+    @example(LARGER_LOWER_M6)
+    def test_doubled_bracket_holds_exact_word_ratios(self, words):
+        # each cyclic component's vector, read at each word of its masks,
+        # gives every word twice its mask's ratio: the doubled bracket of
+        # the component holds the words' exact ratios, and the union's
+        # bracket is the doubled [max lo, max hi]
+        from ssacode import capacity
+        assume(words)
+        s = GeneratingSet.from_words(words)
+        masks = tc_masks(s.codes, s.m)
+        los, his = [], []
+        for idx, (lo, hi, _, x) in capacity._cyclic_powers(
+                mask_quotient(s), DEFAULT_TOL, 0.0):
+            component = s.mask_classes[idx]  # the quotient's i-th vertex is the i-th kept mask
+            inside = np.isin(masks, component)
+            g = TransitionDigraph(m=s.m, codes=s.codes[inside])
+            exact = exact_ratios(g, x[np.searchsorted(component, masks[inside])])
+            assert 2 * lo <= min(exact) and max(exact) <= 2 * hi
+            los.append(lo)
+            his.append(hi)
+        rep = rate_of_set(s)
+        assert rep.bracket == ((2 * max(los), 2 * max(his)) if los else None)
+
     @pytest.mark.parametrize("m", range(2, 10))
     def test_quotient_arc_count_tc_dominant(self, m):
         s = tc_dominant_set(m)
@@ -775,18 +798,6 @@ class TestMaskQuotient:
             x = codec.encode(t, i)
             assert x == codec.encode(u, i) and codec.decode(t, x) == i
 
-    def test_certificate_is_taken_on_the_full_operator(self, monkeypatch):
-        # a wrong quotient (all 32 masks) gives a Perron vector that is not
-        # one of the full digraph; the bracket on the 4^m operator is then
-        # wide, and the rate falls back to power iteration
-        from ssacode import capacity
-        s = tc_dominant_set(5)
-        wrong = TransitionDigraph(m=5, codes=spread(np.arange(32)))
-        monkeypatch.setattr(capacity, "mask_quotient", lambda t: wrong)
-        rep = rate_of_set(s)
-        assert rep.method == "power-iteration"
-        assert rep.to_dict() == spectral_radius(build_digraph(s)).to_dict()
-
     @pytest.mark.parametrize("build, method", [
         (lambda: tc_dominant_set(5), "mask-quotient"),  # certified union
         (heuristic_set_m6_stage, "mask-quotient"),  # reducible quotient
@@ -830,43 +841,6 @@ class TestMaskQuotient:
         with pytest.raises(InvalidGeneratingSetError):
             rate_of_set(s)
 
-    @settings(max_examples=40, deadline=None)
-    @given(mask_unions(), st.integers(0, 2 ** 32 - 1),
-           st.sampled_from([None, 0.0, 5e-324, 1e-310]), st.booleans())
-    @example(tc_dominant_set(3).words(), 0, None, False)  # dense
-    @example(tc_dominant_set(3).words(), 0, None, True)  # 101 -> 010, not kept
-    @example(ONE_CLASS, 0, None, False)  # sparse
-    @example(ONE_CLASS, 0, 5e-324, True)
-    def test_lifted_bracket_is_perron_bracket(self, words, seed, bad, stray):
-        # a zero or subnormal entry at a kept mask turns both away; with
-        # stray, every mask that is not kept holds a value too, as a wrong
-        # quotient's vector leaves it, and the bracket must not read it
-        from ssacode import capacity
-        assume(words)
-        s = GeneratingSet.from_words(words)
-        kept, masks = s.mask_classes, tc_masks(s.codes, s.m)
-        rng = random.Random(seed)
-        by_mask = np.zeros(2 ** s.m)
-        if stray:
-            by_mask[:] = [rng.uniform(0.1, 10.0) for _ in by_mask]
-        by_mask[kept] = [rng.uniform(0.1, 10.0) for _ in kept]
-        if bad is not None:
-            by_mask[rng.choice(kept.tolist())] = bad
-        expected = perron_bracket(build_digraph(s), by_mask[masks])
-        assert (expected is None) == (bad is not None)
-        assert capacity._lifted_bracket(s.m, kept, by_mask) == expected
-
-    @pytest.mark.parametrize("m", range(2, 12))
-    def test_lifted_bracket_tc_dominant(self, m):
-        # the word-level product on the built 4^m digraph, to the bit
-        from ssacode import capacity
-        s = tc_dominant_set(m)
-        kept, masks = s.mask_classes, tc_masks(s.codes, m)
-        by_mask = np.zeros(2 ** m)
-        by_mask[kept] = np.random.default_rng(m).uniform(0.1, 10.0, len(kept))
-        expected = perron_bracket(build_digraph(s), by_mask[masks])
-        assert capacity._lifted_bracket(m, kept, by_mask) == expected
-
     @pytest.mark.memory
     def test_certified_rate_in_little_memory(self):
         # the digraph's two bin arrays, the lifted vector, the product and
@@ -890,8 +864,8 @@ class TestMaskQuotient:
         # the builder hands the set its kept masks, 8 KiB at m=11; in a
         # from_codes copy the first call finds them a block of words at a
         # time and keeps only them, not each word's int32 mask (8 MiB);
-        # numpy.ma, which np.unique and np.intersect1d import on first use,
-        # is imported before, so its modules are not counted
+        # numpy.ma, which np.unique imports on first use, is imported
+        # before, so its modules are not counted
         import numpy.ma  # noqa: F401
         s = tc_dominant_set(11)
         if copied:

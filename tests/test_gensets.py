@@ -638,8 +638,8 @@ class TestTcDominantSet:
     def test_union_read_without_its_codes_in_little_memory(self):
         # size, validation, the certified rate, a count and membership are
         # all taken on the 2^11 kept masks: the 4^11 codes (16 MB) are never
-        # built.  numpy.ma, which np.unique and np.intersect1d import on
-        # first use, is imported first.
+        # built.  numpy.ma, which np.unique imports on first use, is
+        # imported first.
         import numpy.ma  # noqa: F401
         s = tc_dominant_set(11)
         tracemalloc.start()
